@@ -11,22 +11,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BadAlpha,
-    CovfnError,
-    DomainError,
-    IoError,
-    NotPSD,
-    ParseError,
-    RaggedRows,
-    UsageError,
-)
+from .errors import CovfnError, IoError, UsageError
 from .estimators import EstimateReport, bias_reduced_estimate
 from .experiments import (
     ExperimentConfig,
@@ -35,48 +25,12 @@ from .experiments import (
     run_experiment,
 )
 from .functions import parse_function_spec
-from .sampling import DataMatrix, RngStream
-from .symmat import SymMat, schatten_norm
+from .sampling import RngStream, load_data_csv
 
 __all__ = ["load_data_csv", "load_config", "run_cli", "main", "console_main"]
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
-
-
-def load_data_csv(path: str, has_header: bool = False) -> DataMatrix:
-    """Read a numeric CSV (rows = observations) into a DataMatrix."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    ncols = None
-    start = 1 if has_header else 0
-    for lineno, line in enumerate(lines, start=1):
-        if lineno == 1 and has_header:
-            continue
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if ncols is None:
-            ncols = len(cells)
-        elif len(cells) != ncols:
-            raise RaggedRows(lineno, ncols, len(cells))
-        row = []
-        for colno, cell in enumerate(cells, start=1):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(lineno, colno, f"not a number: {cell!r}") from None
-            if not math.isfinite(v):
-                raise ParseError(lineno, colno, f"non-finite value: {cell!r}")
-            row.append(v)
-        rows.append(row)
-    if not rows:
-        raise ParseError(max(start, 1), 1, "no data rows")
-    return DataMatrix(np.array(rows))
 
 
 def _render_number(v) -> str:
@@ -160,22 +114,6 @@ def report_to_table(rep: EstimateReport, b_factor: float) -> ResultTable:
     return ResultTable(columns=columns, rows=(row,), meta=meta)
 
 
-def _build_b_flag(spec: str, d: int):
-    """B from a CLI flag: identity | rank1:IDX | file:PATH (all nuclear-
-    normalized to 1); returns (SymMat, normalization factor)."""
-    if spec.startswith("file:"):
-        data = load_data_csv(spec[len("file:"):])
-        a = data.rows
-        if a.shape[0] != a.shape[1]:
-            raise UsageError(f"B file must hold a square matrix, got {a.shape}")
-        if a.shape[0] != d:
-            raise UsageError(f"B file is {a.shape[0]}x{a.shape[0]}, data dim is {d}")
-        nuc = schatten_norm(a, 1)
-        factor = 1.0 / nuc if nuc > 1.0 else 1.0
-        return SymMat(a * factor), factor
-    return build_b(spec, d)
-
-
 _CONFIG_KEYS = ("experiment", "d", "n", "k", "fn", "B", "sigma", "M", "N",
                 "alpha", "seed")
 
@@ -246,7 +184,8 @@ def _build_parser() -> _Parser:
     est.add_argument("--fn", default="identity",
                      help="scalar function spec, NAME[:p1,p2,...]")
     est.add_argument("--B", default="identity", dest="b",
-                     help="identity | rank1:INDEX | file:PATH (nuclear-normalized)")
+                     help="identity | rank1:INDEX | rank1vec:u1,...,ud | file:PATH "
+                          "(nuclear-normalized)")
     est.add_argument("--k", type=int, default=0, help="bias-correction order")
     est.add_argument("--chains", type=int, default=200,
                      help="bootstrap chains per estimate (ignored for k=0)")
@@ -273,12 +212,15 @@ def _emit(text: str, out_path: str):
 
 
 def _cmd_estimate(args) -> int:
+    if args.k < 0:
+        raise UsageError(f"--k must be >= 0, got {args.k}")
+    if args.k > 0 and args.chains < 1:
+        raise UsageError(f"--chains must be >= 1 when --k >= 1, got {args.chains}")
     data = load_data_csv(args.data, args.has_header)
     f = parse_function_spec(args.fn)
-    b, factor = _build_b_flag(args.b, data.d)
+    b, factor = build_b(args.b, data.d)
     rng = RngStream(args.seed)
-    rep = bias_reduced_estimate(data, f, b, args.k, max(args.chains, 1),
-                                rng, args.alpha)
+    rep = bias_reduced_estimate(data, f, b, args.k, args.chains, rng, args.alpha)
     sampling_se = rep.sigma_hat / math.sqrt(rep.n)
     if rep.mc_stderr > 0.1 * sampling_se:
         sys.stderr.write(
@@ -305,27 +247,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _apply_thread_cap():
-    """Honor COVFN_THREADS (0 or unset = auto) for BLAS worker pools."""
-    raw = os.environ.get("COVFN_THREADS", "").strip()
-    if not raw or raw == "0":
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"COVFN_THREADS must be an integer, got {raw!r}") from None
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover - optional dependency
-        return
-    threadpool_limits(limits=cap)
-
-
 def run_cli(argv) -> int:
     """Parse argv (without the program name) and run; returns exit code."""
     parser = _build_parser()
     try:
-        _apply_thread_cap()
         args = parser.parse_args(argv)
         if args.subcommand == "estimate":
             return _cmd_estimate(args)
@@ -334,9 +259,6 @@ def run_cli(argv) -> int:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)
         return _USAGE_EXIT
-    except (IoError, ParseError, RaggedRows, DomainError, NotPSD, BadAlpha) as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return _DATA_EXIT
     except CovfnError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return _DATA_EXIT

@@ -29,10 +29,6 @@ class BadAlpha(CovfnError):
     """Confidence level outside (0, 1)."""
 
 
-class ChainFailure(CovfnError):
-    """Too many bootstrap-chain replicates left the function's domain."""
-
-
 class ParseError(CovfnError):
     """A cell of an input file failed to parse.
 

@@ -12,7 +12,7 @@ standard deviation sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -24,8 +24,8 @@ from .symmat import (
     SymMat,
     apply_scalar_function,
     as_symmat,
-    domain_margin,
     eigh,
+    in_domain,
     loewner_first_difference,
     trace_inner_product,
 )
@@ -38,7 +38,6 @@ __all__ = [
     "hockey_stick_weight_ints",
     "bias_reduced_estimate",
     "confidence_interval",
-    "normal_quantile",
 ]
 
 
@@ -61,11 +60,6 @@ class EstimateReport:
     failed_chains: int = 0
 
 
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile (scipy's ndtri, well under 1e-8 error)."""
-    return float(ndtri(p))
-
-
 def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) -> tuple:
     """Symmetric interval point +/- z_{1-alpha/2} * sigma_hat / sqrt(n)."""
     if not (0.0 < alpha < 1.0):
@@ -74,7 +68,7 @@ def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) ->
         raise ValueError("sigma_hat must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = float(ndtri(1.0 - alpha / 2.0))
     half = z * sigma_hat / math.sqrt(n)
     return (point - half, point + half)
 
@@ -186,16 +180,10 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
         raise ValueError("k must be >= 0")
     b = as_symmat(b)
     if k == 0:
-        rep = plugin_estimate(x, f, b, alpha,
-                              master_seed=rng.master_seed,
-                              stream_id=rng.stream_id)
-        return EstimateReport(
-            functional_value=rep.functional_value,
-            estimator_kind="bias_reduced", k=0, mc_stderr=0.0,
-            sigma_hat=rep.sigma_hat, ci=rep.ci, alpha=alpha,
-            n=x.n, d=x.d, chains=0,
-            master_seed=rng.master_seed, stream_id=rng.stream_id,
-        )
+        plugin_rep = plugin_estimate(x, f, b, alpha,
+                                     master_seed=rng.master_seed,
+                                     stream_id=rng.stream_id)
+        return replace(plugin_rep, estimator_kind="bias_reduced")
     if nchains < 1:
         raise ValueError("need at least one chain when k >= 1")
 
@@ -207,12 +195,8 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     states = _simulate_chain_states(sigma_hat_mat.entries, k, x.n, streams)
 
     lam, u = np.linalg.eigh(states)  # (N, k+1, d), (N, k+1, d, d)
-    lo, hi = f.domain
-    margin = domain_margin(lam)
-    lo_eff = lo + margin if math.isfinite(lo) else lo
-    hi_eff = hi - margin if math.isfinite(hi) else hi
-    in_domain = np.all((lam > lo_eff) & (lam < hi_eff), axis=(1, 2))
-    failed = int(nchains - in_domain.sum())
+    kept = np.all(in_domain(lam, f), axis=(1, 2))
+    failed = int(nchains - kept.sum())
     if failed > 0.01 * nchains:
         raise DomainError(
             f"{failed} of {nchains} chains left the domain of '{f.name}'"
@@ -221,7 +205,7 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
         flam = f.eval(lam)
     proj = np.einsum("rtim,ij,rtjm->rtm", u, b.entries, u)
     vals = np.einsum("rtm,rtm->rt", flam, proj)  # <f(state_t), B> per chain
-    y = vals[in_domain] @ weights
+    y = vals[kept] @ weights
 
     value = float(y.mean())
     mc_stderr = float(y.std(ddof=1) / math.sqrt(y.size)) if y.size > 1 else 0.0

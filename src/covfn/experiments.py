@@ -19,11 +19,16 @@ from . import __version__
 from .errors import UsageError
 from .estimators import bias_reduced_estimate, sigma_f
 from .functions import ScalarFunction, parse_function_spec
-from .sampling import RngStream, gaussian_sample, psd_factor, sample_covariance
+from .sampling import (
+    RngStream,
+    gaussian_sample,
+    load_data_csv,
+    psd_factor,
+    sample_covariance,
+)
 from .symmat import (
     SymMat,
     apply_scalar_function,
-    as_symmat,
     effective_rank,
     eigh,
     schatten_norm,
@@ -78,6 +83,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(int(v) for v in vals))
         if self.m < 1 or self.nchains < 1:
             raise UsageError("replicate counts must be >= 1")
+        if self.experiment in ("bias_scaling", "quadform") and len(self.d) != 1:
+            raise UsageError(f"{self.experiment} takes a single d, got {self.d}")
 
     def as_dict(self) -> dict:
         return {
@@ -100,12 +107,24 @@ class ResultTable:
         return [row[i] for row in self.rows]
 
 
+def _spec_numbers(rest: str, spec: str) -> np.ndarray:
+    """The comma-separated finite numbers after a spec's ``name:``."""
+    try:
+        vals = np.array([float(t) for t in rest.split(",")])
+    except ValueError:
+        raise UsageError(f"bad number in spec {spec!r}") from None
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"non-finite number in spec {spec!r}")
+    return vals
+
+
 def build_b(spec: str, d: int, normalize: bool = True):
     """Build a test matrix from a spec string; returns (SymMat, factor).
 
     Specs: ``identity`` (I/d when normalized), ``rank1:IDX``,
-    ``rank1vec:u1,...,ud``.  When ``normalize`` is set the result is
-    scaled to nuclear norm 1 and the applied factor returned.
+    ``rank1vec:u1,...,ud``, ``file:PATH`` (a d-by-d CSV).  When
+    ``normalize`` is set the result is scaled to nuclear norm at most 1
+    and the applied factor returned.
     """
     name, _, rest = spec.partition(":")
     name = name.strip()
@@ -121,10 +140,16 @@ def build_b(spec: str, d: int, normalize: bool = True):
         b = np.zeros((d, d))
         b[idx, idx] = 1.0
     elif name == "rank1vec":
-        u = np.array([float(t) for t in rest.split(",")])
+        u = _spec_numbers(rest, spec)
         if u.shape != (d,):
             raise UsageError(f"rank1vec needs {d} components, got {u.size}")
         b = np.outer(u, u)
+    elif name == "file":
+        b = load_data_csv(rest).rows
+        if b.shape[0] != b.shape[1]:
+            raise UsageError(f"B file must hold a square matrix, got {b.shape}")
+        if b.shape[0] != d:
+            raise UsageError(f"B file is {b.shape[0]}x{b.shape[0]}, data dim is {d}")
     else:
         raise UsageError(f"unknown B spec {spec!r}")
     factor = 1.0
@@ -147,15 +172,17 @@ def build_sigma(spec: str, d: int) -> SymMat:
     if name == "identity":
         return SymMat(np.eye(d))
     if name == "diag":
-        vals = np.array([float(t) for t in rest.split(",")])
+        vals = _spec_numbers(rest, spec)
         if vals.size != d:
             raise UsageError(f"diag spec has {vals.size} entries, d = {d}")
         return SymMat(np.diag(vals))
     if name == "linspace":
-        lo, hi = (float(t) for t in rest.split(","))
-        return SymMat(np.diag(np.linspace(lo, hi, d)))
+        ends = _spec_numbers(rest, spec)
+        if ends.size != 2:
+            raise UsageError(f"linspace needs lo,hi, got {spec!r}")
+        return SymMat(np.diag(np.linspace(ends[0], ends[1], d)))
     if name == "spiked":
-        toks = [float(t) for t in rest.split(",")]
+        toks = _spec_numbers(rest, spec)
         base, spikes = toks[0], toks[1:]
         if len(spikes) > d:
             raise UsageError("more spikes than dimensions")
@@ -226,6 +253,22 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     return runner(cfg)
 
 
+def _replicates(cfg: ExperimentConfig, f: ScalarFunction, b: SymMat, root,
+                n: int, k: int, cell: RngStream) -> list:
+    """The M order-k estimates of one grid cell.
+
+    Replicate m draws its data from ``cell.spawn(2m)`` and its chains from
+    ``cell.spawn(2m + 1)``.
+    """
+    reports = []
+    for m in range(cfg.m):
+        data = gaussian_sample(root, n, cell.spawn(2 * m))
+        reports.append(bias_reduced_estimate(
+            data, f, b, k, cfg.nchains, cell.spawn(2 * m + 1), cfg.alpha,
+        ))
+    return reports
+
+
 def run_bias_scaling(cfg: ExperimentConfig) -> ResultTable:
     """Monte Carlo bias of the order-k estimator over an (n, k) grid.
 
@@ -245,17 +288,9 @@ def run_bias_scaling(cfg: ExperimentConfig) -> ResultTable:
     for n in cfg.n:
         for k in cfg.k:
             cell += 1
-            cell_stream = base.spawn(cell)
-            vals = np.empty(cfg.m)
-            failures = 0
-            for m in range(cfg.m):
-                data = gaussian_sample(root, n, cell_stream.spawn(2 * m))
-                est = bias_reduced_estimate(
-                    data, f, b, k, cfg.nchains, cell_stream.spawn(2 * m + 1),
-                    cfg.alpha,
-                )
-                vals[m] = est.functional_value
-                failures += est.failed_chains
+            ests = _replicates(cfg, f, b, root, n, k, base.spawn(cell))
+            vals = np.array([e.functional_value for e in ests])
+            failures = sum(e.failed_chains for e in ests)
             bias_mc = float(vals.mean() - truth)
             stderr = float(vals.std(ddof=1) / np.sqrt(cfg.m)) if cfg.m > 1 else 0.0
             if f.name == "square":
@@ -297,20 +332,10 @@ def run_coverage(cfg: ExperimentConfig) -> ResultTable:
         for n in cfg.n:
             for k in cfg.k:
                 cell += 1
-                cell_stream = base.spawn(cell)
-                std_errs = np.empty(cfg.m)
-                hits = 0
-                for m in range(cfg.m):
-                    data = gaussian_sample(root, n, cell_stream.spawn(2 * m))
-                    est = bias_reduced_estimate(
-                        data, f, b, k, cfg.nchains,
-                        cell_stream.spawn(2 * m + 1), cfg.alpha,
-                    )
-                    std_errs[m] = (
-                        np.sqrt(n) * (est.functional_value - truth) / sig_true
-                    )
-                    lo, hi = est.ci
-                    hits += int(lo <= truth <= hi)
+                ests = _replicates(cfg, f, b, root, n, k, base.spawn(cell))
+                vals = np.array([e.functional_value for e in ests])
+                std_errs = np.sqrt(n) * (vals - truth) / sig_true
+                hits = sum(e.ci[0] <= truth <= e.ci[1] for e in ests)
                 var = float(std_errs.var(ddof=1)) if cfg.m > 1 else 0.0
                 rows.append([
                     d, n, k, cfg.m, hits / cfg.m,

@@ -165,5 +165,5 @@ def parse_function_spec(spec: str) -> ScalarFunction:
                 raise DomainError(f"bad parameter {tok!r} in function spec {spec!r}") from None
     try:
         return get_function(name, *params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DomainError(f"bad parameters for {name!r}: {exc}") from None

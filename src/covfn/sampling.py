@@ -9,17 +9,19 @@ generator (``Generator.standard_normal``), fixed for this build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPSD
+from .errors import IoError, NotPSD, ParseError, RaggedRows
 from .symmat import SymMat, as_symmat, eigh
 
 __all__ = [
     "RngStream",
     "PsdFactor",
     "DataMatrix",
+    "load_data_csv",
     "ChainSegment",
     "psd_factor",
     "gaussian_sample",
@@ -117,6 +119,41 @@ class DataMatrix:
     @property
     def d(self) -> int:
         return self.rows.shape[1]
+
+
+def load_data_csv(path: str, has_header: bool = False) -> DataMatrix:
+    """Read a numeric CSV (rows = observations) into a DataMatrix."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    rows = []
+    ncols = None
+    start = 1 if has_header else 0
+    for lineno, line in enumerate(lines, start=1):
+        if lineno == 1 and has_header:
+            continue
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if ncols is None:
+            ncols = len(cells)
+        elif len(cells) != ncols:
+            raise RaggedRows(lineno, ncols, len(cells))
+        row = []
+        for colno, cell in enumerate(cells, start=1):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(lineno, colno, f"not a number: {cell!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(lineno, colno, f"non-finite value: {cell!r}")
+            row.append(v)
+        rows.append(row)
+    if not rows:
+        raise ParseError(max(start, 1), 1, "no data rows")
+    return DataMatrix(np.array(rows))
 
 
 def gaussian_sample(f: PsdFactor, n: int, rng: RngStream) -> DataMatrix:

@@ -29,7 +29,6 @@ __all__ = [
     "effective_rank",
     "schatten_norm",
     "trace_inner_product",
-    "default_loewner_tol",
 ]
 
 
@@ -113,24 +112,27 @@ def eigh(a) -> SpectralDecomp:
     return SpectralDecomp(eigenvalues=lam, eigenvectors=u)
 
 
-def domain_margin(eigs: np.ndarray) -> float:
-    """Rounding margin at finite domain endpoints.
+def in_domain(eigs: np.ndarray, f: ScalarFunction) -> np.ndarray:
+    """Elementwise mask of the eigenvalues inside f's open domain.
 
-    An eigenvalue this close to the boundary is indistinguishable from one
-    on it (a rank-deficient covariance yields eigenvalues around
+    Finite endpoints are moved inward by the rounding margin
+    1e-12 * max(1, max |eigs|), the scale taken over the whole array: an
+    eigenvalue this close to the boundary is indistinguishable from one on
+    it (a rank-deficient covariance yields eigenvalues around
     1e-16 * scale rather than exact zeros), so it is treated as outside.
     """
+    lo, hi = f.domain
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    return 1e-12 * max(1.0, scale)
+    margin = 1e-12 * max(1.0, scale)
+    lo_eff = lo + margin if np.isfinite(lo) else lo
+    hi_eff = hi - margin if np.isfinite(hi) else hi
+    return (eigs > lo_eff) & (eigs < hi_eff)
 
 
 def _check_domain(eigs: np.ndarray, f: ScalarFunction):
-    lo, hi = f.domain
-    margin = domain_margin(eigs)
-    lo_eff = lo + margin if np.isfinite(lo) else lo
-    hi_eff = hi - margin if np.isfinite(hi) else hi
-    bad = (eigs <= lo_eff) | (eigs >= hi_eff)
+    bad = ~in_domain(eigs, f)
     if np.any(bad):
+        lo, hi = f.domain
         raise DomainError(
             f"eigenvalue(s) {eigs[bad]} outside domain ({lo}, {hi}) of '{f.name}'"
         )
@@ -144,7 +146,7 @@ def apply_scalar_function(d: SpectralDecomp, f: ScalarFunction) -> SymMat:
     return SymMat(u @ (flam[:, None] * u.T))
 
 
-def default_loewner_tol(eigs: np.ndarray) -> float:
+def _default_loewner_tol(eigs: np.ndarray) -> float:
     """Degeneracy threshold: 1e-8 times max(1, eigenvalue spread)."""
     eigs = np.asarray(eigs, dtype=float)
     spread = float(eigs.max() - eigs.min()) if eigs.size else 0.0
@@ -160,7 +162,7 @@ def loewner_first_difference(eigs, f: ScalarFunction, tol: float | None = None) 
     eigs = np.asarray(eigs, dtype=float)
     _check_domain(eigs, f)
     if tol is None:
-        tol = default_loewner_tol(eigs)
+        tol = _default_loewner_tol(eigs)
     if tol <= 0:
         raise ValueError("tol must be positive")
     li = eigs[:, None]

@@ -179,3 +179,59 @@ class TestRunCli:
         obj = json.loads(out.read_text())
         factor = obj["rows"][0][obj["columns"].index("b_normalization")]
         assert factor == pytest.approx(1.0 / 6.0)
+
+
+@pytest.mark.parametrize("extra, code", [
+    (["--k", "-1"], 1),
+    (["--k", "1", "--chains", "0"], 1),
+    (["--k", "2", "--chains", "-5"], 1),
+    (["--k", "0", "--chains", "0"], 0),  # --chains is ignored for k=0
+    (["--fn", "smoothstep:1,2,-1"], 2),
+    (["--B", "rank1vec:1,a,2"], 1),
+])
+def test_estimate_argument_exit_codes(data_csv, tmp_path, extra, code):
+    argv = ["estimate", "--data", data_csv, "--out", str(tmp_path / "rep.json")]
+    assert run_cli(argv + extra) == code
+
+
+def test_b_file_of_identity_matches_identity_spec(data_csv, tmp_path):
+    bfile = tmp_path / "I.csv"
+    bfile.write_text("1,0,0\n0,1,0\n0,0,1\n")
+    base = ["estimate", "--data", data_csv, "--fn", "log", "--k", "1",
+            "--chains", "20", "--seed", "3", "--format", "csv"]
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(base + ["--B", "identity", "--out", str(out1)]) == 0
+    assert run_cli(base + ["--B", f"file:{bfile}", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+_COVERAGE_CFG = ("experiment=coverage\nd=3\nn=60\nk=1\nfn=square\nM=3\nN=5\n"
+                 "sigma=linspace:1,2\nseed=4\n")
+
+
+@pytest.mark.parametrize("line", [
+    "sigma=linspace:1",
+    "B=rank1vec:1,a,2",
+    "experiment=bias_scaling\nd=3,4",
+    "experiment=quadform\nd=3,4",
+])
+def test_simulate_bad_config_is_usage_error(tmp_path, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_COVERAGE_CFG + line + "\n")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")]) == 1
+
+
+def test_simulate_b_from_file(tmp_path):
+    bfile = tmp_path / "I.csv"
+    bfile.write_text("1,0,0\n0,1,0\n0,0,1\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_COVERAGE_CFG)
+    rows = []
+    for b in ("identity", f"file:{bfile}"):
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--config", str(cfg), "--set", f"B={b}",
+                        "--out", str(out)]) == 0
+        rows.append([l for l in out.read_text().splitlines()
+                     if not l.startswith("#")])
+    assert rows[0] == rows[1] and len(rows[0]) == 2

@@ -40,6 +40,22 @@ class TestSpecs:
             build_b("rank1:9", 3)
         with pytest.raises(UsageError):
             build_b("whatever", 3)
+        for bad in ("rank1vec:1,a,2", "rank1vec:1,nan,2", "rank1vec:1,2"):
+            with pytest.raises(UsageError):
+                build_b(bad, 3)
+
+    def test_build_b_from_file(self, tmp_path):
+        p = tmp_path / "B.csv"
+        p.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        b, factor = build_b(f"file:{p}", 3)
+        ref, ref_factor = build_b("identity", 3)
+        assert factor == ref_factor
+        np.testing.assert_array_equal(b.entries, ref.entries)
+        with pytest.raises(UsageError):
+            build_b(f"file:{p}", 4)
+        p.write_text("1,0\n0,1\n0,0\n")
+        with pytest.raises(UsageError):
+            build_b(f"file:{p}", 2)
 
     def test_build_sigma_variants(self):
         np.testing.assert_allclose(build_sigma("identity", 3).entries, np.eye(3))
@@ -51,12 +67,21 @@ class TestSpecs:
                                    np.diag([2.0, 1.0, 1.0]))
         with pytest.raises(UsageError):
             build_sigma("diag:1,2", 3)
+        for bad in ("linspace:1", "linspace:1,2,3", "spiked:", "diag:1,x,3"):
+            with pytest.raises(UsageError):
+                build_sigma(bad, 3)
 
     def test_config_validation(self):
         with pytest.raises(UsageError):
             ExperimentConfig(experiment="nope")
         cfg = ExperimentConfig(experiment="opnorm", d=5)
         assert cfg.d == (5,)
+
+    @pytest.mark.parametrize("experiment", ["bias_scaling", "quadform"])
+    def test_single_d_experiments_reject_a_d_list(self, experiment):
+        with pytest.raises(UsageError):
+            ExperimentConfig(experiment=experiment, d=(3, 4))
+        assert ExperimentConfig(experiment=experiment, d=(3,)).d == (3,)
 
 
 class TestStatsHelpers:

@@ -61,3 +61,5 @@ def test_parse_function_spec():
         parse_function_spec("tanh")
     with pytest.raises(DomainError):
         parse_function_spec("power:abc")
+    with pytest.raises(DomainError):  # the factory's ValueError
+        parse_function_spec("smoothstep:1,2,-1")

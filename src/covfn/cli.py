@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CovfnError, IoError, UsageError
-from .estimators import EstimateReport, bias_reduced_estimate
+from .estimators import MAX_K, EstimateReport, bias_reduced_estimate
 from .experiments import (
     ExperimentConfig,
     ResultTable,
@@ -212,8 +212,8 @@ def _emit(text: str, out_path: str):
 
 
 def _cmd_estimate(args) -> int:
-    if args.k < 0:
-        raise UsageError(f"--k must be >= 0, got {args.k}")
+    if not 0 <= args.k <= MAX_K:
+        raise UsageError(f"--k must be in [0, {MAX_K}], got {args.k}")
     if args.k > 0 and args.chains < 1:
         raise UsageError(f"--chains must be >= 1 when --k >= 1, got {args.chains}")
     data = load_data_csv(args.data, args.has_header)

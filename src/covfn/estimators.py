@@ -17,13 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import BadAlpha, DimMismatch, DomainError, NotPSD
+from .errors import BadAlpha, DimMismatch, DomainError
 from .functions import ScalarFunction
 from .sampling import DataMatrix, RngStream, sample_covariance
 from .symmat import (
     SymMat,
     apply_scalar_function,
     as_symmat,
+    check_psd,
     eigh,
     in_domain,
     loewner_first_difference,
@@ -38,7 +39,10 @@ __all__ = [
     "hockey_stick_weight_ints",
     "bias_reduced_estimate",
     "confidence_interval",
+    "MAX_K",
 ]
+
+MAX_K = 62  # largest order whose chain weights C(k+1, i+1) fit in 64 bits
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,7 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
         raise DimMismatch(f"dims {sigma.dim} and {b.dim} differ")
     dec = eigh(sigma)
     lam = dec.eigenvalues
-    scale = float(np.abs(lam).max()) if lam.size else 0.0
-    if lam.min() < -1e-10 * (1.0 + scale):
-        raise NotPSD(f"minimum eigenvalue {lam.min():g} below tolerance")
+    check_psd(lam)
     lam_pos = np.maximum(lam, 0.0)
     loewner = loewner_first_difference(lam, f)
     u = dec.eigenvectors
@@ -102,8 +104,8 @@ def hockey_stick_weight_ints(k: int) -> list:
     """Exact integer chain weights c_{k,i} = (-1)^i C(k+1, i+1)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > 62:
-        raise OverflowError("weights exceed 64-bit integers for k > 62")
+    if k > MAX_K:
+        raise OverflowError(f"weights exceed 64-bit integers for k > {MAX_K}")
     return [(-1) ** i * math.comb(k + 1, i + 1) for i in range(k + 1)]
 
 
@@ -137,9 +139,7 @@ def plugin_estimate(x: DataMatrix, f: ScalarFunction, b, alpha: float = 0.05,
 def _batch_psd_roots(states: np.ndarray) -> np.ndarray:
     """Symmetric square roots of a stack of (near-)PSD matrices."""
     lam, u = np.linalg.eigh(states)
-    scale = np.abs(lam).max(axis=-1)
-    if np.any(lam[..., 0] < -1e-8 * (1.0 + scale)):
-        raise NotPSD("chain state has a significantly negative eigenvalue")
+    check_psd(lam)
     root = np.sqrt(np.maximum(lam, 0.0))
     return np.einsum("...im,...m,...jm->...ij", u, root, u)
 

@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from . import __version__
 from .errors import UsageError
-from .estimators import bias_reduced_estimate, sigma_f
+from .estimators import MAX_K, bias_reduced_estimate, sigma_f
 from .functions import ScalarFunction, parse_function_spec
 from .sampling import (
     RngStream,
@@ -81,8 +81,10 @@ class ExperimentConfig:
             if isinstance(vals, (int, np.integer)):
                 vals = (int(vals),)
             object.__setattr__(self, name, tuple(int(v) for v in vals))
-        if self.m < 1 or self.nchains < 1:
-            raise UsageError("replicate counts must be >= 1")
+        if min(self.m, self.nchains, *self.d, *self.n) < 1:
+            raise UsageError("M, N, d and n must be >= 1")
+        if not all(0 <= k <= MAX_K for k in self.k):
+            raise UsageError(f"k must be in [0, {MAX_K}], got {self.k}")
         if self.experiment in ("bias_scaling", "quadform") and len(self.d) != 1:
             raise UsageError(f"{self.experiment} takes a single d, got {self.d}")
 

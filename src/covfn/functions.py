@@ -100,8 +100,6 @@ def _make_smoothstep(a: float, b: float, delta: float) -> ScalarFunction:
 
 def _make_power(p: float) -> ScalarFunction:
     p = float(p)
-    # non-integer powers: keep a margin away from 0 where p*x^(p-1) blows up
-    lo = 0.0 if float(p).is_integer() and p >= 1 else 1e-12
 
     def ev(x):
         return np.asarray(x, dtype=float) ** p
@@ -110,7 +108,7 @@ def _make_power(p: float) -> ScalarFunction:
         return p * np.asarray(x, dtype=float) ** (p - 1.0)
 
     return ScalarFunction(
-        name="power", params=(p,), eval=ev, deriv=dv, domain=(lo, _INF)
+        name="power", params=(p,), eval=ev, deriv=dv, domain=(0.0, _INF)
     )
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IoError, NotPSD, ParseError, RaggedRows
-from .symmat import SymMat, as_symmat, eigh
+from .errors import IoError, ParseError, RaggedRows
+from .symmat import SymMat, as_symmat, check_psd, eigh
 
 __all__ = [
     "RngStream",
@@ -77,15 +77,12 @@ def psd_factor(sigma) -> PsdFactor:
     """Symmetric square root of a PSD matrix, clipping tiny negative modes.
 
     Eigenvalues below zero are zeroed; their sum is recorded as
-    ``clipped_mass``.  Raises NotPSD when the negative mass exceeds the
-    floating-point tolerance.
+    ``clipped_mass``.  Raises NotPSD (via ``symmat.check_psd``) when an
+    eigenvalue is below -PSD_TOL times the largest |eigenvalue|.
     """
-    sigma = as_symmat(sigma)
     d = eigh(sigma)
     lam = d.eigenvalues
-    scale = float(np.abs(lam).max()) if lam.size else 0.0
-    if lam.min() < -1e-8 * (1.0 + scale):
-        raise NotPSD(f"minimum eigenvalue {lam.min():g} below tolerance")
+    check_psd(lam)
     clipped = np.maximum(lam, 0.0)
     u = d.eigenvectors
     f = u @ (np.sqrt(clipped)[:, None] * u.T)

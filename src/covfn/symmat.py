@@ -17,11 +17,18 @@ import numpy as np
 from .errors import DimMismatch, DomainError, EigFailure, NotPSD, ZeroMatrix
 from .functions import ScalarFunction
 
+# The one tolerance policy: each threshold is one of these constants times
+# max |eigenvalue| of the matrix (or stack) at hand, so it is scale-free.
+DOMAIN_MARGIN = 1e-12  # f's finite domain endpoints move inward by this
+LOEWNER_GAP = 1e-8  # eigenvalues closer than this are tied in L(f)
+PSD_TOL = 1e-10  # eigenvalues above minus this count as nonnegative
+
 __all__ = [
     "SymMat",
     "SpectralDecomp",
     "as_symmat",
     "eigh",
+    "check_psd",
     "apply_scalar_function",
     "loewner_first_difference",
     "frechet_derivative",
@@ -112,21 +119,28 @@ def eigh(a) -> SpectralDecomp:
     return SpectralDecomp(eigenvalues=lam, eigenvectors=u)
 
 
+def check_psd(eigs: np.ndarray) -> None:
+    """Raise NotPSD unless each eigenvalue vector (last axis) is PSD.
+
+    Each matrix is held to -PSD_TOL times its own max |eigenvalue|; the
+    callers clip the negative rounding modes this lets through to zero.
+    """
+    low = eigs.min(axis=-1, initial=0.0)
+    if np.any(low < -PSD_TOL * np.abs(eigs).max(axis=-1, initial=0.0)):
+        raise NotPSD(f"minimum eigenvalue {low.min():g} below the PSD tolerance")
+
+
 def in_domain(eigs: np.ndarray, f: ScalarFunction) -> np.ndarray:
     """Elementwise mask of the eigenvalues inside f's open domain.
 
-    Finite endpoints are moved inward by the rounding margin
-    1e-12 * max(1, max |eigs|), the scale taken over the whole array: an
-    eigenvalue this close to the boundary is indistinguishable from one on
-    it (a rank-deficient covariance yields eigenvalues around
-    1e-16 * scale rather than exact zeros), so it is treated as outside.
+    The endpoints move inward by DOMAIN_MARGIN * max |eigs| over the whole
+    array: a rank-deficient covariance yields eigenvalues around
+    1e-16 * scale rather than exact zeros, so an eigenvalue this close to
+    the boundary is treated as outside.
     """
     lo, hi = f.domain
-    scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    margin = 1e-12 * max(1.0, scale)
-    lo_eff = lo + margin if np.isfinite(lo) else lo
-    hi_eff = hi - margin if np.isfinite(hi) else hi
-    return (eigs > lo_eff) & (eigs < hi_eff)
+    margin = DOMAIN_MARGIN * np.abs(eigs).max(initial=0.0)
+    return (eigs > lo + margin) & (eigs < hi - margin)
 
 
 def _check_domain(eigs: np.ndarray, f: ScalarFunction):
@@ -146,25 +160,16 @@ def apply_scalar_function(d: SpectralDecomp, f: ScalarFunction) -> SymMat:
     return SymMat(u @ (flam[:, None] * u.T))
 
 
-def _default_loewner_tol(eigs: np.ndarray) -> float:
-    """Degeneracy threshold: 1e-8 times max(1, eigenvalue spread)."""
-    eigs = np.asarray(eigs, dtype=float)
-    spread = float(eigs.max() - eigs.min()) if eigs.size else 0.0
-    return 1e-8 * max(1.0, spread)
-
-
-def loewner_first_difference(eigs, f: ScalarFunction, tol: float | None = None) -> np.ndarray:
+def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:
     """Matrix of first divided differences of f on an eigenvalue grid.
 
     Entry (i, j) is (f(l_i) - f(l_j)) / (l_i - l_j) when the gap exceeds
-    ``tol``, else f'((l_i + l_j) / 2); the diagonal is f'(l_i).
+    LOEWNER_GAP * max |eigs|, else f'((l_i + l_j) / 2); the diagonal is
+    f'(l_i).  On the zero grid only exact ties use f'.
     """
     eigs = np.asarray(eigs, dtype=float)
     _check_domain(eigs, f)
-    if tol is None:
-        tol = _default_loewner_tol(eigs)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = LOEWNER_GAP * np.abs(eigs).max(initial=0.0)
     li = eigs[:, None]
     lj = eigs[None, :]
     gap = li - lj
@@ -178,7 +183,7 @@ def loewner_first_difference(eigs, f: ScalarFunction, tol: float | None = None) 
     return (out + out.T) / 2.0
 
 
-def frechet_derivative(d: SpectralDecomp, f: ScalarFunction, h, tol: float | None = None) -> SymMat:
+def frechet_derivative(d: SpectralDecomp, f: ScalarFunction, h) -> SymMat:
     """Directional derivative Df(A; H) via the Loewner-matrix Schur product.
 
     In A's eigenbasis, Df(A; H) = L o (U^T H U) with L the matrix of first
@@ -188,13 +193,13 @@ def frechet_derivative(d: SpectralDecomp, f: ScalarFunction, h, tol: float | Non
     h = as_symmat(h)
     if h.dim != d.source_dim:
         raise DimMismatch(f"H has dim {h.dim}, decomposition has {d.source_dim}")
-    loewner = loewner_first_difference(d.eigenvalues, f, tol)
+    loewner = loewner_first_difference(d.eigenvalues, f)
     u = d.eigenvectors
     h_eig = u.T @ h.entries @ u
     return SymMat(u @ (loewner * h_eig) @ u.T)
 
 
-def taylor_remainder(a, h, f: ScalarFunction, tol: float | None = None) -> SymMat:
+def taylor_remainder(a, h, f: ScalarFunction) -> SymMat:
     """First-order Taylor remainder f(A+H) - f(A) - Df(A; H)."""
     a = as_symmat(a)
     h = as_symmat(h)
@@ -203,19 +208,17 @@ def taylor_remainder(a, h, f: ScalarFunction, tol: float | None = None) -> SymMa
     da = eigh(a)
     f_a_plus_h = apply_scalar_function(eigh(a + h), f)
     f_a = apply_scalar_function(da, f)
-    df = frechet_derivative(da, f, h, tol)
+    df = frechet_derivative(da, f, h)
     return SymMat(f_a_plus_h.entries - f_a.entries - df.entries)
 
 
 def effective_rank(a) -> float:
     """tr(A) / ||A||_op for a nonzero PSD matrix; lies in [1, d]."""
-    a = as_symmat(a)
     lam = eigh(a).eigenvalues
     opnorm = float(np.abs(lam).max())
     if opnorm == 0.0:
         raise ZeroMatrix("effective rank undefined for the zero matrix")
-    if lam.min() < -1e-10 * opnorm:
-        raise NotPSD(f"minimum eigenvalue {lam.min():g} below PSD tolerance")
+    check_psd(lam)
     return float(lam.sum()) / opnorm
 
 

@@ -1,5 +1,17 @@
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import configuration
+
+
+def pytest_configure(config):
+    # Hypothesis caches constants parsed from local sources under
+    # ./.hypothesis even with database=None; keep it out of the working tree.
+    home = tempfile.mkdtemp(prefix="covfn-hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    configuration.set_hypothesis_home_dir(home)
 
 
 def random_orthogonal(rng, d):

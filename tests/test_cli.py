@@ -188,10 +188,24 @@ class TestRunCli:
     (["--k", "0", "--chains", "0"], 0),  # --chains is ignored for k=0
     (["--fn", "smoothstep:1,2,-1"], 2),
     (["--B", "rank1vec:1,a,2"], 1),
+    (["--k", "63"], 1),  # chain weights overflow 64 bits past k = 62
 ])
 def test_estimate_argument_exit_codes(data_csv, tmp_path, extra, code):
     argv = ["estimate", "--data", data_csv, "--out", str(tmp_path / "rep.json")]
     assert run_cli(argv + extra) == code
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_all_zero_data_has_zero_identity_functional(tmp_path, k):
+    p = tmp_path / "zeros.csv"
+    p.write_text("0,0,0\n" * 10)
+    out = tmp_path / "rep.json"
+    assert run_cli(["estimate", "--data", str(p), "--fn", "identity",
+                    "--k", k, "--chains", "20", "--out", str(out)]) == 0
+    import json
+    obj = json.loads(out.read_text())
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    assert row["functional_value"] == 0.0 and row["sigma_hat"] == 0.0
 
 
 def test_b_file_of_identity_matches_identity_spec(data_csv, tmp_path):
@@ -214,6 +228,10 @@ _COVERAGE_CFG = ("experiment=coverage\nd=3\nn=60\nk=1\nfn=square\nM=3\nN=5\n"
     "B=rank1vec:1,a,2",
     "experiment=bias_scaling\nd=3,4",
     "experiment=quadform\nd=3,4",
+    "k=-1",
+    "k=63",
+    "n=0",
+    "d=0\nB=identity",
 ])
 def test_simulate_bad_config_is_usage_error(tmp_path, line):
     cfg = tmp_path / "cfg.txt"

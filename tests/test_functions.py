@@ -3,6 +3,7 @@ import pytest
 
 from covfn.errors import DomainError
 from covfn.functions import get_function, parse_function_spec
+from covfn.symmat import apply_scalar_function, eigh
 
 # interior grids on which each member's analytic derivative is checked
 # against central finite differences
@@ -45,8 +46,15 @@ def test_smoothstep_parameter_validation():
 
 
 def test_power_non_integer_keeps_margin_from_zero():
+    # the domain is (0, inf); the relative margin alone keeps a singular
+    # matrix out, while a tiny but well-conditioned one stays in
     f = get_function("power", 0.5)
-    assert f.domain[0] == 1e-12
+    assert f.domain == (0.0, float("inf"))
+    with pytest.raises(DomainError):
+        apply_scalar_function(eigh(np.diag([1.0, 0.0])), f)
+    out = apply_scalar_function(eigh(np.diag([1e-14, 2e-14])), f)
+    np.testing.assert_allclose(np.diag(out.entries), np.sqrt([1e-14, 2e-14]),
+                               rtol=1e-12)
     g = get_function("power", 2.0)
     assert g.domain[0] == 0.0
 

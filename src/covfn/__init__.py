@@ -10,6 +10,7 @@ from .errors import (
     DomainError,
     EigFailure,
     NotPSD,
+    NumericOverflow,
     ParseError,
     RaggedRows,
     UsageError,
@@ -30,11 +31,10 @@ from .symmat import (
     trace_inner_product,
 )
 from .sampling import (
-    ChainSegment,
     DataMatrix,
     PsdFactor,
     RngStream,
-    bootstrap_chain,
+    chain_eigenpairs,
     gaussian_sample,
     psd_factor,
     sample_covariance,

@@ -25,6 +25,10 @@ class ZeroMatrix(CovfnError):
     """Operation undefined for the zero matrix."""
 
 
+class NumericOverflow(CovfnError):
+    """A result left the floating-point range."""
+
+
 class BadAlpha(CovfnError):
     """Confidence level outside (0, 1)."""
 

@@ -5,8 +5,11 @@ bias-reduced estimator of order k averages, over N independent bootstrap
 chains started at the sample covariance, the weighted combination
 sum_i c_{k,i} <f(state_i), B> with hockey-stick weights
 c_{k,i} = (-1)^i C(k+1, i+1); its conditional expectation removes the
-first k orders of plug-in bias.  Confidence intervals use the asymptotic
-standard deviation sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
+first k orders of plug-in bias.  The chains come as eigenpairs from
+``sampling.chain_eigenpairs``, so f and the projections onto B are read
+off the one decomposition of each state.  Confidence intervals use the
+asymptotic standard deviation
+sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 """
 
 from __future__ import annotations
@@ -19,9 +22,13 @@ from scipy.special import ndtri
 
 from .errors import BadAlpha, DimMismatch, DomainError
 from .functions import ScalarFunction
-from .sampling import DataMatrix, RngStream, sample_covariance
+from .sampling import (
+    DataMatrix,
+    RngStream,
+    chain_eigenpairs,
+    sample_covariance,
+)
 from .symmat import (
-    SymMat,
     apply_scalar_function,
     as_symmat,
     check_psd,
@@ -81,13 +88,13 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
     """Asymptotic std dev sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 
     Computed in the eigenbasis of Sigma, where both the square root and
-    the Loewner-matrix derivative are exact on eigenvalues.
+    the Loewner-matrix derivative are exact on eigenvalues.  ``sigma`` may
+    be given as its SpectralDecomp.
     """
-    sigma = as_symmat(sigma)
-    b = as_symmat(b)
-    if sigma.dim != b.dim:
-        raise DimMismatch(f"dims {sigma.dim} and {b.dim} differ")
     dec = eigh(sigma)
+    b = as_symmat(b)
+    if dec.source_dim != b.dim:
+        raise DimMismatch(f"dims {dec.source_dim} and {b.dim} differ")
     lam = dec.eigenvalues
     check_psd(lam)
     lam_pos = np.maximum(lam, 0.0)
@@ -114,10 +121,6 @@ def hockey_stick_weights(k: int) -> np.ndarray:
     return np.array(hockey_stick_weight_ints(k), dtype=float)
 
 
-def _functional_of(sigma_hat: SymMat, f: ScalarFunction, b: SymMat) -> float:
-    return trace_inner_product(apply_scalar_function(eigh(sigma_hat), f), b)
-
-
 def plugin_estimate(x: DataMatrix, f: ScalarFunction, b, alpha: float = 0.05,
                     master_seed=None, stream_id=None) -> EstimateReport:
     """Naive plug-in estimate <f(sample covariance), B> with its CI."""
@@ -125,8 +128,9 @@ def plugin_estimate(x: DataMatrix, f: ScalarFunction, b, alpha: float = 0.05,
     sigma_hat = sample_covariance(x)
     if sigma_hat.dim != b.dim:
         raise DimMismatch(f"data dim {sigma_hat.dim}, B dim {b.dim}")
-    value = _functional_of(sigma_hat, f, b)
-    shat = sigma_f(sigma_hat, f, b)
+    dec = eigh(sigma_hat)
+    value = trace_inner_product(apply_scalar_function(dec, f), b)
+    shat = sigma_f(dec, f, b)
     ci = confidence_interval(value, shat, x.n, alpha)
     return EstimateReport(
         functional_value=value, estimator_kind="plugin", k=0,
@@ -134,34 +138,6 @@ def plugin_estimate(x: DataMatrix, f: ScalarFunction, b, alpha: float = 0.05,
         n=x.n, d=x.d, chains=0,
         master_seed=master_seed, stream_id=stream_id,
     )
-
-
-def _batch_psd_roots(states: np.ndarray) -> np.ndarray:
-    """Symmetric square roots of a stack of (near-)PSD matrices."""
-    lam, u = np.linalg.eigh(states)
-    check_psd(lam)
-    root = np.sqrt(np.maximum(lam, 0.0))
-    return np.einsum("...im,...m,...jm->...ij", u, root, u)
-
-
-def _simulate_chain_states(start: np.ndarray, k: int, n: int,
-                           streams: list) -> np.ndarray:
-    """States (N, k+1, d, d) of N bootstrap chains, one rng stream each.
-
-    Per-chain randomness is drawn sequentially from that chain's stream,
-    so each slice reproduces ``bootstrap_chain`` run on the same stream
-    (up to batched-eigh rounding).
-    """
-    nchains = len(streams)
-    d = start.shape[0]
-    states = np.empty((nchains, k + 1, d, d))
-    states[:, 0] = start
-    for t in range(1, k + 1):
-        roots = _batch_psd_roots(states[:, t - 1])
-        z = np.stack([s.standard_normal(n, d) for s in streams])
-        x = np.einsum("rni,rij->rnj", z, roots)
-        states[:, t] = np.einsum("rni,rnj->rij", x, x) / n
-    return states
 
 
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
@@ -192,9 +168,8 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
         raise DimMismatch(f"data dim {sigma_hat_mat.dim}, B dim {b.dim}")
     weights = hockey_stick_weights(k)
     streams = [rng.spawn(r) for r in range(1, nchains + 1)]
-    states = _simulate_chain_states(sigma_hat_mat.entries, k, x.n, streams)
-
-    lam, u = np.linalg.eigh(states)  # (N, k+1, d), (N, k+1, d, d)
+    start = eigh(sigma_hat_mat)  # shared by the chains and sigma_f
+    lam, u = chain_eigenpairs(start, k, x.n, streams)
     kept = np.all(in_domain(lam, f), axis=(1, 2))
     failed = int(nchains - kept.sum())
     if failed > 0.01 * nchains:
@@ -203,13 +178,13 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
         )
     with np.errstate(all="ignore"):
         flam = f.eval(lam)
-    proj = np.einsum("rtim,ij,rtjm->rtm", u, b.entries, u)
-    vals = np.einsum("rtm,rtm->rt", flam, proj)  # <f(state_t), B> per chain
+    proj = np.sum(u * (b.entries @ u), axis=-2)  # u_m^T B u_m
+    vals = np.sum(flam * proj, axis=-1)  # <f(state_t), B> per chain
     y = vals[kept] @ weights
 
     value = float(y.mean())
     mc_stderr = float(y.std(ddof=1) / math.sqrt(y.size)) if y.size > 1 else 0.0
-    shat = sigma_f(sigma_hat_mat, f, b)
+    shat = sigma_f(start, f, b)
     ci = confidence_interval(value, shat, x.n, alpha)
     return EstimateReport(
         functional_value=value, estimator_kind="bias_reduced", k=k,

@@ -1,10 +1,16 @@
-"""Seeded Gaussian sampling, sample covariances, and the bootstrap chain.
+"""Seeded Gaussian sampling, sample covariances and the bootstrap-chain engine.
 
 Randomness comes from counter-based Philox streams keyed by
 (master_seed, stream_id): distinct keys give statistically independent
 streams and every draw is a pure function of the key, so all Monte Carlo
 output is reproducible bit-for-bit.  Normal variates use numpy's ziggurat
 generator (``Generator.standard_normal``), fixed for this build.
+
+``chain_eigenpairs`` is the one chain sampler.  A chain step is the
+sample covariance of n Gaussian draws from the current state, i.e. one
+Wishart draw.  It is taken in Bartlett form from at most d(d+1)/2
+variates, so a step costs O(d^3) whatever n is, and every state is
+decomposed once.
 """
 
 from __future__ import annotations
@@ -14,19 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IoError, ParseError, RaggedRows
-from .symmat import SymMat, as_symmat, check_psd, eigh
+from .errors import IoError, NumericOverflow, ParseError, RaggedRows
+from .symmat import SymMat, check_psd, eigh
 
 __all__ = [
     "RngStream",
     "PsdFactor",
     "DataMatrix",
     "load_data_csv",
-    "ChainSegment",
     "psd_factor",
     "gaussian_sample",
     "sample_covariance",
-    "bootstrap_chain",
+    "chain_eigenpairs",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -163,54 +168,50 @@ def gaussian_sample(f: PsdFactor, n: int, rng: RngStream) -> DataMatrix:
 
 def sample_covariance(x: DataMatrix) -> SymMat:
     """(1/n) X^T X; no mean-centering, the model is centered."""
-    a = x.rows.T @ x.rows / x.n
+    with np.errstate(over="ignore"):  # reported below as NumericOverflow
+        a = x.rows.T @ x.rows / x.n
+    if not np.all(np.isfinite(a)):
+        raise NumericOverflow(
+            "sample covariance overflows floating point; rescale the data")
     return SymMat(a)
 
 
-@dataclass(frozen=True)
-class ChainSegment:
-    """A realized bootstrap-chain trajectory of sample covariances.
+def chain_eigenpairs(start, k: int, n: int,
+                     streams: list) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the states of N bootstrap chains, one stream each.
 
-    states[0] is the starting covariance; states[t] is the sample
-    covariance of n_per_step draws from N(0, states[t-1]).
+    Every chain starts at ``start``; each step replaces the state S by the
+    sample covariance of n draws from N(0, S), drawn as the Wishart
+    F R^T R F / n with F the symmetric root of S and R the m-by-d
+    (m = min(n, d)) upper-trapezoidal Bartlett factor of an n-by-d
+    standard normal matrix: strictly-upper entries N(0, 1), row-major,
+    then the diagonal sqrt(chi^2_{n-i}) for i < m, all from the chain's
+    own stream.  R^T R has the law of Z^T Z for every n, n < d included.
+    ``start`` may be given as its SpectralDecomp.  Each state is
+    decomposed once; returns eigenvalues (N, k+1, d) and eigenvectors
+    (N, k+1, d, d).  Raises NotPSD (via ``check_psd``) when a state to be
+    stepped from is not PSD.
     """
-
-    states: np.ndarray  # (k+1, d, d)
-    n_per_step: int
-    master_seed: int
-    stream_id: int
-
-    @property
-    def start(self) -> SymMat:
-        return SymMat(self.states[0])
-
-    @property
-    def length(self) -> int:
-        return self.states.shape[0]
-
-    def state(self, t: int) -> SymMat:
-        return SymMat(self.states[t])
-
-
-def bootstrap_chain(start, k: int, n: int, rng: RngStream) -> ChainSegment:
-    """Simulate k bootstrap steps of the chain starting at ``start``.
-
-    Each step resamples n centered Gaussian observations from the current
-    state and replaces it by their sample covariance.  All randomness is
-    drawn sequentially from ``rng``.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    start = as_symmat(start)
-    states = np.empty((k + 1, start.dim, start.dim))
-    states[0] = start.entries
-    current = start
+    if k < 0 or n < 1:
+        raise ValueError("need k >= 0 and n >= 1")
+    start = eigh(start)
+    nchains, d, m = len(streams), start.source_dim, min(n, start.source_dim)
+    lam = np.empty((nchains, k + 1, d))
+    u = np.empty((nchains, k + 1, d, d))
+    cur_lam, cur_u = start.eigenvalues, start.eigenvectors  # one shared root
+    lam[:, 0], u[:, 0] = cur_lam, cur_u
+    upper = np.triu_indices(m, 1, d)
+    diag = np.arange(m)
+    dofs = n - diag
+    bartlett = np.zeros((nchains, m, d))
     for t in range(1, k + 1):
-        data = gaussian_sample(psd_factor(current), n, rng)
-        current = sample_covariance(data)
-        states[t] = current.entries
-    states.setflags(write=False)
-    return ChainSegment(
-        states=states, n_per_step=n,
-        master_seed=rng.master_seed, stream_id=rng.stream_id,
-    )
+        check_psd(cur_lam)
+        root = (cur_u * np.sqrt(np.maximum(cur_lam, 0.0))[..., None, :]
+                @ np.swapaxes(cur_u, -1, -2))
+        for r, s in enumerate(streams):
+            bartlett[r][upper] = s.standard_normal(upper[0].size)
+            bartlett[r, diag, diag] = np.sqrt(s.gen.chisquare(dofs))
+        g = bartlett @ root
+        cur_lam, cur_u = np.linalg.eigh(np.swapaxes(g, -1, -2) @ g / n)
+        lam[:, t], u[:, t] = cur_lam, cur_u
+    return lam, u

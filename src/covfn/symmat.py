@@ -97,18 +97,17 @@ class SpectralDecomp:
     def source_dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def recompose(self) -> SymMat:
-        u, lam = self.eigenvectors, self.eigenvalues
-        return SymMat(u @ (lam[:, None] * u.T))
-
 
 def eigh(a) -> SpectralDecomp:
     """Spectral decomposition of a symmetric matrix.
 
     Deterministic for a fixed input on one platform (LAPACK with a fixed
     reduction order).  Within degenerate eigenspaces the basis is
-    arbitrary; downstream spectral operations are basis-invariant.
+    arbitrary; downstream spectral operations are basis-invariant.  A
+    SpectralDecomp passes through, so one decomposition can be shared.
     """
+    if isinstance(a, SpectralDecomp):
+        return a
     a = as_symmat(a)
     try:
         lam, u = np.linalg.eigh(a.entries)

@@ -253,3 +253,13 @@ def test_simulate_b_from_file(tmp_path):
         rows.append([l for l in out.read_text().splitlines()
                      if not l.startswith("#")])
     assert rows[0] == rows[1] and len(rows[0]) == 2
+
+
+def test_overflowing_data_is_a_data_error(tmp_path, capsys):
+    p = tmp_path / "huge.csv"
+    p.write_text("1e200,1\n2,3\n1,1\n")
+    assert run_cli(["estimate", "--data", str(p),
+                    "--out", str(tmp_path / "rep.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericOverflow:") and "overflow" in err
+    assert "Traceback" not in err

@@ -16,13 +16,13 @@ from covfn.functions import get_function
 from covfn.sampling import (
     DataMatrix,
     RngStream,
-    bootstrap_chain,
+    chain_eigenpairs,
     gaussian_sample,
     psd_factor,
     sample_covariance,
 )
 from covfn.symmat import apply_scalar_function, eigh, trace_inner_product
-from conftest import random_spd, random_sym
+from conftest import from_eigenpairs, random_spd, random_sym
 
 IDENTITY = get_function("identity")
 SQUARE = get_function("square")
@@ -101,6 +101,8 @@ class TestSigmaF:
         b = np.diag([1.0, 0.0])
         assert sigma_f(np.diag([1.0, 4.0]), LOG, b) == pytest.approx(np.sqrt(2.0),
                                                                      rel=1e-12)
+        assert sigma_f(eigh(np.diag([1.0, 4.0])), LOG, b) == pytest.approx(
+            np.sqrt(2.0), rel=1e-12)
 
     def test_homogeneous_in_b(self, np_rng):
         sigma = random_spd(np_rng, 5)
@@ -179,25 +181,31 @@ class TestBiasReducedEstimate:
         rep = bias_reduced_estimate(x, IDENTITY, b, 2, 400, RngStream(4))
         assert abs(rep.functional_value - target) <= 5.0 * rep.mc_stderr
 
-    def test_matches_bootstrap_chain_reference(self, np_rng):
-        # the batched simulation reproduces per-chain bootstrap_chain runs
+    def test_chains_are_batch_invariant(self, np_rng):
+        # chain r of a batch equals a lone run on stream rng.spawn(r), and
+        # the report is the weighted chain mean with its standard error
         x = DataMatrix(np_rng.standard_normal((30, 3)))
         b = random_sym(np_rng, 3)
         k, nchains = 2, 8
         rng = RngStream(55)
-        rep = bias_reduced_estimate(x, SQUARE, b, k, nchains, rng)
-        weights = hockey_stick_weights(k)
         start = sample_covariance(x)
+        lam, u = chain_eigenpairs(start, k, 30, [rng.spawn(r)
+                                                 for r in range(1, nchains + 1)])
+        weights = hockey_stick_weights(k)
         ys = []
         for r in range(1, nchains + 1):
-            seg = bootstrap_chain(start, k, 30, RngStream(55).spawn(r))
-            vals = [trace_inner_product(
-                apply_scalar_function(eigh(seg.states[t]), SQUARE), b)
-                for t in range(k + 1)]
+            lam1, u1 = chain_eigenpairs(start, k, 30, [rng.spawn(r)])
+            states = from_eigenpairs(lam1[0], u1[0])
+            np.testing.assert_allclose(lam[r - 1], lam1[0], rtol=1e-12)
+            np.testing.assert_allclose(from_eigenpairs(lam[r - 1], u[r - 1]),
+                                       states, rtol=1e-12, atol=1e-12)
+            vals = [trace_inner_product(apply_scalar_function(eigh(st), SQUARE), b)
+                    for st in states]
             ys.append(float(np.dot(weights, vals)))
-        assert rep.functional_value == pytest.approx(np.mean(ys), rel=1e-9)
+        rep = bias_reduced_estimate(x, SQUARE, b, k, nchains, rng)
+        assert rep.functional_value == pytest.approx(np.mean(ys), rel=1e-12)
         assert rep.mc_stderr == pytest.approx(
-            np.std(ys, ddof=1) / np.sqrt(nchains), rel=1e-6)
+            np.std(ys, ddof=1) / np.sqrt(nchains), rel=1e-12)
 
     def test_domain_failures_abort(self, np_rng):
         # n < d: every chain state is singular, so log fails on all chains

@@ -5,12 +5,13 @@ from covfn.errors import NotPSD
 from covfn.sampling import (
     DataMatrix,
     RngStream,
-    bootstrap_chain,
+    chain_eigenpairs,
     gaussian_sample,
     psd_factor,
     sample_covariance,
 )
-from conftest import random_spd
+from covfn.wishart_oracle import expected_sandwich, expected_trace_of_square
+from conftest import from_eigenpairs, random_spd, random_sym
 
 
 class TestPsdFactor:
@@ -98,29 +99,35 @@ class TestSampleCovariance:
         assert np.all(np.abs(mean - sigma) <= 5.0 * stderr + 1e-12)
 
 
+def chain_states(start, k, n, rng):
+    """States (k+1, d, d) of one chain: the N=1 slice of the engine."""
+    return from_eigenpairs(*chain_eigenpairs(start, k, n, [rng]))[0]
+
+
 class TestBootstrapChain:
     def test_zero_steps_consumes_no_randomness(self):
         rng = RngStream(3, 4)
-        seg = bootstrap_chain(np.eye(3), 0, 10, rng)
-        assert seg.length == 1
-        np.testing.assert_array_equal(seg.states[0], np.eye(3))
+        states = chain_states(np.eye(3), 0, 10, rng)
+        assert states.shape == (1, 3, 3)
+        np.testing.assert_array_equal(states[0], np.eye(3))
         # stream still at its origin: draws match a fresh stream
         np.testing.assert_array_equal(rng.standard_normal(4),
                                       RngStream(3, 4).standard_normal(4))
 
     def test_zero_start_is_absorbing(self):
-        seg = bootstrap_chain(np.zeros((2, 2)), 3, 5, RngStream(1))
-        np.testing.assert_array_equal(seg.states, np.zeros((4, 2, 2)))
+        states = chain_states(np.zeros((2, 2)), 3, 5, RngStream(1))
+        np.testing.assert_array_equal(states, np.zeros((4, 2, 2)))
 
     def test_concentration_at_large_n(self):
-        seg = bootstrap_chain(np.eye(5), 1, 10**5, RngStream(13))
-        assert np.abs(seg.states[1] - np.eye(5)).max() <= 0.05
+        states = chain_states(np.eye(5), 1, 10**5, RngStream(13))
+        assert np.abs(states[1] - np.eye(5)).max() <= 0.05
 
     def test_reproducible_bit_identical(self):
         start = np.diag([1.0, 2.0])
-        s1 = bootstrap_chain(start, 3, 25, RngStream(77, 5)).states
-        s2 = bootstrap_chain(start, 3, 25, RngStream(77, 5)).states
-        np.testing.assert_array_equal(s1, s2)
+        s1 = chain_eigenpairs(start, 3, 25, [RngStream(77, 5)])
+        s2 = chain_eigenpairs(start, 3, 25, [RngStream(77, 5)])
+        for a, b in zip(s1, s2):
+            np.testing.assert_array_equal(a, b)
 
     def test_states_stay_psd(self, np_rng):
         for run in range(1000):
@@ -128,10 +135,29 @@ class TestBootstrapChain:
             n = d + 5
             k = int(np_rng.integers(0, 3))
             start = random_spd(np_rng, d, lo=0.2, hi=2.0)
-            seg = bootstrap_chain(start, k, n, RngStream(1000, run))
-            for t in range(seg.length):
-                lam = np.linalg.eigvalsh(seg.states[t])
-                assert lam.min() >= -1e-10 * max(1.0, np.abs(lam).max())
+            lam, _ = chain_eigenpairs(start, k, n, [RngStream(1000, run)])
+            for eigs in lam[0]:
+                assert eigs.min() >= -1e-10 * max(1.0, np.abs(eigs).max())
+
+
+class TestBartlettStep:
+    @pytest.mark.parametrize("d, n", [(3, 7), (4, 2)])
+    def test_moments_match_wishart_oracle(self, np_rng, d, n):
+        # one step is a Wishart W_d(n, Sigma/n) for n >= d and n < d alike
+        sigma = random_spd(np_rng, d)
+        a = random_sym(np_rng, d)
+        m = 20000
+        lam, u = chain_eigenpairs(sigma, 1, n, [RngStream(8, d).spawn(r)
+                                               for r in range(m)])
+        s = from_eigenpairs(lam[:, 1], u[:, 1])
+        for draws, exact in (
+            (s, sigma),
+            (s @ a @ s, expected_sandwich(sigma, a, n).entries),
+            (np.sum(s * s, axis=(1, 2)), expected_trace_of_square(sigma, n)),
+        ):
+            mean = draws.mean(axis=0)
+            stderr = draws.std(axis=0, ddof=1) / np.sqrt(m)
+            assert np.all(np.abs(mean - exact) <= 5.0 * stderr)
 
 
 class TestRngStream:

@@ -2,14 +2,15 @@
 
 Output is CSV (comment header lines starting with '#', then column names,
 then rows) or a single JSON object {meta, columns, rows}.  All numbers are
-rendered with 17 significant digits so files round-trip bit-faithfully;
-volatile metadata (wall time) is kept out of output files so repeated runs
-with the same seed are byte-identical.
+rendered with 17 significant digits so files round-trip bit-faithfully,
+and the metadata holds nothing volatile, so repeated runs with the same
+seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -27,7 +28,7 @@ from .experiments import (
 from .functions import parse_function_spec
 from .sampling import RngStream, load_data_csv
 
-__all__ = ["load_data_csv", "load_config", "run_cli", "main", "console_main"]
+__all__ = ["load_data_csv", "load_config", "run_cli", "console_main"]
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -64,15 +65,10 @@ def _render_json(obj) -> str:
     return f'"{s}"'
 
 
-def _stable_meta(meta: dict) -> dict:
-    return {k: v for k, v in meta.items() if k != "wall_time_s"}
-
-
 def table_to_csv(table: ResultTable) -> str:
-    meta = _stable_meta(table.meta)
-    seed = meta.get("seed", "")
+    seed = table.meta.get("seed", "")
     out = [f"# covfn {__version__} seed={seed}"]
-    for key, val in meta.items():
+    for key, val in table.meta.items():
         if key in ("tool", "version", "seed"):
             continue
         out.append(f"# {key}={_render_json(val)}")
@@ -84,7 +80,7 @@ def table_to_csv(table: ResultTable) -> str:
 
 def table_to_json(table: ResultTable) -> str:
     obj = {
-        "meta": _stable_meta(table.meta),
+        "meta": table.meta,
         "columns": list(table.columns),
         "rows": [list(r) for r in table.rows],
     }
@@ -94,13 +90,12 @@ def table_to_json(table: ResultTable) -> str:
 def report_to_table(rep: EstimateReport, b_factor: float) -> ResultTable:
     columns = (
         "functional_value", "estimator_kind", "k", "mc_stderr", "sigma_hat",
-        "ci_lo", "ci_hi", "alpha", "n", "d", "chains", "failed_chains",
-        "b_normalization",
+        "ci_lo", "ci_hi", "alpha", "n", "d", "chains", "b_normalization",
     )
     row = (
         rep.functional_value, rep.estimator_kind, rep.k, rep.mc_stderr,
         rep.sigma_hat, rep.ci[0], rep.ci[1], rep.alpha, rep.n, rep.d,
-        rep.chains, rep.failed_chains, b_factor,
+        rep.chains, b_factor,
     )
     meta = {
         "tool": "covfn",
@@ -119,9 +114,9 @@ _CONFIG_KEYS = ("experiment", "d", "n", "k", "fn", "B", "sigma", "M", "N",
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a flat key=value config file (# comments, UTF-8)."""
+    """Parse a flat key=value config file (# comments, UTF-8, BOM allowed)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
@@ -174,6 +169,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built once per process, not on every run_cli call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="covfn", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -216,6 +212,8 @@ def _cmd_estimate(args) -> int:
         raise UsageError(f"--k must be in [0, {MAX_K}], got {args.k}")
     if args.k > 0 and args.chains < 1:
         raise UsageError(f"--chains must be >= 1 when --k >= 1, got {args.chains}")
+    if not 0 < args.alpha < 1:
+        raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
     data = load_data_csv(args.data, args.has_header)
     f = parse_function_spec(args.fn)
     b, factor = build_b(args.b, data.d)
@@ -262,9 +260,6 @@ def run_cli(argv) -> int:
     except CovfnError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return _DATA_EXIT
-
-
-main = run_cli
 
 
 def console_main():  # pragma: no cover - thin wrapper

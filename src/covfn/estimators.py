@@ -1,13 +1,15 @@
 """Plug-in and bias-reduced estimators of <f(Sigma), B>.
 
-The plug-in estimator evaluates f at the sample covariance.  The
-bias-reduced estimator of order k averages, over N independent bootstrap
-chains started at the sample covariance, the weighted combination
-sum_i c_{k,i} <f(state_i), B> with hockey-stick weights
+The bias-reduced estimator of order k averages, over N independent
+bootstrap chains started at the sample covariance, the weighted
+combination sum_i c_{k,i} <f(state_i), B> with hockey-stick weights
 c_{k,i} = (-1)^i C(k+1, i+1); its conditional expectation removes the
-first k orders of plug-in bias.  The chains come as eigenpairs from
+first k orders of plug-in bias.  The plug-in estimator
+<f(sample covariance), B> is the order-0 case: one chain that takes no
+step, with weight 1.  The chains come as eigenpairs from
 ``sampling.chain_eigenpairs``, so f and the projections onto B are read
-off the one decomposition of each state.  Confidence intervals use the
+off the one decomposition of each state; a chain state outside f's
+domain is an error, never dropped.  Confidence intervals use the
 asymptotic standard deviation
 sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 """
@@ -15,12 +17,12 @@ sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import BadAlpha, DimMismatch, DomainError
+from .errors import BadAlpha, DimMismatch, DomainError, NumericOverflow
 from .functions import ScalarFunction
 from .sampling import (
     DataMatrix,
@@ -29,13 +31,11 @@ from .sampling import (
     sample_covariance,
 )
 from .symmat import (
-    apply_scalar_function,
     as_symmat,
     check_psd,
     eigh,
     in_domain,
     loewner_first_difference,
-    trace_inner_product,
 )
 
 __all__ = [
@@ -57,7 +57,7 @@ class EstimateReport:
     """Point estimate with uncertainty and full provenance."""
 
     functional_value: float
-    estimator_kind: str  # "plugin" or "bias_reduced"
+    estimator_kind: str  # "plugin" at k = 0, else "bias_reduced"
     k: int
     mc_stderr: float
     sigma_hat: float
@@ -66,9 +66,8 @@ class EstimateReport:
     n: int
     d: int
     chains: int
-    master_seed: int | None
-    stream_id: int | None
-    failed_chains: int = 0
+    master_seed: int
+    stream_id: int
 
 
 def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) -> tuple:
@@ -121,23 +120,10 @@ def hockey_stick_weights(k: int) -> np.ndarray:
     return np.array(hockey_stick_weight_ints(k), dtype=float)
 
 
-def plugin_estimate(x: DataMatrix, f: ScalarFunction, b, alpha: float = 0.05,
-                    master_seed=None, stream_id=None) -> EstimateReport:
-    """Naive plug-in estimate <f(sample covariance), B> with its CI."""
-    b = as_symmat(b)
-    sigma_hat = sample_covariance(x)
-    if sigma_hat.dim != b.dim:
-        raise DimMismatch(f"data dim {sigma_hat.dim}, B dim {b.dim}")
-    dec = eigh(sigma_hat)
-    value = trace_inner_product(apply_scalar_function(dec, f), b)
-    shat = sigma_f(dec, f, b)
-    ci = confidence_interval(value, shat, x.n, alpha)
-    return EstimateReport(
-        functional_value=value, estimator_kind="plugin", k=0,
-        mc_stderr=0.0, sigma_hat=shat, ci=ci, alpha=alpha,
-        n=x.n, d=x.d, chains=0,
-        master_seed=master_seed, stream_id=stream_id,
-    )
+def plugin_estimate(x: DataMatrix, f: ScalarFunction, b,
+                    alpha: float = 0.05) -> EstimateReport:
+    """Plug-in estimate <f(sample covariance), B> with its CI: order 0."""
+    return bias_reduced_estimate(x, f, b, 0, 0, RngStream(0), alpha)
 
 
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
@@ -147,49 +133,44 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
 
     Simulates ``nchains`` independent chains of length k+1 from the sample
     covariance (chain r owns stream ``rng.spawn(r)``), forms the weighted
-    functional along each chain, and averages.  The CI half-width uses
-    sigma_hat / sqrt(n) only; Monte Carlo chain noise is reported
-    separately as ``mc_stderr``.  Chains whose states leave f's domain are
-    dropped; more than 1% of failures aborts.
+    functional along each chain, and averages.  At k = 0 this is the
+    plug-in: one chain that takes no step, draws nothing and is reported
+    as zero chains.  The CI half-width uses sigma_hat / sqrt(n) only;
+    Monte Carlo chain noise is reported separately as ``mc_stderr``.
+    Raises DomainError when any chain state leaves f's domain, and
+    NumericOverflow when f of a state overflows.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    b = as_symmat(b)
-    if k == 0:
-        plugin_rep = plugin_estimate(x, f, b, alpha,
-                                     master_seed=rng.master_seed,
-                                     stream_id=rng.stream_id)
-        return replace(plugin_rep, estimator_kind="bias_reduced")
-    if nchains < 1:
+    if k and nchains < 1:
         raise ValueError("need at least one chain when k >= 1")
-
+    b = as_symmat(b)
     sigma_hat_mat = sample_covariance(x)
     if sigma_hat_mat.dim != b.dim:
         raise DimMismatch(f"data dim {sigma_hat_mat.dim}, B dim {b.dim}")
-    weights = hockey_stick_weights(k)
-    streams = [rng.spawn(r) for r in range(1, nchains + 1)]
+    streams = [rng.spawn(r) for r in range(1, nchains + 1)] if k else [rng]
     start = eigh(sigma_hat_mat)  # shared by the chains and sigma_f
     lam, u = chain_eigenpairs(start, k, x.n, streams)
-    kept = np.all(in_domain(lam, f), axis=(1, 2))
-    failed = int(nchains - kept.sum())
-    if failed > 0.01 * nchains:
-        raise DomainError(
-            f"{failed} of {nchains} chains left the domain of '{f.name}'"
-        )
-    with np.errstate(all="ignore"):
-        flam = f.eval(lam)
+    left = int(np.sum(~np.all(in_domain(lam, f), axis=(1, 2))))
+    if left:
+        lo, hi = f.domain
+        raise DomainError(f"{left} of {len(streams)} chains left the domain "
+                          f"({lo}, {hi}) of '{f.name}'")
     proj = np.sum(u * (b.entries @ u), axis=-2)  # u_m^T B u_m
-    vals = np.sum(flam * proj, axis=-1)  # <f(state_t), B> per chain
-    y = vals[kept] @ weights
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        vals = np.sum(f.eval(lam) * proj, axis=-1)  # <f(state_t), B> per chain
+    if not np.all(np.isfinite(vals)):
+        raise NumericOverflow(f"'{f.name}' of a chain state overflows floating "
+                              "point; rescale the data")
+    y = vals @ hockey_stick_weights(k)
 
     value = float(y.mean())
     mc_stderr = float(y.std(ddof=1) / math.sqrt(y.size)) if y.size > 1 else 0.0
     shat = sigma_f(start, f, b)
     ci = confidence_interval(value, shat, x.n, alpha)
     return EstimateReport(
-        functional_value=value, estimator_kind="bias_reduced", k=k,
-        mc_stderr=mc_stderr, sigma_hat=shat, ci=ci, alpha=alpha,
-        n=x.n, d=x.d, chains=nchains,
+        functional_value=value, estimator_kind="bias_reduced" if k else "plugin",
+        k=k, mc_stderr=mc_stderr, sigma_hat=shat, ci=ci, alpha=alpha,
+        n=x.n, d=x.d, chains=nchains if k else 0,
         master_seed=rng.master_seed, stream_id=rng.stream_id,
-        failed_chains=failed,
     )

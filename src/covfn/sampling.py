@@ -124,9 +124,9 @@ class DataMatrix:
 
 
 def load_data_csv(path: str, has_header: bool = False) -> DataMatrix:
-    """Read a numeric CSV (rows = observations) into a DataMatrix."""
+    """Read a numeric UTF-8 CSV (rows = observations; a BOM is skipped)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc

@@ -50,7 +50,7 @@ class TestSerialization:
             columns=("a", "b"),
             rows=((1, 0.05), (2, 1.0 / 3.0)),
             meta={"tool": "covfn", "version": "0.1.0", "seed": 5,
-                  "config": {"x": 1}, "wall_time_s": 1.23},
+                  "config": {"x": 1}},
         )
 
     def test_csv_layout(self):
@@ -59,13 +59,11 @@ class TestSerialization:
         assert lines[0].startswith("# covfn ") and lines[0].endswith("seed=5")
         assert lines[-3] == "a,b"
         assert lines[-2] == "1,0.050000000000000003"
-        assert "wall_time" not in text
 
     def test_json_matches_csv_numbers(self):
         text = table_to_json(self._table())
         assert "0.050000000000000003" in text
         assert "0.33333333333333331" in text
-        assert "wall_time" not in text
 
     def test_round_trip_17_digits(self):
         import json
@@ -189,6 +187,12 @@ class TestRunCli:
     (["--fn", "smoothstep:1,2,-1"], 2),
     (["--B", "rank1vec:1,a,2"], 1),
     (["--k", "63"], 1),  # chain weights overflow 64 bits past k = 62
+    (["--alpha", "2"], 1),
+    (["--alpha", "0"], 1),
+    (["--alpha", "1"], 1),
+    (["--alpha", "nan"], 1),
+    (["--k", "1", "--alpha", "-0.5"], 1),
+    (["--data", "/nonexistent/data.csv", "--alpha", "1.5"], 1),  # checked first
 ])
 def test_estimate_argument_exit_codes(data_csv, tmp_path, extra, code):
     argv = ["estimate", "--data", data_csv, "--out", str(tmp_path / "rep.json")]
@@ -232,6 +236,10 @@ _COVERAGE_CFG = ("experiment=coverage\nd=3\nn=60\nk=1\nfn=square\nM=3\nN=5\n"
     "k=63",
     "n=0",
     "d=0\nB=identity",
+    "alpha=1.5",
+    "alpha=0",
+    "alpha=nan",
+    "experiment=opnorm\nalpha=-1",
 ])
 def test_simulate_bad_config_is_usage_error(tmp_path, line):
     cfg = tmp_path / "cfg.txt"
@@ -255,6 +263,17 @@ def test_simulate_b_from_file(tmp_path):
     assert rows[0] == rows[1] and len(rows[0]) == 2
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_overflowing_function_is_a_data_error(tmp_path, capsys, k):
+    # exp of eigenvalues of order 1e6 is beyond floating point
+    p = tmp_path / "big.csv"
+    p.write_text("1000,0\n0,2000\n-1000,10\n")
+    assert run_cli(["estimate", "--data", str(p), "--fn", "exp", "--k", k,
+                    "--chains", "20", "--out", str(tmp_path / "rep.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericOverflow:") and "'exp'" in err
+
+
 def test_overflowing_data_is_a_data_error(tmp_path, capsys):
     p = tmp_path / "huge.csv"
     p.write_text("1e200,1\n2,3\n1,1\n")
@@ -263,3 +282,46 @@ def test_overflowing_data_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: NumericOverflow:") and "overflow" in err
     assert "Traceback" not in err
+
+
+def test_byte_order_mark_csv_gives_identical_output(data_csv, tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "data.csv").read_bytes())
+    base = ["estimate", "--fn", "log", "--k", "1", "--chains", "20",
+            "--seed", "3", "--format", "csv"]
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(base + ["--data", data_csv, "--out", str(out1)]) == 0
+    assert run_cli(base + ["--data", str(bom), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_simulate_config_with_byte_order_mark_runs(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("\ufeff" + _COVERAGE_CFG, encoding="utf-8")
+    out = tmp_path / "t.csv"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-2].startswith("d,n,k,M,coverage")
+
+
+@pytest.mark.parametrize("k, kind, chains", [("0", "plugin", 0),
+                                             ("1", "bias_reduced", 20)])
+def test_estimator_kind_follows_k(data_csv, tmp_path, k, kind, chains):
+    out = tmp_path / "rep.json"
+    assert run_cli(["estimate", "--data", data_csv, "--k", k, "--chains", "20",
+                    "--out", str(out)]) == 0
+    import json
+    obj = json.loads(out.read_text())
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    assert (row["estimator_kind"], row["chains"]) == (kind, chains)
+    assert obj["meta"]["config"]["estimator"] == kind
+    assert "failed_chains" not in row
+
+
+def test_chain_leaving_the_domain_is_a_data_error(tmp_path, capsys):
+    p = tmp_path / "near_singular.csv"
+    p.write_text("1.4142135623730951,0\n0,0.0014142135623730952\n")
+    assert run_cli(["estimate", "--data", str(p), "--fn", "log", "--k", "1",
+                    "--chains", "200", "--seed", "2",
+                    "--out", str(tmp_path / "rep.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError:") and "of 200 chains" in err

@@ -213,6 +213,16 @@ class TestBiasReducedEstimate:
         with pytest.raises(DomainError):
             bias_reduced_estimate(x, LOG, np.eye(3) / 3, 1, 20, RngStream(0))
 
+    def test_any_chain_leaving_the_domain_raises(self):
+        # Sigma_hat = diag(1, 1e-6) from n = 2 rows: 2 of the 200 order-1
+        # chains step to a state whose small eigenvalue is below log's
+        # domain margin.  Dropping them would condition the chain mean.
+        x = DataMatrix(np.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, 1e-3]]))
+        assert plugin_estimate(x, LOG, np.eye(2) / 2).functional_value == (
+            pytest.approx(-3.0 * np.log(10.0)))
+        with pytest.raises(DomainError, match="2 of 200 chains .* 'log'"):
+            bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, 200, RngStream(2))
+
     def test_report_provenance(self, np_rng):
         x = DataMatrix(np_rng.standard_normal((25, 2)))
         rep = bias_reduced_estimate(x, SQUARE, np.eye(2) / 2, 1, 30,
@@ -220,7 +230,6 @@ class TestBiasReducedEstimate:
         assert (rep.n, rep.d, rep.k, rep.chains) == (25, 2, 1, 30)
         assert rep.master_seed == 99 and rep.stream_id == 7
         assert rep.alpha == 0.1
-        assert rep.failed_chains == 0
         lo, hi = rep.ci
         assert lo <= rep.functional_value <= hi
 

@@ -78,7 +78,6 @@ def test_log_shifts_by_two_log_c_trace_b(seed, d, c):
         assert _close(scaled.functional_value - shift, base.functional_value,
                       _bound(c * x, LOG, b))
         assert _close(scaled.sigma_hat, base.sigma_hat)
-        assert scaled.failed_chains == base.failed_chains == 0
 
 
 @PROPERTY

@@ -83,12 +83,25 @@ def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) ->
     return (point - half, point + half)
 
 
+def _binade(a: np.ndarray) -> float:
+    """Power of two at or below max |a| (1.0 if that is 0 or not finite).
+
+    Dividing by it and multiplying back is exact, so a second moment taken
+    of ``a / _binade(a)`` equals the unscaled one bit for bit wherever the
+    unscaled one does not overflow, and is finite wherever the result is.
+    """
+    top = float(np.max(np.abs(a)))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
+
+
 def sigma_f(sigma, f: ScalarFunction, b) -> float:
     """Asymptotic std dev sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 
     Computed in the eigenbasis of Sigma, where both the square root and
     the Loewner-matrix derivative are exact on eigenvalues.  ``sigma`` may
-    be given as its SpectralDecomp.
+    be given as its SpectralDecomp.  The norm is taken of entries scaled
+    by a power of two, so it is finite wherever its value is; a value
+    beyond floating point raises NumericOverflow.
     """
     dec = eigh(sigma)
     b = as_symmat(b)
@@ -102,8 +115,14 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
     b_eig = u.T @ b.entries @ u
     df_eig = loewner * b_eig
     root = np.sqrt(lam_pos)
-    sandwiched = root[:, None] * df_eig * root[None, :]
-    return math.sqrt(2.0) * float(np.linalg.norm(sandwiched))
+    with np.errstate(over="ignore"):  # reported below
+        sandwiched = root[:, None] * df_eig * root[None, :]
+    scale = _binade(sandwiched)  # exact, so the norm cannot overflow
+    out = math.sqrt(2.0) * float(np.linalg.norm(sandwiched / scale)) * scale
+    if not math.isfinite(out):
+        raise NumericOverflow(f"sigma_f of '{f.name}' overflows floating "
+                              "point; rescale the data")
+    return out
 
 
 def hockey_stick_weight_ints(k: int) -> list:
@@ -132,13 +151,14 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     """Order-k bias-reduced estimate of <f(Sigma), B> via bootstrap chains.
 
     Simulates ``nchains`` independent chains of length k+1 from the sample
-    covariance (chain r owns stream ``rng.spawn(r)``), forms the weighted
+    covariance (step t of every chain draws from ``rng.spawn(2t - 1)`` and
+    ``rng.spawn(2t)``, see ``chain_eigenpairs``), forms the weighted
     functional along each chain, and averages.  At k = 0 this is the
     plug-in: one chain that takes no step, draws nothing and is reported
     as zero chains.  The CI half-width uses sigma_hat / sqrt(n) only;
     Monte Carlo chain noise is reported separately as ``mc_stderr``.
     Raises DomainError when any chain state leaves f's domain, and
-    NumericOverflow when f of a state overflows.
+    NumericOverflow when f of a state, ``mc_stderr`` or sigma_f overflows.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -148,13 +168,12 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     sigma_hat_mat = sample_covariance(x)
     if sigma_hat_mat.dim != b.dim:
         raise DimMismatch(f"data dim {sigma_hat_mat.dim}, B dim {b.dim}")
-    streams = [rng.spawn(r) for r in range(1, nchains + 1)] if k else [rng]
     start = eigh(sigma_hat_mat)  # shared by the chains and sigma_f
-    lam, u = chain_eigenpairs(start, k, x.n, streams)
+    lam, u = chain_eigenpairs(start, k, x.n, nchains if k else 1, rng)
     left = int(np.sum(~np.all(in_domain(lam, f), axis=(1, 2))))
     if left:
         lo, hi = f.domain
-        raise DomainError(f"{left} of {len(streams)} chains left the domain "
+        raise DomainError(f"{left} of {len(lam)} chains left the domain "
                           f"({lo}, {hi}) of '{f.name}'")
     proj = np.sum(u * (b.entries @ u), axis=-2)  # u_m^T B u_m
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -164,8 +183,13 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                               "point; rescale the data")
     y = vals @ hockey_stick_weights(k)
 
-    value = float(y.mean())
-    mc_stderr = float(y.std(ddof=1) / math.sqrt(y.size)) if y.size > 1 else 0.0
+    scale = _binade(y)
+    z = y / scale  # exact; keeps the squares in y.std inside floating point
+    value = float(z.mean()) * scale
+    mc_stderr = float(z.std(ddof=1) / math.sqrt(z.size)) * scale if z.size > 1 else 0.0
+    if not math.isfinite(mc_stderr):
+        raise NumericOverflow("the Monte Carlo stderr overflows floating "
+                              "point; rescale the data")
     shat = sigma_f(start, f, b)
     ci = confidence_interval(value, shat, x.n, alpha)
     return EstimateReport(

@@ -10,12 +10,17 @@ generator (``Generator.standard_normal``), fixed for this build.
 sample covariance of n Gaussian draws from the current state, i.e. one
 Wishart draw.  It is taken in Bartlett form from at most d(d+1)/2
 variates, so a step costs O(d^3) whatever n is, and every state is
-decomposed once.
+decomposed once.  Step t of all chains draws from two streams spawned
+from the estimate's stream, ``spawn(2t - 1)`` for the normals and
+``spawn(2t)`` for the chi-squares, each in one call and in chain-major
+blocks: chain r's draws do not depend on the number of chains, and the
+first t steps do not depend on the chain length.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,18 +129,37 @@ class DataMatrix:
 
 
 def load_data_csv(path: str, has_header: bool = False) -> DataMatrix:
-    """Read a numeric UTF-8 CSV (rows = observations; a BOM is skipped)."""
+    """Read a numeric UTF-8 CSV (rows = observations; a BOM is skipped).
+
+    ``np.loadtxt`` parses in C first.  Whatever it rejects, or reads as
+    empty or non-finite, goes through ``_parse_csv_lines``, which accepts
+    blank and whitespace-only lines and any cell ``float`` accepts, and
+    reports the line and column of a bad cell.
+    """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    skip = 1 if has_header else 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                              skiprows=skip)
+        except ValueError:
+            rows = None
+    if rows is None or not rows.size or not np.all(np.isfinite(rows)):
+        rows = _parse_csv_lines(lines, skip)
+    return DataMatrix(rows)
+
+
+def _parse_csv_lines(lines: list, skip: int) -> np.ndarray:
+    """Cell-by-cell CSV parse after ``skip`` header lines; blank lines are
+    skipped.  Raises RaggedRows or ParseError with the 1-based location."""
     rows = []
     ncols = None
-    start = 1 if has_header else 0
-    for lineno, line in enumerate(lines, start=1):
-        if lineno == 1 and has_header:
-            continue
+    for lineno, line in enumerate(lines[skip:], start=skip + 1):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -154,8 +178,8 @@ def load_data_csv(path: str, has_header: bool = False) -> DataMatrix:
             row.append(v)
         rows.append(row)
     if not rows:
-        raise ParseError(max(start, 1), 1, "no data rows")
-    return DataMatrix(np.array(rows))
+        raise ParseError(max(skip, 1), 1, "no data rows")
+    return np.array(rows)
 
 
 def gaussian_sample(f: PsdFactor, n: int, rng: RngStream) -> DataMatrix:
@@ -176,41 +200,46 @@ def sample_covariance(x: DataMatrix) -> SymMat:
     return SymMat(a)
 
 
-def chain_eigenpairs(start, k: int, n: int,
-                     streams: list) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the states of N bootstrap chains, one stream each.
+def chain_eigenpairs(start, k: int, n: int, nchains: int,
+                     rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the states of ``nchains`` bootstrap chains.
 
     Every chain starts at ``start``; each step replaces the state S by the
     sample covariance of n draws from N(0, S), drawn as the Wishart
     F R^T R F / n with F the symmetric root of S and R the m-by-d
     (m = min(n, d)) upper-trapezoidal Bartlett factor of an n-by-d
     standard normal matrix: strictly-upper entries N(0, 1), row-major,
-    then the diagonal sqrt(chi^2_{n-i}) for i < m, all from the chain's
-    own stream.  R^T R has the law of Z^T Z for every n, n < d included.
+    and the diagonal sqrt(chi^2_{n-i}) for i < m.  R^T R has the law of
+    Z^T Z for every n, n < d included.  Step t draws the normals of all
+    chains in one call on ``rng.spawn(2t - 1)`` and the chi-squares in one
+    call on ``rng.spawn(2t)``, chain after chain; numpy fills both
+    sequentially, so chain r's draws do not depend on ``nchains`` and a
+    run's first t steps do not depend on k.  At k = 0 nothing is drawn.
     ``start`` may be given as its SpectralDecomp.  Each state is
-    decomposed once; returns eigenvalues (N, k+1, d) and eigenvectors
-    (N, k+1, d, d).  Raises NotPSD (via ``check_psd``) when a state to be
-    stepped from is not PSD.
+    decomposed once; returns eigenvalues (nchains, k+1, d) and
+    eigenvectors (nchains, k+1, d, d).  Raises NotPSD (via ``check_psd``)
+    when a state to be stepped from is not PSD.
     """
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
+    if k < 0 or n < 1 or nchains < 1:
+        raise ValueError("need k >= 0, n >= 1 and nchains >= 1")
     start = eigh(start)
-    nchains, d, m = len(streams), start.source_dim, min(n, start.source_dim)
+    d, m = start.source_dim, min(n, start.source_dim)
     lam = np.empty((nchains, k + 1, d))
     u = np.empty((nchains, k + 1, d, d))
     cur_lam, cur_u = start.eigenvalues, start.eigenvectors  # one shared root
     lam[:, 0], u[:, 0] = cur_lam, cur_u
-    upper = np.triu_indices(m, 1, d)
+    rows, cols = np.triu_indices(m, 1, d)
     diag = np.arange(m)
-    dofs = n - diag
+    dofs = np.tile(n - diag, nchains)
     bartlett = np.zeros((nchains, m, d))
     for t in range(1, k + 1):
         check_psd(cur_lam)
         root = (cur_u * np.sqrt(np.maximum(cur_lam, 0.0))[..., None, :]
                 @ np.swapaxes(cur_u, -1, -2))
-        for r, s in enumerate(streams):
-            bartlett[r][upper] = s.standard_normal(upper[0].size)
-            bartlett[r, diag, diag] = np.sqrt(s.gen.chisquare(dofs))
+        bartlett[:, rows, cols] = rng.spawn(2 * t - 1).standard_normal(
+            nchains, rows.size)
+        bartlett[:, diag, diag] = np.sqrt(
+            rng.spawn(2 * t).gen.chisquare(dofs)).reshape(nchains, m)
         g = bartlett @ root
         cur_lam, cur_u = np.linalg.eigh(np.swapaxes(g, -1, -2) @ g / n)
         lam[:, t], u[:, t] = cur_lam, cur_u

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import covfn.sampling
 from covfn.cli import (
     load_config,
     load_data_csv,
@@ -10,6 +11,7 @@ from covfn.cli import (
 )
 from covfn.errors import IoError, ParseError, RaggedRows, UsageError
 from covfn.experiments import ResultTable
+from covfn.sampling import _parse_csv_lines
 
 
 class TestLoadDataCsv:
@@ -42,6 +44,50 @@ class TestLoadDataCsv:
     def test_missing_file(self):
         with pytest.raises(IoError):
             load_data_csv("/nonexistent/file.csv")
+
+    @pytest.mark.filterwarnings("error")  # loadtxt's "no data" warning too
+    @pytest.mark.parametrize("text, has_header", [
+        ("1,2\n3,4\n", False),
+        ("1,2\n\n3,4\n", False),
+        ("1,2\n   \n3,4\n", False),
+        ("1_0,2\n3,4\n", False),
+        ("1,2\n3\n", False),
+        ("1,2\n3,4,5\n", False),
+        ("\ufeff1,2\n3,4\n", False),
+        ("x1,x2\n1,2\n", True),
+        ("\ufeffx1,x2\n\n1,2\n", True),
+        ("x1,x2\n", True),
+        ("", False),
+        (" 1 , 2\n3,\t4\n", False),
+        ("1,nan\n", False),
+        ("1,1e400\n", False),
+        ("1,2\n3,oops\n", False),
+        ("4.9e-324,1e-320\n-0.0,1\n", False),
+    ])
+    def test_matches_the_cell_loop(self, tmp_path, text, has_header):
+        # the C fast path and the cell loop give the same bits or the same
+        # error, with its line and column
+        p = tmp_path / "x.csv"
+        p.write_text(text, encoding="utf-8")
+        lines = text.lstrip("\ufeff").splitlines()
+        try:
+            want = _parse_csv_lines(lines, int(has_header))
+        except (ParseError, RaggedRows) as exc:
+            with pytest.raises(type(exc)) as err:
+                load_data_csv(str(p), has_header)
+            assert str(err.value) == str(exc)
+            return
+        got = load_data_csv(str(p), has_header).rows
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_well_formed_file_skips_the_cell_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((300, 5)) * 10.0 ** rng.uniform(-300, 300, (300, 5))
+        p = tmp_path / "x.csv"
+        p.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                               for row in x) + "\n")
+        monkeypatch.setattr(covfn.sampling, "_parse_csv_lines", None)
+        assert load_data_csv(str(p)).rows.tobytes() == x.tobytes()
 
 
 class TestSerialization:
@@ -282,6 +328,34 @@ def test_overflowing_data_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: NumericOverflow:") and "overflow" in err
     assert "Traceback" not in err
+
+
+def test_data_whose_second_moments_overflow_gives_finite_output(tmp_path, capsys):
+    # sigma_hat and mc_stderr are near 1e200; their squared terms are not
+    # representable, so they are taken over scaled entries
+    p = tmp_path / "big.csv"
+    p.write_text("1e50,0\n0,2e50\n-1e50,1e49\n")
+    out = tmp_path / "rep.json"
+    assert run_cli(["estimate", "--data", str(p), "--fn", "square", "--k", "1",
+                    "--chains", "20", "--out", str(out)]) == 0
+    import json
+    obj = json.loads(out.read_text())
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    for key in ("functional_value", "mc_stderr", "sigma_hat", "ci_lo", "ci_hi"):
+        assert isinstance(row[key], float) and np.isfinite(row[key]), key
+    assert row["sigma_hat"] > 1e199
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+def test_sigma_hat_beyond_floating_point_is_a_data_error(tmp_path, capsys):
+    # exp at eigenvalues near 705 is finite, but sigma_f, about
+    # sqrt(2) * 705 * exp(705), is not
+    p = tmp_path / "big.csv"
+    p.write_text("37.55,0\n0,37.55\n")
+    assert run_cli(["estimate", "--data", str(p), "--fn", "exp",
+                    "--out", str(tmp_path / "rep.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericOverflow: sigma_f of 'exp'")
 
 
 def test_byte_order_mark_csv_gives_identical_output(data_csv, tmp_path):

@@ -182,23 +182,28 @@ class TestBiasReducedEstimate:
         assert abs(rep.functional_value - target) <= 5.0 * rep.mc_stderr
 
     def test_chains_are_batch_invariant(self, np_rng):
-        # chain r of a batch equals a lone run on stream rng.spawn(r), and
-        # the report is the weighted chain mean with its standard error
+        # chain r of a batch equals chain r of a batch of r chains, the
+        # first t steps of a chain do not depend on its length, and the
+        # report is the weighted chain mean with its standard error
         x = DataMatrix(np_rng.standard_normal((30, 3)))
         b = random_sym(np_rng, 3)
         k, nchains = 2, 8
         rng = RngStream(55)
         start = sample_covariance(x)
-        lam, u = chain_eigenpairs(start, k, 30, [rng.spawn(r)
-                                                 for r in range(1, nchains + 1)])
+        lam, u = chain_eigenpairs(start, k, 30, nchains, rng)
+        for r in range(1, nchains + 1):
+            lam_r, u_r = chain_eigenpairs(start, k, 30, r, rng)
+            np.testing.assert_array_equal(lam_r[r - 1], lam[r - 1])
+            np.testing.assert_array_equal(u_r[r - 1], u[r - 1])
+        lam3, u3 = chain_eigenpairs(start, 3, 30, nchains, rng)
+        for t in range(4):
+            lam_t, u_t = chain_eigenpairs(start, t, 30, nchains, rng)
+            np.testing.assert_array_equal(lam3[:, :t + 1], lam_t)
+            np.testing.assert_array_equal(u3[:, :t + 1], u_t)
         weights = hockey_stick_weights(k)
         ys = []
-        for r in range(1, nchains + 1):
-            lam1, u1 = chain_eigenpairs(start, k, 30, [rng.spawn(r)])
-            states = from_eigenpairs(lam1[0], u1[0])
-            np.testing.assert_allclose(lam[r - 1], lam1[0], rtol=1e-12)
-            np.testing.assert_allclose(from_eigenpairs(lam[r - 1], u[r - 1]),
-                                       states, rtol=1e-12, atol=1e-12)
+        for r in range(nchains):
+            states = from_eigenpairs(lam[r], u[r])
             vals = [trace_inner_product(apply_scalar_function(eigh(st), SQUARE), b)
                     for st in states]
             ys.append(float(np.dot(weights, vals)))
@@ -214,14 +219,15 @@ class TestBiasReducedEstimate:
             bias_reduced_estimate(x, LOG, np.eye(3) / 3, 1, 20, RngStream(0))
 
     def test_any_chain_leaving_the_domain_raises(self):
-        # Sigma_hat = diag(1, 1e-6) from n = 2 rows: 2 of the 200 order-1
-        # chains step to a state whose small eigenvalue is below log's
-        # domain margin.  Dropping them would condition the chain mean.
+        # Sigma_hat = diag(1, 1e-6) from n = 2 rows: on RngStream(7), 2 of
+        # the 200 order-1 chains step to a state whose small eigenvalue is
+        # below log's domain margin.  Dropping them would condition the
+        # chain mean.
         x = DataMatrix(np.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, 1e-3]]))
         assert plugin_estimate(x, LOG, np.eye(2) / 2).functional_value == (
             pytest.approx(-3.0 * np.log(10.0)))
         with pytest.raises(DomainError, match="2 of 200 chains .* 'log'"):
-            bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, 200, RngStream(2))
+            bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, 200, RngStream(7))
 
     def test_report_provenance(self, np_rng):
         x = DataMatrix(np_rng.standard_normal((25, 2)))

@@ -94,6 +94,24 @@ def test_power_scales_by_c_to_the_2p(seed, d, c, p):
 
 
 @PROPERTY
+@given(seed=seeds, d=dims)
+def test_square_scales_by_c_to_the_4_at_1e50(seed, d):
+    # sigma_f and mc_stderr are near c^4 = 1e200, but the squares of the
+    # entries they are taken over are near c^8 and overflow
+    _, x, b = _case(seed, d)
+    square, c = get_function("square"), 1e50
+    factor = c**4
+    for est in (lambda y: _plugin(y, square, b),
+                lambda y: _order1(y, square, b, seed)):
+        base, scaled = est(x), est(c * x)
+        assert all(map(math.isfinite, (scaled.sigma_hat, scaled.mc_stderr)))
+        assert _close(scaled.functional_value / factor, base.functional_value,
+                      _bound(x, square, b))
+        assert _close(scaled.sigma_hat / factor, base.sigma_hat)
+        assert _close(scaled.mc_stderr / factor, base.mc_stderr)
+
+
+@PROPERTY
 @given(seed=seeds, d=dims, fi=st.integers(0, len(FUNCTIONS) - 1))
 def test_rotation_and_permutation_leave_value_and_sigma_f(seed, d, fi):
     rng, x, b = _case(seed, d)

@@ -101,7 +101,7 @@ class TestSampleCovariance:
 
 def chain_states(start, k, n, rng):
     """States (k+1, d, d) of one chain: the N=1 slice of the engine."""
-    return from_eigenpairs(*chain_eigenpairs(start, k, n, [rng]))[0]
+    return from_eigenpairs(*chain_eigenpairs(start, k, n, 1, rng))[0]
 
 
 class TestBootstrapChain:
@@ -124,8 +124,8 @@ class TestBootstrapChain:
 
     def test_reproducible_bit_identical(self):
         start = np.diag([1.0, 2.0])
-        s1 = chain_eigenpairs(start, 3, 25, [RngStream(77, 5)])
-        s2 = chain_eigenpairs(start, 3, 25, [RngStream(77, 5)])
+        s1 = chain_eigenpairs(start, 3, 25, 4, RngStream(77, 5))
+        s2 = chain_eigenpairs(start, 3, 25, 4, RngStream(77, 5))
         for a, b in zip(s1, s2):
             np.testing.assert_array_equal(a, b)
 
@@ -135,7 +135,7 @@ class TestBootstrapChain:
             n = d + 5
             k = int(np_rng.integers(0, 3))
             start = random_spd(np_rng, d, lo=0.2, hi=2.0)
-            lam, _ = chain_eigenpairs(start, k, n, [RngStream(1000, run)])
+            lam, _ = chain_eigenpairs(start, k, n, 1, RngStream(1000, run))
             for eigs in lam[0]:
                 assert eigs.min() >= -1e-10 * max(1.0, np.abs(eigs).max())
 
@@ -147,8 +147,7 @@ class TestBartlettStep:
         sigma = random_spd(np_rng, d)
         a = random_sym(np_rng, d)
         m = 20000
-        lam, u = chain_eigenpairs(sigma, 1, n, [RngStream(8, d).spawn(r)
-                                               for r in range(m)])
+        lam, u = chain_eigenpairs(sigma, 1, n, m, RngStream(8, d))
         s = from_eigenpairs(lam[:, 1], u[:, 1])
         for draws, exact in (
             (s, sigma),
@@ -158,6 +157,27 @@ class TestBartlettStep:
             mean = draws.mean(axis=0)
             stderr = draws.std(axis=0, ddof=1) / np.sqrt(m)
             assert np.all(np.abs(mean - exact) <= 5.0 * stderr)
+
+    def test_step_draws_are_uncorrelated(self):
+        # From Sigma = I each step's Bartlett factor R is the Cholesky
+        # factor of n F^{-1} S F^{-1} (F the root of the state stepped
+        # from), so the engine's own normals and chi-squares can be read
+        # back: normals vs the chi-square stream, vs the next step's
+        # normals, and vs the neighbouring chain's block.
+        d, n, nchains = 3, 50, 3335
+        lam, u = chain_eigenpairs(np.eye(d), 2, n, nchains, RngStream(4))
+        s1 = from_eigenpairs(lam[:, 1], u[:, 1])
+        s2 = from_eigenpairs(lam[:, 2], u[:, 2])
+        inv_root = from_eigenpairs(1.0 / np.sqrt(lam[:, 1]), u[:, 1])
+        rows, cols = np.triu_indices(d, 1)
+        r1 = np.swapaxes(np.linalg.cholesky(n * s1), -1, -2)
+        r2 = np.swapaxes(np.linalg.cholesky(n * inv_root @ s2 @ inv_root),
+                         -1, -2)
+        z1, z2 = r1[:, rows, cols], r2[:, rows, cols]
+        chi1 = np.diagonal(r1, axis1=-2, axis2=-1) ** 2
+        for a, b in ((z1, chi1), (z1, z2), (z1[:-1], z1[1:])):
+            assert a.size >= 10**4
+            assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 0.03
 
 
 class TestRngStream:

@@ -32,7 +32,6 @@ from .symmat import (
 )
 from .sampling import (
     DataMatrix,
-    PsdFactor,
     RngStream,
     chain_eigenpairs,
     gaussian_sample,

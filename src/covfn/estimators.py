@@ -32,10 +32,10 @@ from .sampling import (
 )
 from .symmat import (
     as_symmat,
-    check_psd,
     eigh,
     in_domain,
     loewner_first_difference,
+    psd_sqrt,
 )
 
 __all__ = [
@@ -97,9 +97,10 @@ def _binade(a: np.ndarray) -> float:
 def sigma_f(sigma, f: ScalarFunction, b) -> float:
     """Asymptotic std dev sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 
-    Computed in the eigenbasis of Sigma, where both the square root and
-    the Loewner-matrix derivative are exact on eigenvalues.  ``sigma`` may
-    be given as its SpectralDecomp.  The norm is taken of entries scaled
+    Computed in the eigenbasis of Sigma, where both the square root
+    (``symmat.psd_sqrt``, which raises NotPSD) and the Loewner-matrix
+    derivative are exact on eigenvalues.  ``sigma`` may be given as its
+    SpectralDecomp.  The norm is taken of entries scaled
     by a power of two, so it is finite wherever its value is; a value
     beyond floating point raises NumericOverflow.
     """
@@ -108,13 +109,11 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
     if dec.source_dim != b.dim:
         raise DimMismatch(f"dims {dec.source_dim} and {b.dim} differ")
     lam = dec.eigenvalues
-    check_psd(lam)
-    lam_pos = np.maximum(lam, 0.0)
+    root = psd_sqrt(lam)
     loewner = loewner_first_difference(lam, f)
     u = dec.eigenvectors
     b_eig = u.T @ b.entries @ u
     df_eig = loewner * b_eig
-    root = np.sqrt(lam_pos)
     with np.errstate(over="ignore"):  # reported below
         sandwiched = root[:, None] * df_eig * root[None, :]
     scale = _binade(sandwiched)  # exact, so the norm cannot overflow

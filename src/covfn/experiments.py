@@ -394,7 +394,7 @@ def run_quadform(cfg: ExperimentConfig) -> ResultTable:
         root = psd_factor(sigma)
         x = gaussian_sample(root, QUADFORM_DRAWS, s).rows
         lhs = np.einsum("ni,ij,nj->n", x, a.entries, x)
-        lam = np.linalg.eigvalsh(root.factor @ a.entries @ root.factor)
+        lam = np.linalg.eigvalsh(root @ a.entries @ root)
         z = s.standard_normal(QUADFORM_DRAWS, d)
         rhs = (z**2) @ lam
         rows.append([m, two_sample_ks(lhs, rhs), critical, QUADFORM_DRAWS])

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IoError, NumericOverflow, ParseError, RaggedRows
-from .symmat import SymMat, check_psd, eigh
+from .symmat import SymMat, eigh, psd_sqrt
 
 __all__ = [
     "RngStream",
-    "PsdFactor",
     "DataMatrix",
     "load_data_csv",
     "psd_factor",
@@ -71,34 +70,21 @@ class RngStream:
         return self.gen.standard_normal(shape)
 
 
-@dataclass(frozen=True)
-class PsdFactor:
-    """Symmetric square root F with F F^T equal to the clipped input."""
+def psd_factor(sigma) -> np.ndarray:
+    """Symmetric square root F of a PSD matrix, F F^T = sigma, read-only.
 
-    factor: np.ndarray
-    clipped_mass: float
-
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
-
-
-def psd_factor(sigma) -> PsdFactor:
-    """Symmetric square root of a PSD matrix, clipping tiny negative modes.
-
-    Eigenvalues below zero are zeroed; their sum is recorded as
-    ``clipped_mass``.  Raises NotPSD (via ``symmat.check_psd``) when an
-    eigenvalue is below -PSD_TOL times the largest |eigenvalue|.
+    The eigenvalues go through ``symmat.psd_sqrt``, which clips tiny
+    negative modes to zero and raises NotPSD when an eigenvalue is below
+    -PSD_TOL times the largest |eigenvalue|.
     """
     d = eigh(sigma)
-    lam = d.eigenvalues
-    check_psd(lam)
-    clipped = np.maximum(lam, 0.0)
     u = d.eigenvectors
-    f = u @ (np.sqrt(clipped)[:, None] * u.T)
+    # not the chain step's (U s) U^T: BLAS sums that product in another
+    # order at larger d, so F's bits, and the data drawn from it, would move
+    f = u @ (psd_sqrt(d.eigenvalues)[:, None] * u.T)
     f = (f + f.T) / 2.0
     f.setflags(write=False)
-    return PsdFactor(factor=f, clipped_mass=float(lam[lam < 0].sum()))
+    return f
 
 
 @dataclass(frozen=True)
@@ -182,12 +168,13 @@ def _parse_csv_lines(lines: list, skip: int) -> np.ndarray:
     return np.array(rows)
 
 
-def gaussian_sample(f: PsdFactor, n: int, rng: RngStream) -> DataMatrix:
-    """n i.i.d. draws of F Z with Z standard normal, i.e. N(0, F F^T)."""
+def gaussian_sample(root: np.ndarray, n: int, rng: RngStream) -> DataMatrix:
+    """n i.i.d. draws of F Z with Z standard normal and F = ``root`` (a
+    ``psd_factor``), i.e. N(0, F F^T)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = rng.standard_normal(n, f.dim)
-    return DataMatrix(z @ f.factor.T)
+    z = rng.standard_normal(n, root.shape[0])
+    return DataMatrix(z @ root.T)
 
 
 def sample_covariance(x: DataMatrix) -> SymMat:
@@ -217,8 +204,8 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
     run's first t steps do not depend on k.  At k = 0 nothing is drawn.
     ``start`` may be given as its SpectralDecomp.  Each state is
     decomposed once; returns eigenvalues (nchains, k+1, d) and
-    eigenvectors (nchains, k+1, d, d).  Raises NotPSD (via ``check_psd``)
-    when a state to be stepped from is not PSD.
+    eigenvectors (nchains, k+1, d, d).  Raises NotPSD (via
+    ``symmat.psd_sqrt``) when a state to be stepped from is not PSD.
     """
     if k < 0 or n < 1 or nchains < 1:
         raise ValueError("need k >= 0, n >= 1 and nchains >= 1")
@@ -233,8 +220,7 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
     dofs = np.tile(n - diag, nchains)
     bartlett = np.zeros((nchains, m, d))
     for t in range(1, k + 1):
-        check_psd(cur_lam)
-        root = (cur_u * np.sqrt(np.maximum(cur_lam, 0.0))[..., None, :]
+        root = (cur_u * psd_sqrt(cur_lam)[..., None, :]
                 @ np.swapaxes(cur_u, -1, -2))
         bartlett[:, rows, cols] = rng.spawn(2 * t - 1).standard_normal(
             nchains, rows.size)

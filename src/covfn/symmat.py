@@ -10,7 +10,7 @@ rejects non-finite entries outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "as_symmat",
     "eigh",
     "check_psd",
+    "psd_sqrt",
     "apply_scalar_function",
     "loewner_first_difference",
     "frechet_derivative",
@@ -44,7 +45,6 @@ class SymMat:
     """Immutable dense real symmetric d-by-d matrix."""
 
     entries: np.ndarray
-    symmetrized: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -52,31 +52,15 @@ class SymMat:
             raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix contains non-finite entries")
-        was_asym = not np.array_equal(a, a.T)
-        if was_asym:
+        if not np.array_equal(a, a.T):
             a = (a + a.T) / 2.0
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "symmetrized", was_asym)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-    def __add__(self, other):
-        return SymMat(self.entries + as_symmat(other).entries)
-
-    def __sub__(self, other):
-        return SymMat(self.entries - as_symmat(other).entries)
-
-    def __mul__(self, c):
-        return SymMat(self.entries * float(c))
-
-    __rmul__ = __mul__
 
 
 def as_symmat(a) -> SymMat:
@@ -121,12 +105,22 @@ def eigh(a) -> SpectralDecomp:
 def check_psd(eigs: np.ndarray) -> None:
     """Raise NotPSD unless each eigenvalue vector (last axis) is PSD.
 
-    Each matrix is held to -PSD_TOL times its own max |eigenvalue|; the
-    callers clip the negative rounding modes this lets through to zero.
+    Each matrix is held to -PSD_TOL times its own max |eigenvalue|;
+    ``psd_sqrt`` clips the negative rounding modes this lets through to zero.
     """
     low = eigs.min(axis=-1, initial=0.0)
     if np.any(low < -PSD_TOL * np.abs(eigs).max(axis=-1, initial=0.0)):
         raise NotPSD(f"minimum eigenvalue {low.min():g} below the PSD tolerance")
+
+
+def psd_sqrt(eigs: np.ndarray) -> np.ndarray:
+    """Square roots of PSD eigenvalues (a stack on the last axis).
+
+    Raises NotPSD via ``check_psd``; the negative rounding modes it lets
+    through are clipped to zero before the root is taken.
+    """
+    check_psd(eigs)
+    return np.sqrt(np.maximum(eigs, 0.0))
 
 
 def in_domain(eigs: np.ndarray, f: ScalarFunction) -> np.ndarray:
@@ -205,7 +199,7 @@ def taylor_remainder(a, h, f: ScalarFunction) -> SymMat:
     if a.dim != h.dim:
         raise DimMismatch(f"A has dim {a.dim}, H has dim {h.dim}")
     da = eigh(a)
-    f_a_plus_h = apply_scalar_function(eigh(a + h), f)
+    f_a_plus_h = apply_scalar_function(eigh(a.entries + h.entries), f)
     f_a = apply_scalar_function(da, f)
     df = frechet_derivative(da, f, h)
     return SymMat(f_a_plus_h.entries - f_a.entries - df.entries)

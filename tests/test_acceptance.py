@@ -65,7 +65,7 @@ def test_criterion_2_quadratic_bias_identity():
     """Mean of S^2 - Sigma^2 matches (tr(Sigma) Sigma + Sigma^2)/n."""
     sigma = np.diag([1.0, 2.0, 3.0])
     n, m = 50, 2 * 10**5
-    root = psd_factor(sigma).factor
+    root = psd_factor(sigma)
     expected = (np.trace(sigma) * sigma + sigma @ sigma) / n
     acc = np.zeros((3, 3))
     acc2 = np.zeros((3, 3))

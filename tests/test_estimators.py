@@ -114,7 +114,7 @@ class TestSigmaF:
     def test_identity_function_general_sigma(self, np_rng):
         sigma = random_spd(np_rng, 5)
         b = random_sym(np_rng, 5)
-        root = psd_factor(sigma).factor
+        root = psd_factor(sigma)
         expected = np.sqrt(2.0) * np.linalg.norm(root @ b @ root)
         assert sigma_f(sigma, IDENTITY, b) == pytest.approx(expected, rel=1e-9)
 
@@ -126,7 +126,7 @@ class TestSigmaF:
         fp = apply_scalar_function(eigh(sigma + h * b), LOG).entries
         fm = apply_scalar_function(eigh(sigma - h * b), LOG).entries
         df = (fp - fm) / (2 * h)
-        root = psd_factor(sigma).factor
+        root = psd_factor(sigma)
         expected = np.sqrt(2.0) * np.linalg.norm(root @ df @ root)
         assert sigma_f(sigma, LOG, b) == pytest.approx(expected, rel=1e-5)
 

@@ -18,7 +18,7 @@ from covfn.cli import run_cli
 from covfn.errors import NotPSD
 from covfn.estimators import bias_reduced_estimate, plugin_estimate, sigma_f
 from covfn.functions import get_function
-from covfn.sampling import DataMatrix, RngStream, psd_factor
+from covfn.sampling import DataMatrix, RngStream, chain_eigenpairs, psd_factor
 from covfn.symmat import effective_rank
 from conftest import random_orthogonal, random_sym
 
@@ -62,7 +62,9 @@ def _bound(x, f, b):
 
 
 def _close(a, b, scale=0.0):
-    return abs(a - b) <= REL * (abs(a) + abs(b) + scale)
+    # an infinite a or b would pass the bound below as inf <= inf
+    return (math.isfinite(a) and math.isfinite(b)
+            and abs(a - b) <= REL * (abs(a) + abs(b) + scale))
 
 
 @PROPERTY
@@ -149,15 +151,15 @@ def test_same_matrix_is_not_psd_everywhere():
         sigma_f(a, LOG, np.eye(2))
     with pytest.raises(NotPSD):
         effective_rank(a)
+    with pytest.raises(NotPSD):
+        chain_eigenpairs(a, 1, 10, 2, RngStream(0))
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
 def test_rounding_negative_mode_is_clipped_at_every_scale(scale):
     a = scale * np.diag([1.0, -1e-12])
-    pf = psd_factor(a)
-    np.testing.assert_allclose(pf.factor, np.diag([math.sqrt(scale), 0.0]),
+    np.testing.assert_allclose(psd_factor(a), np.diag([math.sqrt(scale), 0.0]),
                                rtol=1e-12)
-    assert pf.clipped_mass == pytest.approx(-1e-12 * scale)
     square = get_function("square")
     assert sigma_f(a, square, np.eye(2)) == pytest.approx(
         math.sqrt(2.0) * 2.0 * scale**2, rel=1e-9)

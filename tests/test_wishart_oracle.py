@@ -20,7 +20,7 @@ from conftest import random_spd, random_sym
 def _sample_covariances(sigma, n, m, seed):
     """m i.i.d. sample covariances of n Gaussian draws, stacked (m, d, d)."""
     d = sigma.shape[0]
-    root = psd_factor(sigma).factor
+    root = psd_factor(sigma)
     z = RngStream(seed).standard_normal(m, n, d)
     x = z @ root.T
     return np.einsum("rni,rnj->rij", x, x) / n

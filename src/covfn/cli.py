@@ -10,6 +10,7 @@ seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -20,6 +21,7 @@ from . import __version__
 from .errors import CovfnError, IoError, UsageError
 from .estimators import MAX_K, EstimateReport, bias_reduced_estimate
 from .experiments import (
+    CONFIG_KEYS,
     ExperimentConfig,
     ResultTable,
     build_b,
@@ -109,12 +111,20 @@ def report_to_table(rep: EstimateReport, b_factor: float) -> ResultTable:
     return ResultTable(columns=columns, rows=(row,), meta=meta)
 
 
-_CONFIG_KEYS = ("experiment", "d", "n", "k", "fn", "B", "sigma", "M", "N",
-                "alpha", "seed")
+def _int_tuple(s: str) -> tuple:
+    return tuple(int(t) for t in s.split(","))
+
+
+# ExperimentConfig field annotation -> parser of its config-file value
+_PARSERS = {"tuple": _int_tuple, "int": int, "float": float, "str": str}
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a flat key=value config file (# comments, UTF-8, BOM allowed)."""
+    """Parse a flat key=value config file (# comments, UTF-8, BOM allowed).
+
+    The keys are ``CONFIG_KEYS``; a key left out takes the
+    ExperimentConfig default.
+    """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
@@ -129,37 +139,25 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise UsageError(
                 f"{path}:{lineno}: unknown config key {key!r}; "
-                f"allowed: {', '.join(_CONFIG_KEYS)}"
+                f"allowed: {', '.join(CONFIG_KEYS)}"
             )
         raw[key] = val.strip()
     if overrides:
         for key, val in overrides.items():
-            if key not in _CONFIG_KEYS:
+            if key not in CONFIG_KEYS:
                 raise UsageError(f"unknown config key {key!r} in --set")
             raw[key] = val
     if "experiment" not in raw:
         raise UsageError("config is missing the 'experiment' key")
-
-    def int_list(s):
-        return tuple(int(t) for t in s.split(","))
-
+    types = {fld.name: fld.type for fld in dataclasses.fields(ExperimentConfig)}
     try:
-        return ExperimentConfig(
-            experiment=raw["experiment"],
-            d=int_list(raw.get("d", "10")),
-            n=int_list(raw.get("n", "100")),
-            k=int_list(raw.get("k", "0")),
-            fn=raw.get("fn", "square"),
-            b=raw.get("B", "rank1:0"),
-            sigma=raw.get("sigma", "identity"),
-            m=int(raw.get("M", "100")),
-            nchains=int(raw.get("N", "100")),
-            alpha=float(raw.get("alpha", "0.05")),
-            seed=int(raw.get("seed", "0")),
-        )
+        return ExperimentConfig(**{
+            name: _PARSERS[types[name]](raw[key])
+            for key, name in CONFIG_KEYS.items() if key in raw
+        })
     except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None
 
@@ -207,7 +205,7 @@ def _emit(text: str, out_path: str):
             fh.write(text)
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> ResultTable:
     if not 0 <= args.k <= MAX_K:
         raise UsageError(f"--k must be in [0, {MAX_K}], got {args.k}")
     if args.k > 0 and args.chains < 1:
@@ -225,24 +223,17 @@ def _cmd_estimate(args) -> int:
             f"warning: Monte Carlo stderr {rep.mc_stderr:.3g} exceeds 10% of "
             f"the sampling stderr {sampling_se:.3g}; increase --chains\n"
         )
-    table = report_to_table(rep, factor)
-    render = table_to_csv if args.format == "csv" else table_to_json
-    _emit(render(table), args.out)
-    return 0
+    return report_to_table(rep, factor)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> ResultTable:
     overrides = {}
     for item in args.set:
         key, sep, val = item.partition("=")
         if not sep:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key.strip()] = val.strip()
-    cfg = load_config(args.config, overrides)
-    table = run_experiment(cfg)
-    render = table_to_csv if args.format == "csv" else table_to_json
-    _emit(render(table), args.out)
-    return 0
+    return run_experiment(load_config(args.config, overrides))
 
 
 def run_cli(argv) -> int:
@@ -250,9 +241,11 @@ def run_cli(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "estimate":
-            return _cmd_estimate(args)
-        return _cmd_simulate(args)
+        command = _cmd_estimate if args.subcommand == "estimate" else _cmd_simulate
+        table = command(args)
+        render = table_to_csv if args.format == "csv" else table_to_json
+        _emit(render(table), args.out)
+        return 0
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)

@@ -9,6 +9,7 @@ the replicate set without disturbing earlier draws.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ from .symmat import (
 from .wishart_oracle import quad_wishart_oracle
 
 __all__ = [
+    "CONFIG_KEYS",
     "ExperimentConfig",
     "ResultTable",
     "build_b",
@@ -54,6 +56,13 @@ __all__ = [
 EXPERIMENTS = ("bias_scaling", "coverage", "opnorm", "quadform")  # run_<name>
 
 QUADFORM_DRAWS = 10_000
+
+# config file key -> ExperimentConfig field, in the order configs render
+CONFIG_KEYS = {
+    "experiment": "experiment", "d": "d", "n": "n", "k": "k", "fn": "fn",
+    "B": "b", "sigma": "sigma", "M": "m", "N": "nchains", "alpha": "alpha",
+    "seed": "seed",
+}
 
 
 @dataclass(frozen=True)
@@ -90,13 +99,12 @@ class ExperimentConfig:
             raise UsageError(f"{self.experiment} takes a single d, got {self.d}")
 
     def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "d": list(self.d), "n": list(self.n), "k": list(self.k),
-            "fn": self.fn, "B": self.b, "sigma": self.sigma,
-            "M": self.m, "N": self.nchains,
-            "alpha": self.alpha, "seed": self.seed,
-        }
+        """The config by file key, in ``CONFIG_KEYS`` order; grids as lists."""
+        out = {}
+        for key, name in CONFIG_KEYS.items():
+            val = getattr(self, name)
+            out[key] = list(val) if isinstance(val, tuple) else val
+        return out
 
 
 @dataclass(frozen=True)
@@ -232,13 +240,15 @@ def fit_loglog_slope(ns, values, stderrs=None):
     return float(slope), mask
 
 
-def _meta(cfg: ExperimentConfig) -> dict:
-    return {
-        "tool": "covfn",
-        "version": __version__,
-        "config": cfg.as_dict(),
-        "seed": cfg.seed,
-    }
+def _table(cfg: ExperimentConfig, columns: str, rows) -> ResultTable:
+    """A simulate result: space-separated ``columns``, the rows and the
+    metadata (tool, version, config, seed)."""
+    return ResultTable(
+        columns=tuple(columns.split()),
+        rows=tuple(tuple(r) for r in rows),
+        meta={"tool": "covfn", "version": __version__,
+              "config": cfg.as_dict(), "seed": cfg.seed},
+    )
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -246,20 +256,36 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     return globals()[f"run_{cfg.experiment}"](cfg)
 
 
-def _replicates(cfg: ExperimentConfig, f: ScalarFunction, b: SymMat, root,
-                n: int, k: int, cell: RngStream) -> list:
-    """The M order-k estimates of one grid cell.
+def _cells(cfg: ExperimentConfig, *axes: str):
+    """The cells of the grid over the config fields ``axes``, row-major,
+    each as (values, stream); cell i = 1, 2, ... owns
+    ``RngStream(cfg.seed).spawn(i)``."""
+    base = RngStream(cfg.seed)
+    grid = itertools.product(*(getattr(cfg, a) for a in axes))
+    for i, values in enumerate(grid, start=1):
+        yield values, base.spawn(i)
 
-    Replicate m draws its data from ``cell.spawn(2m)`` and its chains from
+
+def _estimate_cells(cfg: ExperimentConfig, f: ScalarFunction):
+    """The cells of the (d, n, k) grid, each as
+    ((d, n, k), sigma, B, <f(sigma), B>, estimates).
+
+    ``estimates`` lazily yields the M order-k estimates of the cell:
+    replicate m draws its data from ``cell.spawn(2m)`` and its chains from
     ``cell.spawn(2m + 1)``.
     """
-    reports = []
-    for m in range(cfg.m):
-        data = gaussian_sample(root, n, cell.spawn(2 * m))
-        reports.append(bias_reduced_estimate(
-            data, f, b, k, cfg.nchains, cell.spawn(2 * m + 1), cfg.alpha,
-        ))
-    return reports
+    for (d, n, k), cell in _cells(cfg, "d", "n", "k"):
+        sigma = build_sigma(cfg.sigma, d)
+        b, _ = build_b(cfg.b, d)
+        truth = trace_inner_product(apply_scalar_function(eigh(sigma), f), b)
+        root = psd_factor(sigma)
+        estimates = (
+            bias_reduced_estimate(gaussian_sample(root, n, cell.spawn(2 * m)),
+                                  f, b, k, cfg.nchains, cell.spawn(2 * m + 1),
+                                  cfg.alpha)
+            for m in range(cfg.m)
+        )
+        yield (d, n, k), sigma, b, truth, estimates
 
 
 def run_bias_scaling(cfg: ExperimentConfig) -> ResultTable:
@@ -269,36 +295,22 @@ def run_bias_scaling(cfg: ExperimentConfig) -> ResultTable:
     the Monte Carlo estimate.
     """
     f = parse_function_spec(cfg.fn)
-    d = cfg.d[0]
-    sigma = build_sigma(cfg.sigma, d)
-    b, _ = build_b(cfg.b, d)
-    truth = trace_inner_product(apply_scalar_function(eigh(sigma), f), b)
-    root = psd_factor(sigma)
-    base = RngStream(cfg.seed)
     rows = []
-    cell = 0
-    for n in cfg.n:
-        for k in cfg.k:
-            cell += 1
-            ests = _replicates(cfg, f, b, root, n, k, base.spawn(cell))
-            vals = np.array([e.functional_value for e in ests])
-            bias_mc = float(vals.mean() - truth)
-            stderr = float(vals.std(ddof=1) / np.sqrt(cfg.m)) if cfg.m > 1 else 0.0
-            if f.name == "square":
-                bias_oracle = trace_inner_product(quad_wishart_oracle(sigma, n, k), b)
-            else:
-                bias_oracle = float("nan")
-            rows.append([
-                n, k, cfg.m, bias_mc, stderr, bias_oracle,
-                float(np.log(n)),
-                float(np.log(abs(bias_mc))) if bias_mc != 0 else float("-inf"),
-            ])
-    return ResultTable(
-        columns=("n", "k", "M", "bias_mc", "stderr", "bias_oracle",
-                 "log_n", "log_abs_bias"),
-        rows=tuple(tuple(r) for r in rows),
-        meta=_meta(cfg),
-    )
+    for (_, n, k), sigma, b, truth, estimates in _estimate_cells(cfg, f):
+        vals = np.array([e.functional_value for e in estimates])
+        bias_mc = float(vals.mean() - truth)
+        stderr = float(vals.std(ddof=1) / np.sqrt(cfg.m)) if cfg.m > 1 else 0.0
+        if f.name == "square":
+            bias_oracle = trace_inner_product(quad_wishart_oracle(sigma, n, k), b)
+        else:
+            bias_oracle = float("nan")
+        rows.append([
+            n, k, cfg.m, bias_mc, stderr, bias_oracle,
+            float(np.log(n)),
+            float(np.log(abs(bias_mc))) if bias_mc != 0 else float("-inf"),
+        ])
+    return _table(cfg, "n k M bias_mc stderr bias_oracle log_n log_abs_bias",
+                  rows)
 
 
 def run_coverage(cfg: ExperimentConfig) -> ResultTable:
@@ -309,66 +321,42 @@ def run_coverage(cfg: ExperimentConfig) -> ResultTable:
     each replicate's own plug-in CI, which is what a practitioner has.
     """
     f = parse_function_spec(cfg.fn)
-    base = RngStream(cfg.seed)
     rows = []
-    cell = 0
-    for d in cfg.d:
-        sigma = build_sigma(cfg.sigma, d)
-        b, _ = build_b(cfg.b, d)
-        truth = trace_inner_product(apply_scalar_function(eigh(sigma), f), b)
+    for (d, n, k), sigma, b, truth, estimates in _estimate_cells(cfg, f):
         sig_true = sigma_f(sigma, f, b)
-        root = psd_factor(sigma)
-        for n in cfg.n:
-            for k in cfg.k:
-                cell += 1
-                ests = _replicates(cfg, f, b, root, n, k, base.spawn(cell))
-                vals = np.array([e.functional_value for e in ests])
-                std_errs = np.sqrt(n) * (vals - truth) / sig_true
-                hits = sum(e.ci[0] <= truth <= e.ci[1] for e in ests)
-                var = float(std_errs.var(ddof=1)) if cfg.m > 1 else 0.0
-                rows.append([
-                    d, n, k, cfg.m, hits / cfg.m,
-                    ks_distance_to_normal(std_errs),
-                    float(std_errs.mean()), var,
-                ])
-    return ResultTable(
-        columns=("d", "n", "k", "M", "coverage", "ks_stat",
-                 "mean_std_err", "var_std_err"),
-        rows=tuple(tuple(r) for r in rows),
-        meta=_meta(cfg),
-    )
+        ests = list(estimates)
+        vals = np.array([e.functional_value for e in ests])
+        std_errs = np.sqrt(n) * (vals - truth) / sig_true
+        hits = sum(e.ci[0] <= truth <= e.ci[1] for e in ests)
+        var = float(std_errs.var(ddof=1)) if cfg.m > 1 else 0.0
+        rows.append([
+            d, n, k, cfg.m, hits / cfg.m,
+            ks_distance_to_normal(std_errs),
+            float(std_errs.mean()), var,
+        ])
+    return _table(cfg, "d n k M coverage ks_stat mean_std_err var_std_err",
+                  rows)
 
 
 def run_opnorm(cfg: ExperimentConfig) -> ResultTable:
     """Mean operator-norm error of the sample covariance across (d, n),
     compared with the effective-rank benchmark
     ||Sigma|| (sqrt(r/n) or r/n, whichever is larger)."""
-    base = RngStream(cfg.seed)
     rows = []
-    cell = 0
-    for d in cfg.d:
+    for (d, n), cell in _cells(cfg, "d", "n"):
         sigma = build_sigma(cfg.sigma, d)
         r_eff = effective_rank(sigma)
         opnorm_sigma = schatten_norm(sigma, np.inf)
         root = psd_factor(sigma)
-        for n in cfg.n:
-            cell += 1
-            cell_stream = base.spawn(cell)
-            errs = np.empty(cfg.m)
-            for m in range(cfg.m):
-                data = gaussian_sample(root, n, cell_stream.spawn(m))
-                diff = sample_covariance(data).entries - sigma.entries
-                errs[m] = np.abs(np.linalg.eigvalsh(diff)).max()
-            mean_err = float(errs.mean())
-            benchmark = opnorm_sigma * max(np.sqrt(r_eff / n), r_eff / n)
-            rows.append([
-                d, n, cfg.m, mean_err, r_eff, mean_err / benchmark,
-            ])
-    return ResultTable(
-        columns=("d", "n", "M", "mean_opnorm_err", "eff_rank", "ratio"),
-        rows=tuple(tuple(r) for r in rows),
-        meta=_meta(cfg),
-    )
+        errs = np.empty(cfg.m)
+        for m in range(cfg.m):
+            data = gaussian_sample(root, n, cell.spawn(m))
+            diff = sample_covariance(data).entries - sigma.entries
+            errs[m] = np.abs(np.linalg.eigvalsh(diff)).max()
+        mean_err = float(errs.mean())
+        benchmark = opnorm_sigma * max(np.sqrt(r_eff / n), r_eff / n)
+        rows.append([d, n, cfg.m, mean_err, r_eff, mean_err / benchmark])
+    return _table(cfg, "d n M mean_opnorm_err eff_rank ratio", rows)
 
 
 def run_quadform(cfg: ExperimentConfig) -> ResultTable:
@@ -398,8 +386,4 @@ def run_quadform(cfg: ExperimentConfig) -> ResultTable:
         z = s.standard_normal(QUADFORM_DRAWS, d)
         rhs = (z**2) @ lam
         rows.append([m, two_sample_ks(lhs, rhs), critical, QUADFORM_DRAWS])
-    return ResultTable(
-        columns=("pair", "ks_stat", "critical_value", "draws_per_side"),
-        rows=tuple(tuple(r) for r in rows),
-        meta=_meta(cfg),
-    )
+    return _table(cfg, "pair ks_stat critical_value draws_per_side", rows)

@@ -128,7 +128,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     raw = {}
     for lineno, line in enumerate(lines, start=1):
@@ -200,9 +200,12 @@ def _build_parser() -> _Parser:
 def _emit(text: str, out_path: str):
     if out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _cmd_estimate(args) -> ResultTable:

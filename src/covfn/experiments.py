@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import __version__
-from .errors import UsageError
+from .errors import UsageError, ZeroMatrix
 from .estimators import MAX_K, bias_reduced_estimate, sigma_f
 from .functions import ScalarFunction, parse_function_spec
 from .sampling import (
@@ -319,11 +319,16 @@ def run_coverage(cfg: ExperimentConfig) -> ResultTable:
     Standardized errors use the true asymptotic sigma_f(Sigma; B) (the
     quantity the limit theorem standardizes by); the coverage column uses
     each replicate's own plug-in CI, which is what a practitioner has.
+    Raises ZeroMatrix when sigma_f(Sigma; B) is 0.
     """
     f = parse_function_spec(cfg.fn)
     rows = []
     for (d, n, k), sigma, b, truth, estimates in _estimate_cells(cfg, f):
         sig_true = sigma_f(sigma, f, b)
+        if sig_true == 0:
+            raise ZeroMatrix(
+                f"sigma_f(Sigma; B) is 0 at d = {d}, so the errors cannot be "
+                "standardized: Sigma^1/2 Df(Sigma; B) Sigma^1/2 is the zero matrix")
         ests = list(estimates)
         vals = np.array([e.functional_value for e in ests])
         std_errs = np.sqrt(n) * (vals - truth) / sig_true

@@ -128,7 +128,7 @@ def load_data_csv(path: str, has_header: bool = False) -> DataMatrix:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     skip = 1 if has_header else 0
     with warnings.catch_warnings():

@@ -10,7 +10,12 @@ from covfn.cli import (
     table_to_json,
 )
 from covfn.errors import IoError, ParseError, RaggedRows, UsageError
-from covfn.experiments import ResultTable
+from covfn.experiments import (
+    CONFIG_KEYS,
+    EXPERIMENTS,
+    ExperimentConfig,
+    ResultTable,
+)
 from covfn.sampling import _parse_csv_lines
 
 
@@ -138,6 +143,22 @@ class TestConfig:
         p.write_text("experiment=opnorm\nseed=3\n")
         cfg = load_config(str(p), {"seed": "9"})
         assert cfg.seed == 9
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_as_dict_round_trips_through_a_file(self, tmp_path, experiment):
+        cfg = ExperimentConfig(experiment, d=(3,), n=(50, 60), k=(1, 2),
+                               fn="log", b="identity", sigma="linspace:1,2",
+                               m=7, nchains=9, alpha=0.1, seed=5)
+        default = ExperimentConfig(experiment)
+        assert all(getattr(cfg, name) != getattr(default, name)
+                   for name in CONFIG_KEYS.values() if name != "experiment")
+        p = tmp_path / "cfg.txt"
+        p.write_text("".join(
+            f"{key}={','.join(map(str, v)) if isinstance(v, list) else v}\n"
+            for key, v in cfg.as_dict().items()))
+        assert load_config(str(p)) == cfg
+        p.write_text(f"experiment={experiment}\n")
+        assert load_config(str(p)) == default
 
 
 @pytest.fixture
@@ -406,3 +427,31 @@ def test_chain_leaving_the_domain_is_a_data_error(tmp_path, capsys):
                     "--out", str(tmp_path / "rep.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: DomainError:") and "of 200 chains" in err
+
+
+@pytest.mark.parametrize("command, flag", [("estimate", "--data"),
+                                           ("simulate", "--config")])
+@pytest.mark.parametrize("failure", ["missing_out_dir", "non_utf8_input"])
+def test_io_failure_is_a_data_error(data_csv, tmp_path, capsys, command, flag,
+                                    failure):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_COVERAGE_CFG)
+    inp = data_csv if command == "estimate" else str(cfg)
+    out = tmp_path / "t.out"
+    if failure == "missing_out_dir":
+        out = tmp_path / "missing" / "t.out"
+    else:
+        inp = tmp_path / "bad.txt"
+        inp.write_bytes(b"experiment=coverage\n1,2\xff\n")
+    assert run_cli([command, flag, str(inp), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: IoError: cannot ")
+
+
+@pytest.mark.parametrize("sigma", ["diag:1,1,0", "diag:0,0,0"])
+def test_coverage_with_zero_sigma_f_is_a_data_error(tmp_path, capsys, sigma):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_COVERAGE_CFG + f"B=rank1:2\nsigma={sigma}\n")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ZeroMatrix: sigma_f(Sigma; B) is 0")

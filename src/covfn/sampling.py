@@ -58,11 +58,8 @@ class RngStream:
     gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        # a uint64 array: from a list, numpy reads a mix of words below and
-        # above 2^63 as float64 and rounds the key
-        bitgen = np.random.Philox(key=np.array(
-            [self.master_seed & _MASK64, self.stream_id & _MASK64],
-            dtype=np.uint64))
+        bitgen = np.random.Philox(key=[self.master_seed & _MASK64,
+                                       self.stream_id & _MASK64])
         self.gen = np.random.Generator(bitgen)
 
     def spawn(self, child: int) -> "RngStream":

@@ -266,13 +266,6 @@ def test_estimate_argument_exit_codes(data_csv, tmp_path, extra, code):
     assert run_cli(argv + extra) == code
 
 
-def test_negative_seed_runs_cleanly(data_csv, tmp_path, capsys):
-    # seeds are taken mod 2^64; -1 keys the streams at 2^64 - 1
-    assert run_cli(["estimate", "--data", data_csv, "--k", "1", "--chains", "200",
-                    "--seed", "-1", "--out", str(tmp_path / "rep.json")]) == 0
-    assert capsys.readouterr().err == ""
-
-
 @pytest.mark.parametrize("k", ["0", "1"])
 def test_all_zero_data_has_zero_identity_functional(tmp_path, k):
     p = tmp_path / "zeros.csv"

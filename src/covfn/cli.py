@@ -115,8 +115,9 @@ def _int_tuple(s: str) -> tuple:
     return tuple(int(t) for t in s.split(","))
 
 
-# ExperimentConfig field annotation -> parser of its config-file value
-_PARSERS = {"tuple": _int_tuple, "int": int, "float": float, "str": str}
+# type of an ExperimentConfig field's default -> parser of its config-file
+# value; `experiment`, the one field without a default, is a str
+_PARSERS = {tuple: _int_tuple, int: int, float: float, str: str}
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -152,10 +153,14 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
             raw[key] = val
     if "experiment" not in raw:
         raise UsageError("config is missing the 'experiment' key")
-    types = {fld.name: fld.type for fld in dataclasses.fields(ExperimentConfig)}
+    parsers = {
+        fld.name: str if fld.default is dataclasses.MISSING
+        else _PARSERS[type(fld.default)]
+        for fld in dataclasses.fields(ExperimentConfig)
+    }
     try:
         return ExperimentConfig(**{
-            name: _PARSERS[types[name]](raw[key])
+            name: parsers[name](raw[key])
             for key, name in CONFIG_KEYS.items() if key in raw
         })
     except ValueError as exc:

@@ -257,35 +257,39 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _cells(cfg: ExperimentConfig, *axes: str):
-    """The cells of the grid over the config fields ``axes``, row-major,
-    each as (values, stream); cell i = 1, 2, ... owns
-    ``RngStream(cfg.seed).spawn(i)``."""
+    """The grid over d and the config fields ``axes``, row-major, as
+    (d, cells) per d, cells a list of (values, stream); cell i = 1, 2, ...
+    owns ``RngStream(cfg.seed).spawn(i)``."""
     base = RngStream(cfg.seed)
-    grid = itertools.product(*(getattr(cfg, a) for a in axes))
-    for i, values in enumerate(grid, start=1):
-        yield values, base.spawn(i)
+    rest = list(itertools.product(*(getattr(cfg, a) for a in axes)))
+    for j, d in enumerate(cfg.d):
+        yield d, [(values, base.spawn(j * len(rest) + i))
+                  for i, values in enumerate(rest, start=1)]
 
 
 def _estimate_cells(cfg: ExperimentConfig, f: ScalarFunction):
-    """The cells of the (d, n, k) grid, each as
-    ((d, n, k), sigma, B, <f(sigma), B>, estimates).
+    """The (d, n, k) grid as (d, sigma, B, <f(sigma), B>, cells) per d, set
+    up once per d.
 
-    ``estimates`` lazily yields the M order-k estimates of the cell:
-    replicate m draws its data from ``cell.spawn(2m)`` and its chains from
-    ``cell.spawn(2m + 1)``.
+    ``cells`` lazily yields ((n, k), estimates), the M order-k estimates of
+    a cell: replicate m draws its data from ``cell.spawn(2m)`` and its
+    chains from ``cell.spawn(2m + 1)``.  As with itertools.groupby, read a
+    d's cells before moving on to the next d.
     """
-    for (d, n, k), cell in _cells(cfg, "d", "n", "k"):
+    for d, cells in _cells(cfg, "n", "k"):
         sigma = build_sigma(cfg.sigma, d)
         b, _ = build_b(cfg.b, d)
         truth = trace_inner_product(apply_scalar_function(eigh(sigma), f), b)
         root = psd_factor(sigma)
-        estimates = (
-            bias_reduced_estimate(gaussian_sample(root, n, cell.spawn(2 * m)),
-                                  f, b, k, cfg.nchains, cell.spawn(2 * m + 1),
-                                  cfg.alpha)
-            for m in range(cfg.m)
+        yield d, sigma, b, truth, (
+            ((n, k), [
+                bias_reduced_estimate(gaussian_sample(root, n, cell.spawn(2 * m)),
+                                      f, b, k, cfg.nchains, cell.spawn(2 * m + 1),
+                                      cfg.alpha)
+                for m in range(cfg.m)
+            ])
+            for (n, k), cell in cells
         )
-        yield (d, n, k), sigma, b, truth, estimates
 
 
 def run_bias_scaling(cfg: ExperimentConfig) -> ResultTable:
@@ -296,19 +300,20 @@ def run_bias_scaling(cfg: ExperimentConfig) -> ResultTable:
     """
     f = parse_function_spec(cfg.fn)
     rows = []
-    for (_, n, k), sigma, b, truth, estimates in _estimate_cells(cfg, f):
-        vals = np.array([e.functional_value for e in estimates])
-        bias_mc = float(vals.mean() - truth)
-        stderr = float(vals.std(ddof=1) / np.sqrt(cfg.m)) if cfg.m > 1 else 0.0
-        if f.name == "square":
-            bias_oracle = trace_inner_product(quad_wishart_oracle(sigma, n, k), b)
-        else:
-            bias_oracle = float("nan")
-        rows.append([
-            n, k, cfg.m, bias_mc, stderr, bias_oracle,
-            float(np.log(n)),
-            float(np.log(abs(bias_mc))) if bias_mc != 0 else float("-inf"),
-        ])
+    for _, sigma, b, truth, cells in _estimate_cells(cfg, f):
+        for (n, k), ests in cells:
+            vals = np.array([e.functional_value for e in ests])
+            bias_mc = float(vals.mean() - truth)
+            stderr = float(vals.std(ddof=1) / np.sqrt(cfg.m)) if cfg.m > 1 else 0.0
+            if f.name == "square":
+                bias_oracle = trace_inner_product(quad_wishart_oracle(sigma, n, k), b)
+            else:
+                bias_oracle = float("nan")
+            rows.append([
+                n, k, cfg.m, bias_mc, stderr, bias_oracle,
+                float(np.log(n)),
+                float(np.log(abs(bias_mc))) if bias_mc != 0 else float("-inf"),
+            ])
     return _table(cfg, "n k M bias_mc stderr bias_oracle log_n log_abs_bias",
                   rows)
 
@@ -323,22 +328,22 @@ def run_coverage(cfg: ExperimentConfig) -> ResultTable:
     """
     f = parse_function_spec(cfg.fn)
     rows = []
-    for (d, n, k), sigma, b, truth, estimates in _estimate_cells(cfg, f):
+    for d, sigma, b, truth, cells in _estimate_cells(cfg, f):
         sig_true = sigma_f(sigma, f, b)
         if sig_true == 0:
             raise ZeroMatrix(
                 f"sigma_f(Sigma; B) is 0 at d = {d}, so the errors cannot be "
                 "standardized: Sigma^1/2 Df(Sigma; B) Sigma^1/2 is the zero matrix")
-        ests = list(estimates)
-        vals = np.array([e.functional_value for e in ests])
-        std_errs = np.sqrt(n) * (vals - truth) / sig_true
-        hits = sum(e.ci[0] <= truth <= e.ci[1] for e in ests)
-        var = float(std_errs.var(ddof=1)) if cfg.m > 1 else 0.0
-        rows.append([
-            d, n, k, cfg.m, hits / cfg.m,
-            ks_distance_to_normal(std_errs),
-            float(std_errs.mean()), var,
-        ])
+        for (n, k), ests in cells:
+            vals = np.array([e.functional_value for e in ests])
+            std_errs = np.sqrt(n) * (vals - truth) / sig_true
+            hits = sum(e.ci[0] <= truth <= e.ci[1] for e in ests)
+            var = float(std_errs.var(ddof=1)) if cfg.m > 1 else 0.0
+            rows.append([
+                d, n, k, cfg.m, hits / cfg.m,
+                ks_distance_to_normal(std_errs),
+                float(std_errs.mean()), var,
+            ])
     return _table(cfg, "d n k M coverage ks_stat mean_std_err var_std_err",
                   rows)
 
@@ -348,19 +353,20 @@ def run_opnorm(cfg: ExperimentConfig) -> ResultTable:
     compared with the effective-rank benchmark
     ||Sigma|| (sqrt(r/n) or r/n, whichever is larger)."""
     rows = []
-    for (d, n), cell in _cells(cfg, "d", "n"):
+    for d, cells in _cells(cfg, "n"):
         sigma = build_sigma(cfg.sigma, d)
         r_eff = effective_rank(sigma)
         opnorm_sigma = schatten_norm(sigma, np.inf)
         root = psd_factor(sigma)
-        errs = np.empty(cfg.m)
-        for m in range(cfg.m):
-            data = gaussian_sample(root, n, cell.spawn(m))
-            diff = sample_covariance(data).entries - sigma.entries
-            errs[m] = np.abs(np.linalg.eigvalsh(diff)).max()
-        mean_err = float(errs.mean())
-        benchmark = opnorm_sigma * max(np.sqrt(r_eff / n), r_eff / n)
-        rows.append([d, n, cfg.m, mean_err, r_eff, mean_err / benchmark])
+        for (n,), cell in cells:
+            errs = np.empty(cfg.m)
+            for m in range(cfg.m):
+                data = gaussian_sample(root, n, cell.spawn(m))
+                diff = sample_covariance(data).entries - sigma.entries
+                errs[m] = np.abs(np.linalg.eigvalsh(diff)).max()
+            mean_err = float(errs.mean())
+            benchmark = opnorm_sigma * max(np.sqrt(r_eff / n), r_eff / n)
+            rows.append([d, n, cfg.m, mean_err, r_eff, mean_err / benchmark])
     return _table(cfg, "d n M mean_opnorm_err eff_rank ratio", rows)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import math
 import sys
 
@@ -63,8 +64,7 @@ def _render_json(obj) -> str:
         if isinstance(obj, (float, np.floating)) and not math.isfinite(float(obj)):
             return f'"{_render_number(obj)}"'
         return _render_number(obj)
-    s = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{s}"'
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 def table_to_csv(table: ResultTable) -> str:

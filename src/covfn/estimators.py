@@ -31,10 +31,10 @@ from .sampling import (
     sample_covariance,
 )
 from .symmat import (
+    _frechet_eig,
     as_symmat,
     eigh,
     in_domain,
-    loewner_first_difference,
     psd_sqrt,
 )
 
@@ -105,15 +105,8 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
     beyond floating point raises NumericOverflow.
     """
     dec = eigh(sigma)
-    b = as_symmat(b)
-    if dec.source_dim != b.dim:
-        raise DimMismatch(f"dims {dec.source_dim} and {b.dim} differ")
-    lam = dec.eigenvalues
-    root = psd_sqrt(lam)
-    loewner = loewner_first_difference(lam, f)
-    u = dec.eigenvectors
-    b_eig = u.T @ b.entries @ u
-    df_eig = loewner * b_eig
+    root = psd_sqrt(dec.eigenvalues)
+    df_eig = _frechet_eig(dec, f, b)
     with np.errstate(over="ignore"):  # reported below
         sandwiched = root[:, None] * df_eig * root[None, :]
     scale = _binade(sandwiched)  # exact, so the norm cannot overflow

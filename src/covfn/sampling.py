@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IoError, NumericOverflow, ParseError, RaggedRows
-from .symmat import SymMat, eigh, psd_sqrt
+from .errors import IoError, ParseError, RaggedRows
+from .symmat import SymMat, eigh, from_eigenpairs, psd_sqrt
 
 __all__ = [
     "RngStream",
@@ -71,18 +71,15 @@ class RngStream:
 
 
 def psd_factor(sigma) -> np.ndarray:
-    """Symmetric square root F of a PSD matrix, F F^T = sigma, read-only.
+    """Symmetric square root F of a PSD matrix (or a stack, or either's
+    SpectralDecomp), F F^T = sigma up to rounding, read-only.
 
     The eigenvalues go through ``symmat.psd_sqrt``, which clips tiny
     negative modes to zero and raises NotPSD when an eigenvalue is below
-    -PSD_TOL times the largest |eigenvalue|.
+    -PSD_TOL times the largest |eigenvalue| of its matrix.
     """
     d = eigh(sigma)
-    u = d.eigenvectors
-    # not the chain step's (U s) U^T: BLAS sums that product in another
-    # order at larger d, so F's bits, and the data drawn from it, would move
-    f = u @ (psd_sqrt(d.eigenvalues)[:, None] * u.T)
-    f = (f + f.T) / 2.0
+    f = from_eigenpairs(psd_sqrt(d.eigenvalues), d.eigenvectors)
     f.setflags(write=False)
     return f
 
@@ -179,12 +176,8 @@ def gaussian_sample(root: np.ndarray, n: int, rng: RngStream) -> DataMatrix:
 
 def sample_covariance(x: DataMatrix) -> SymMat:
     """(1/n) X^T X; no mean-centering, the model is centered."""
-    with np.errstate(over="ignore"):  # reported below as NumericOverflow
-        a = x.rows.T @ x.rows / x.n
-    if not np.all(np.isfinite(a)):
-        raise NumericOverflow(
-            "sample covariance overflows floating point; rescale the data")
-    return SymMat(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # SymMat reports it
+        return SymMat(x.rows.T @ x.rows / x.n)
 
 
 def chain_eigenpairs(start, k: int, n: int, nchains: int,
@@ -204,8 +197,8 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
     run's first t steps do not depend on k.  At k = 0 nothing is drawn.
     ``start`` may be given as its SpectralDecomp.  Each state is
     decomposed once; returns eigenvalues (nchains, k+1, d) and
-    eigenvectors (nchains, k+1, d, d).  Raises NotPSD (via
-    ``symmat.psd_sqrt``) when a state to be stepped from is not PSD.
+    eigenvectors (nchains, k+1, d, d).  Raises NotPSD when a state to be
+    stepped from is not PSD and NumericOverflow when a state overflows.
     """
     if k < 0 or n < 1 or nchains < 1:
         raise ValueError("need k >= 0, n >= 1 and nchains >= 1")
@@ -213,20 +206,20 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
     d, m = start.source_dim, min(n, start.source_dim)
     lam = np.empty((nchains, k + 1, d))
     u = np.empty((nchains, k + 1, d, d))
-    cur_lam, cur_u = start.eigenvalues, start.eigenvectors  # one shared root
-    lam[:, 0], u[:, 0] = cur_lam, cur_u
+    cur = start  # one shared root at the first step
+    lam[:, 0], u[:, 0] = cur.eigenvalues, cur.eigenvectors
     rows, cols = np.triu_indices(m, 1, d)
     diag = np.arange(m)
     dofs = np.tile(n - diag, nchains)
     bartlett = np.zeros((nchains, m, d))
     for t in range(1, k + 1):
-        root = (cur_u * psd_sqrt(cur_lam)[..., None, :]
-                @ np.swapaxes(cur_u, -1, -2))
+        root = psd_factor(cur)
         bartlett[:, rows, cols] = rng.spawn(2 * t - 1).standard_normal(
             nchains, rows.size)
         bartlett[:, diag, diag] = np.sqrt(
             rng.spawn(2 * t).gen.chisquare(dofs)).reshape(nchains, m)
-        g = bartlett @ root
-        cur_lam, cur_u = np.linalg.eigh(np.swapaxes(g, -1, -2) @ g / n)
-        lam[:, t], u[:, t] = cur_lam, cur_u
+        with np.errstate(over="ignore", invalid="ignore"):  # SymMat reports it
+            g = bartlett @ root
+            cur = eigh(np.swapaxes(g, -1, -2) @ g / n)
+        lam[:, t], u[:, t] = cur.eigenvalues, cur.eigenvectors
     return lam, u

@@ -3,9 +3,10 @@ Loewner-matrix directional derivatives, Taylor remainders, Schatten norms
 and effective rank.
 
 All matrices here are real symmetric and carried by :class:`SymMat`, an
-immutable wrapper around a ``numpy`` array.  Construction symmetrizes its
-input (sample-covariance accumulation can leave last-bit asymmetry) and
-rejects non-finite entries outright.
+immutable wrapper around one ``numpy`` matrix or a stack of them; only
+this module decomposes them (``eigh``) and rebuilds them
+(``from_eigenpairs``).  Construction symmetrizes its input and raises
+NumericOverflow on non-finite entries, which only overflow can produce.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, EigFailure, NotPSD, ZeroMatrix
+from .errors import (DimMismatch, DomainError, EigFailure, NotPSD,
+                     NumericOverflow, ZeroMatrix)
 from .functions import ScalarFunction
 
 # The one tolerance policy: each threshold is one of these constants times
@@ -28,6 +30,7 @@ __all__ = [
     "SpectralDecomp",
     "as_symmat",
     "eigh",
+    "from_eigenpairs",
     "check_psd",
     "psd_sqrt",
     "apply_scalar_function",
@@ -42,25 +45,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymMat:
-    """Immutable dense real symmetric d-by-d matrix."""
+    """Immutable dense real symmetric d-by-d matrix, or a (..., d, d) stack."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+            raise DimMismatch(f"expected square matrices, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise ValueError("matrix contains non-finite entries")
-        if not np.array_equal(a, a.T):
-            a = (a + a.T) / 2.0
-        a = a.copy()
+            raise NumericOverflow("a matrix overflows floating point; "
+                                  "rescale the data")
+        at = np.swapaxes(a, -1, -2)
+        a = a.copy() if np.array_equal(a, at) else (a + at) / 2.0
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 def as_symmat(a) -> SymMat:
@@ -79,16 +82,17 @@ class SpectralDecomp:
 
     @property
     def source_dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
 def eigh(a) -> SpectralDecomp:
-    """Spectral decomposition of a symmetric matrix.
+    """Spectral decomposition of a symmetric matrix or a stack of them.
 
     Deterministic for a fixed input on one platform (LAPACK with a fixed
-    reduction order).  Within degenerate eigenspaces the basis is
-    arbitrary; downstream spectral operations are basis-invariant.  A
-    SpectralDecomp passes through, so one decomposition can be shared.
+    reduction order, one matrix of a stack at a time).  Within degenerate
+    eigenspaces the basis is arbitrary; downstream spectral operations are
+    basis-invariant.  A SpectralDecomp passes through, so one
+    decomposition can be shared.
     """
     if isinstance(a, SpectralDecomp):
         return a
@@ -100,6 +104,11 @@ def eigh(a) -> SpectralDecomp:
     lam.setflags(write=False)
     u.setflags(write=False)
     return SpectralDecomp(eigenvalues=lam, eigenvectors=u)
+
+
+def from_eigenpairs(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U diag(lam) U^T over any leading stack axes, as (U lam) U^T."""
+    return (u * lam[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def check_psd(eigs: np.ndarray) -> None:
@@ -148,9 +157,8 @@ def _check_domain(eigs: np.ndarray, f: ScalarFunction):
 def apply_scalar_function(d: SpectralDecomp, f: ScalarFunction) -> SymMat:
     """Spectral matrix function f(A) = U f(Lambda) U^T."""
     _check_domain(d.eigenvalues, f)
-    u = d.eigenvectors
-    flam = f.eval(d.eigenvalues)
-    return SymMat(u @ (flam[:, None] * u.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # SymMat reports it
+        return SymMat(from_eigenpairs(f.eval(d.eigenvalues), d.eigenvectors))
 
 
 def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:
@@ -183,13 +191,17 @@ def frechet_derivative(d: SpectralDecomp, f: ScalarFunction, h) -> SymMat:
     divided differences of f; linear in H and invariant under the basis
     choice inside degenerate eigenspaces.
     """
+    u = d.eigenvectors
+    return SymMat(u @ _frechet_eig(d, f, h) @ u.T)
+
+
+def _frechet_eig(d: SpectralDecomp, f: ScalarFunction, h) -> np.ndarray:
+    """Df(A; H) in A's eigenbasis, L o (U^T H U), for A decomposed as ``d``."""
     h = as_symmat(h)
     if h.dim != d.source_dim:
         raise DimMismatch(f"H has dim {h.dim}, decomposition has {d.source_dim}")
-    loewner = loewner_first_difference(d.eigenvalues, f)
     u = d.eigenvectors
-    h_eig = u.T @ h.entries @ u
-    return SymMat(u @ (loewner * h_eig) @ u.T)
+    return loewner_first_difference(d.eigenvalues, f) * (u.T @ h.entries @ u)
 
 
 def taylor_remainder(a, h, f: ScalarFunction) -> SymMat:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .estimators import MAX_K
 from .symmat import SymMat, as_symmat
 
 __all__ = [
@@ -90,8 +91,8 @@ def quad_wishart_oracle(sigma, n: int, k: int) -> SymMat:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (0 <= k <= 20):
-        raise ValueError("k must be in [0, 20]")
+    if not (0 <= k <= MAX_K):
+        raise ValueError(f"k must be in [0, {MAX_K}]")
     t = wishart_transfer_matrix(n)
     bias_op = t - np.eye(7)
     coefs = np.zeros(7)

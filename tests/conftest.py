@@ -31,11 +31,6 @@ def random_sym(rng, d, scale=1.0):
     return scale * (a + a.T) / 2.0
 
 
-def from_eigenpairs(lam, u):
-    """Matrices u diag(lam) u^T over any leading (chain, step) axes."""
-    return (u * lam[..., None, :]) @ np.swapaxes(u, -1, -2)
-
-
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240817)

@@ -116,6 +116,14 @@ class TestSerialization:
         assert "0.050000000000000003" in text
         assert "0.33333333333333331" in text
 
+    def test_json_strings_escape_control_characters_only(self):
+        table = self._table()
+        table.meta["note"] = 'tab\there "quoted" \\ sigma \u03c3'
+        text = table_to_json(table)
+        assert '"tab\\there \\"quoted\\" \\\\ sigma \u03c3"' in text
+        import json
+        assert json.loads(text)["meta"]["note"] == table.meta["note"]
+
     def test_round_trip_17_digits(self):
         import json
         text = table_to_json(self._table())
@@ -349,6 +357,54 @@ def test_overflowing_data_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: NumericOverflow:") and "overflow" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["estimate", "coverage", "bias_scaling"])
+def test_overflowing_matrix_is_a_data_error(tmp_path, capsys, command, fmt):
+    # near 3e153 the sample covariance is finite but chain states overflow;
+    # exp at Sigma's eigenvalue 800 overflows computing the true <f(Sigma), B>
+    if command == "estimate":
+        rows = 3e153 * np.random.default_rng(7).standard_normal((5, 3))
+        p = tmp_path / "huge.csv"
+        p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+        argv = ["estimate", "--data", str(p), "--k", "3", "--chains", "200"]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"experiment={command}\nd=2\nn=20\nk=1\nfn=exp\n"
+                       "sigma=diag:800,1\nM=2\nN=5\n")
+        argv = ["simulate", "--config", str(cfg)]
+    assert run_cli(argv + ["--format", fmt,
+                           "--out", str(tmp_path / "t.out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericOverflow:")
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
+def test_bias_scaling_has_an_oracle_past_order_20(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("experiment=bias_scaling\nd=2\nn=20\nk=21\nfn=square\n"
+                   "M=2\nN=5\n")
+    out = tmp_path / "t.json"
+    assert run_cli(["simulate", "--config", str(cfg), "--format", "json",
+                    "--out", str(out)]) == 0
+    import json
+    obj = json.loads(out.read_text())
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    assert row["k"] == 21
+    assert isinstance(row["bias_oracle"], float) and np.isfinite(row["bias_oracle"])
+
+
+def test_json_output_with_a_control_character_parses(tmp_path):
+    # float("\t0.5") parses, so the spec is valid; the tab must be escaped
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_COVERAGE_CFG + "fn=power:\t0.5\n")
+    out = tmp_path / "t.json"
+    assert run_cli(["simulate", "--config", str(cfg), "--format", "json",
+                    "--out", str(out)]) == 0
+    import json
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    assert obj["meta"]["config"]["fn"] == "power:\t0.5"
 
 
 def test_data_whose_second_moments_overflow_gives_finite_output(tmp_path, capsys):

@@ -21,8 +21,13 @@ from covfn.sampling import (
     psd_factor,
     sample_covariance,
 )
-from covfn.symmat import apply_scalar_function, eigh, trace_inner_product
-from conftest import from_eigenpairs, random_spd, random_sym
+from covfn.symmat import (
+    apply_scalar_function,
+    eigh,
+    from_eigenpairs,
+    trace_inner_product,
+)
+from conftest import random_spd, random_sym
 
 IDENTITY = get_function("identity")
 SQUARE = get_function("square")

@@ -10,8 +10,9 @@ from covfn.sampling import (
     psd_factor,
     sample_covariance,
 )
+from covfn.symmat import SpectralDecomp, eigh, from_eigenpairs
 from covfn.wishart_oracle import expected_sandwich, expected_trace_of_square
-from conftest import from_eigenpairs, random_spd, random_sym
+from conftest import random_spd, random_sym
 
 
 class TestPsdFactor:
@@ -36,6 +37,13 @@ class TestPsdFactor:
         pf = psd_factor(sigma)
         np.testing.assert_allclose(pf @ pf.T, sigma,
                                    rtol=1e-10, atol=1e-10)
+
+    def test_stack_matches_one_call_per_matrix(self, np_rng):
+        stack = np.array([random_spd(np_rng, 5) for _ in range(4)])
+        roots = psd_factor(stack)
+        assert roots.shape == stack.shape and not roots.flags.writeable
+        for a, root in zip(stack, roots):
+            np.testing.assert_array_equal(psd_factor(a), root)
 
 
 class TestGaussianSample:
@@ -155,6 +163,27 @@ class TestBartlettStep:
             mean = draws.mean(axis=0)
             stderr = draws.std(axis=0, ddof=1) / np.sqrt(m)
             assert np.all(np.abs(mean - exact) <= 5.0 * stderr)
+
+    @pytest.mark.parametrize("d, n", [(6, 9), (5, 3)])
+    def test_step_root_is_psd_factor_of_the_state_stack(self, np_rng, d, n):
+        # step 2 of every chain, taken by hand from psd_factor of the stack
+        # of step-1 decompositions and step 2's documented draws, gives the
+        # engine's step-2 eigenpairs bit for bit
+        nchains, m = 4, min(n, d)
+        lam, u = chain_eigenpairs(random_spd(np_rng, d), 2, n, nchains,
+                                  RngStream(6))
+        root = psd_factor(SpectralDecomp(lam[:, 1], u[:, 1]))
+        rows, cols = np.triu_indices(m, 1, d)
+        diag = np.arange(m)
+        bartlett = np.zeros((nchains, m, d))
+        bartlett[:, rows, cols] = RngStream(6).spawn(3).standard_normal(
+            nchains, rows.size)
+        bartlett[:, diag, diag] = np.sqrt(RngStream(6).spawn(4).gen.chisquare(
+            np.tile(n - diag, nchains))).reshape(nchains, m)
+        g = bartlett @ root
+        step = eigh(np.swapaxes(g, -1, -2) @ g / n)
+        np.testing.assert_array_equal(step.eigenvalues, lam[:, 2])
+        np.testing.assert_array_equal(step.eigenvectors, u[:, 2])
 
     def test_step_draws_are_uncorrelated(self):
         # From Sigma = I each step's Bartlett factor R is the Cholesky

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from covfn.errors import DimMismatch, DomainError, NotPSD, ZeroMatrix
+from covfn.errors import (
+    DimMismatch,
+    DomainError,
+    NotPSD,
+    NumericOverflow,
+    ZeroMatrix,
+)
 from covfn.functions import get_function
 from covfn.symmat import (
     SymMat,
@@ -10,6 +16,7 @@ from covfn.symmat import (
     effective_rank,
     eigh,
     frechet_derivative,
+    from_eigenpairs,
     loewner_first_difference,
     schatten_norm,
     taylor_remainder,
@@ -30,9 +37,9 @@ class TestSymMat:
         np.testing.assert_array_equal(a.entries, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericOverflow):
             SymMat(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericOverflow):
             SymMat(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
     def test_rejects_non_square(self):
@@ -43,6 +50,35 @@ class TestSymMat:
         a = as_symmat(np.eye(2))
         with pytest.raises(ValueError):
             a.entries[0, 0] = 5.0
+
+
+class TestStacks:
+    def test_symmat_of_a_stack(self):
+        a = np.array([[[1.0, 2.0], [0.0, 1.0]], [[3.0, 1.0], [1.0, 3.0]]])
+        s = SymMat(a)
+        assert s.dim == 2 and s.entries.shape == (2, 2, 2)
+        np.testing.assert_array_equal(s.entries[0], [[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(s.entries[1], a[1])
+        a[1, 0, 0] = np.inf
+        with pytest.raises(NumericOverflow):
+            SymMat(a)
+
+    @pytest.mark.parametrize("d", [7, 40])
+    def test_eigh_of_a_stack_is_one_call_per_matrix(self, np_rng, d):
+        stack = np.array([random_sym(np_rng, d) for _ in range(6)])
+        dec = eigh(stack)
+        assert dec.source_dim == d
+        for i, a in enumerate(stack):
+            one = eigh(a)
+            np.testing.assert_array_equal(dec.eigenvalues[i], one.eigenvalues)
+            np.testing.assert_array_equal(dec.eigenvectors[i], one.eigenvectors)
+
+    def test_from_eigenpairs_rebuilds_a_stack(self, np_rng):
+        stack = np.array([random_sym(np_rng, 5) for _ in range(3)])
+        dec = eigh(stack)
+        np.testing.assert_allclose(
+            from_eigenpairs(dec.eigenvalues, dec.eigenvectors), stack,
+            atol=1e-12)
 
 
 class TestEigh:
@@ -71,7 +107,7 @@ class TestEigh:
             d = eigh(a)
             u, lam = d.eigenvectors, d.eigenvalues
             assert np.abs(u.T @ u - np.eye(8)).max() <= 1e-10
-            err = np.abs(u @ (lam[:, None] * u.T) - as_symmat(a).entries).max()
+            err = np.abs(from_eigenpairs(lam, u) - as_symmat(a).entries).max()
             assert err <= 1e-10 * (1.0 + np.abs(a).max())
             assert np.all(np.diff(d.eigenvalues) >= 0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covfn.estimators import bias_reduced_estimate
+from covfn.estimators import MAX_K, bias_reduced_estimate
 from covfn.functions import get_function
 from covfn.sampling import RngStream, gaussian_sample, psd_factor
 from covfn.symmat import trace_inner_product
@@ -56,11 +56,16 @@ class TestClosedForms:
             ratio = np.abs(b1).max() / np.abs(b2).max()
             assert ratio == pytest.approx(10.0 ** (k + 1), rel=0.05)
 
+    def test_finite_at_the_largest_order(self):
+        for n in (1, 50):
+            out = quad_wishart_oracle(np.eye(2), n, MAX_K).entries
+            assert np.all(np.isfinite(out)) and np.any(out != 0.0)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             quad_wishart_oracle(np.eye(2), 0, 0)
         with pytest.raises(ValueError):
-            quad_wishart_oracle(np.eye(2), 10, 21)
+            quad_wishart_oracle(np.eye(2), 10, MAX_K + 1)
 
 
 class TestEvaluateFamily:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import BadAlpha, DimMismatch, DomainError, NumericOverflow
 from .functions import ScalarFunction
@@ -78,7 +78,7 @@ def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) ->
         raise ValueError("sigma_hat must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = z * sigma_hat / math.sqrt(n)
     return (point - half, point + half)
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import __version__
-from .errors import UsageError, ZeroMatrix
+from .errors import NumericOverflow, UsageError, ZeroMatrix
 from .estimators import MAX_K, bias_reduced_estimate, sigma_f
 from .functions import ScalarFunction, parse_function_spec
 from .sampling import (
@@ -150,7 +150,8 @@ def build_b(spec: str, d: int, normalize: bool = True):
         u = _spec_numbers(rest, spec)
         if u.shape != (d,):
             raise UsageError(f"rank1vec needs {d} components, got {u.size}")
-        b = np.outer(u, u)
+        with np.errstate(over="ignore"):  # SymMat reports it
+            b = np.outer(u, u)
     elif name == "file":
         b = load_data_csv(rest).rows
         if b.shape[0] != b.shape[1]:
@@ -162,6 +163,9 @@ def build_b(spec: str, d: int, normalize: bool = True):
     factor = 1.0
     if normalize:
         nuc = schatten_norm(b, 1)
+        if not np.isfinite(nuc):
+            raise NumericOverflow("the nuclear norm of B overflows floating "
+                                  "point; rescale B")
         if nuc > 1.0:
             factor = 1.0 / nuc
             b = b * factor
@@ -200,8 +204,8 @@ def build_sigma(spec: str, d: int) -> SymMat:
 
 
 def normal_cdf(x):
-    """Standard normal CDF (absolute error well below 1e-7)."""
-    return ndtr(np.asarray(x, dtype=float))
+    """Standard normal CDF, elementwise (absolute error below 1e-15)."""
+    return np.vectorize(NormalDist().cdf, otypes=[float])(x)[()]
 
 
 def ks_distance_to_normal(sample) -> float:

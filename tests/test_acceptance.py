@@ -215,3 +215,26 @@ def test_criterion_10_cli_determinism(tmp_path):
           and s1.read_bytes() == s2.read_bytes()
           and s1.read_bytes() != s3.read_bytes())
     _report(10, ok, "same seed: byte-identical outputs; new seed: outputs differ")
+
+
+def test_criterion_11_plugin_undercovers_order_1_covers():
+    # on the d = n^(1/2) line the plug-in's standardized bias is about
+    # -(d+1) sqrt(d) / (2 sqrt(2n)) = -1.66; every band leaves out about
+    # 1e-6: Binomial(1000, 0.95) coverage, the one-sample KS quantile at
+    # M = 1000 and the chi-square(999) band for var_std_err, whose centre
+    # 1 is the paper's efficiency claim (variance sigma_f^2 / n)
+    cfg = ExperimentConfig(
+        experiment="coverage", d=20, n=(400,), k=(0, 1), fn="log",
+        b="identity", sigma="linspace:1,2", m=1000, nchains=100,
+        alpha=0.05, seed=11,
+    )
+    plug, order1 = run_coverage(cfg).rows
+    ok = (plug[4] <= 0.85 and plug[6] <= -1.0
+          and 0.92 <= order1[4] <= 0.975 and order1[5] <= 0.085
+          and abs(order1[6]) <= 0.25 and 0.78 <= order1[7] <= 1.22)
+    _report(11, ok,
+            f"k=0: coverage {plug[4]:.4f} (limit 0.85), mean std. err. "
+            f"{plug[6]:.3f} (limit -1); k=1: coverage {order1[4]:.4f} "
+            f"(band [0.92, 0.975]), KS {order1[5]:.4f} (limit 0.085), "
+            f"mean std. err. {order1[6]:.3f} (limit 0.25), var std. err. "
+            f"{order1[7]:.3f} (band [0.78, 1.22])")

@@ -381,6 +381,46 @@ def test_overflowing_matrix_is_a_data_error(tmp_path, capsys, command, fmt):
     assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "bias_scaling"])
+@pytest.mark.parametrize("b", ["rank1vec:1e154,1e154", "file", "rank1vec:1e200,1"])
+def test_b_whose_nuclear_norm_overflows_is_a_data_error(tmp_path, capsys,
+                                                       command, b):
+    # every entry of B is finite but its nuclear norm, or the outer product
+    # itself, is not; scaling by 1/inf used to turn B into the zero matrix
+    if b == "file":
+        bfile = tmp_path / "b.csv"
+        bfile.write_text("1e308,1e308\n1e308,1e308\n")
+        b = f"file:{bfile}"
+    if command == "estimate":
+        p = tmp_path / "x.csv"
+        p.write_text("1,2\n3,4.5\n-1,0.5\n")
+        argv = ["estimate", "--data", str(p), "--B", b]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"experiment=bias_scaling\nd=2\nn=20\nk=1\nB={b}\n"
+                       "M=2\nN=5\n")
+        argv = ["simulate", "--config", str(cfg)]
+    assert run_cli(argv + ["--out", str(tmp_path / "t.out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericOverflow:")
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
+def test_cli_imports_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import covfn
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(covfn.__file__)))
+    code = ("import sys, covfn.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_bias_scaling_has_an_oracle_past_order_20(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("experiment=bias_scaling\nd=2\nn=20\nk=21\nfn=square\n"

@@ -69,6 +69,17 @@ class TestHockeyStickWeights:
             hockey_stick_weights(-1)
 
 
+# Phi^{-1}(1 - alpha/2) at the double 1 - alpha/2, computed with mpmath at
+# 50 digits
+NORMAL_QUANTILES = {
+    0.05: 1.9599639845400538,
+    0.01: 2.5758293035489004,
+    0.1: 1.6448536269514722,
+    0.37: 0.896473364001916,
+    1e-6: 4.891638475714779,
+}
+
+
 class TestConfidenceInterval:
     def test_one_sigma_level(self):
         alpha = 2 * (1 - 0.8413447460685429)  # so that z = 1
@@ -84,6 +95,9 @@ class TestConfidenceInterval:
         assert hi == pytest.approx(1.9599639845400545 * 2.0 / 10.0, abs=1e-6)
         assert hi == pytest.approx(0.392, abs=5e-4)
         assert lo == -hi
+        for alpha, z in NORMAL_QUANTILES.items():
+            lo, hi = confidence_interval(0.0, 1.0, 1, alpha)
+            assert hi == pytest.approx(z, rel=2e-15) and lo == -hi, alpha
 
     def test_bad_alpha(self):
         for alpha in (0.0, 1.0, -0.2, 1.5):

@@ -88,6 +88,13 @@ class TestStatsHelpers:
     def test_normal_cdf_values(self):
         assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-12)
         assert normal_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-9)
+        # Phi(x) computed with mpmath at 50 digits
+        phi = {-8.0: 6.220960574271784e-16, -1.959963984540054: 0.025000000000000012,
+               0.0: 0.5, 1.0: 0.8413447460685429, 8.0: 0.9999999999999993}
+        for x, p in phi.items():
+            assert normal_cdf(x) == pytest.approx(p, rel=0, abs=1e-15), x
+        np.testing.assert_allclose(normal_cdf(list(phi)), list(phi.values()),
+                                   rtol=0, atol=1e-15)
 
     def test_ks_to_normal_on_normal_sample(self):
         x = np.random.default_rng(0).standard_normal(10**4)

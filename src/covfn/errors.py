@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class CovfnError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,6 +29,15 @@ class ZeroMatrix(CovfnError):
 
 class NumericOverflow(CovfnError):
     """A result left the floating-point range."""
+
+
+@contextmanager
+def overflow_stage(stage: str):
+    """Re-raise a NumericOverflow from the block with ``stage`` named."""
+    try:
+        yield
+    except NumericOverflow as exc:
+        raise NumericOverflow(f"{stage}: {exc}") from None
 
 
 class BadAlpha(CovfnError):

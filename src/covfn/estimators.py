@@ -1,15 +1,18 @@
-"""Plug-in and bias-reduced estimators of <f(Sigma), B>.
+"""The bias-reduced estimator of <f(Sigma), B> and its confidence interval.
 
-The bias-reduced estimator of order k averages, over N independent
-bootstrap chains started at the sample covariance, the weighted
-combination sum_i c_{k,i} <f(state_i), B> with hockey-stick weights
+The estimator of order k averages, over N independent bootstrap chains
+S_0, ..., S_k started at the sample covariance S_0, the weighted
+combination sum_i c_{k,i} <f(S_i), B> with hockey-stick weights
 c_{k,i} = (-1)^i C(k+1, i+1); its conditional expectation removes the
-first k orders of plug-in bias.  The plug-in estimator
-<f(sample covariance), B> is the order-0 case: one chain that takes no
-step, with weight 1.  The chains come as eigenpairs from
-``sampling.chain_eigenpairs``, so f and the projections onto B are read
-off the one decomposition of each state; a chain state outside f's
-domain is an error, never dropped.  Confidence intervals use the
+first k orders of plug-in bias.  A chain is a martingale (E S_i = S_0),
+so each state's linear term <S_i - S_0, D_0>, D_0 = Df(S_0; B), has mean
+exactly 0 and is subtracted as a control variate: the mean is unchanged
+and the chain noise that the linear term carries is gone.  The plug-in
+estimator <f(S_0), B> is the order-0 case: one chain that takes no step,
+with weight 1.  The chains come as eigenpairs from
+``sampling.chain_eigenpairs``, so f and the projections onto B and D_0
+are read off the one decomposition of each state; a chain state outside
+f's domain is an error, never dropped.  Confidence intervals use the
 asymptotic standard deviation
 sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 """
@@ -22,7 +25,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import BadAlpha, DimMismatch, DomainError, NumericOverflow
+from .errors import (BadAlpha, DimMismatch, DomainError, NumericOverflow,
+                     overflow_stage)
 from .functions import ScalarFunction
 from .sampling import (
     DataMatrix,
@@ -40,7 +44,6 @@ from .symmat import (
 
 __all__ = [
     "EstimateReport",
-    "plugin_estimate",
     "sigma_f",
     "hockey_stick_weights",
     "hockey_stick_weight_ints",
@@ -94,23 +97,25 @@ def _binade(a: np.ndarray) -> float:
     return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
 
 
-def sigma_f(sigma, f: ScalarFunction, b) -> float:
+def sigma_f(sigma, f: ScalarFunction, b, df_eig=None) -> float:
     """Asymptotic std dev sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 
     Computed in the eigenbasis of Sigma, where both the square root
     (``symmat.psd_sqrt``, which raises NotPSD) and the Loewner-matrix
     derivative are exact on eigenvalues.  ``sigma`` may be given as its
-    SpectralDecomp.  The norm is taken of entries scaled
+    SpectralDecomp, and ``df_eig``, Df(Sigma; B) in that eigenbasis, when
+    it is already computed.  The norm is taken of entries scaled
     by a power of two, so it is finite wherever its value is; a value
     beyond floating point raises NumericOverflow.
     """
     dec = eigh(sigma)
     root = psd_sqrt(dec.eigenvalues)
-    df_eig = _frechet_eig(dec, f, b)
-    with np.errstate(over="ignore"):  # reported below
+    if df_eig is None:
+        df_eig = _frechet_eig(dec, f, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
         sandwiched = root[:, None] * df_eig * root[None, :]
-    scale = _binade(sandwiched)  # exact, so the norm cannot overflow
-    out = math.sqrt(2.0) * float(np.linalg.norm(sandwiched / scale)) * scale
+        scale = _binade(sandwiched)  # exact, so the norm cannot overflow
+        out = math.sqrt(2.0) * float(np.linalg.norm(sandwiched / scale)) * scale
     if not math.isfinite(out):
         raise NumericOverflow(f"sigma_f of '{f.name}' overflows floating "
                               "point; rescale the data")
@@ -131,37 +136,39 @@ def hockey_stick_weights(k: int) -> np.ndarray:
     return np.array(hockey_stick_weight_ints(k), dtype=float)
 
 
-def plugin_estimate(x: DataMatrix, f: ScalarFunction, b,
-                    alpha: float = 0.05) -> EstimateReport:
-    """Plug-in estimate <f(sample covariance), B> with its CI: order 0."""
-    return bias_reduced_estimate(x, f, b, 0, 0, RngStream(0), alpha)
-
-
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                           nchains: int, rng: RngStream,
                           alpha: float = 0.05) -> EstimateReport:
     """Order-k bias-reduced estimate of <f(Sigma), B> via bootstrap chains.
 
-    Simulates ``nchains`` independent chains of length k+1 from the sample
-    covariance (step t of every chain draws from ``rng.spawn(2t - 1)`` and
-    ``rng.spawn(2t)``, see ``chain_eigenpairs``), forms the weighted
-    functional along each chain, and averages.  At k = 0 this is the
-    plug-in: one chain that takes no step, draws nothing and is reported
-    as zero chains.  The CI half-width uses sigma_hat / sqrt(n) only;
-    Monte Carlo chain noise is reported separately as ``mc_stderr``.
-    Raises DomainError when any chain state leaves f's domain, and
-    NumericOverflow when f of a state, ``mc_stderr`` or sigma_f overflows.
+    Simulates ``nchains`` independent chains S_0, ..., S_k from the sample
+    covariance S_0 (step t of every chain draws from ``rng.spawn(2t - 1)``
+    and ``rng.spawn(2t)``, see ``chain_eigenpairs``) and averages, over
+    the chains,
+
+        sum_i c_i <f(S_i), B> - sum_{i>=1} c_i <S_i - S_0, D_0>,
+
+    with D_0 = Df(S_0; B); the second sum has mean 0 and takes the chain
+    noise of the linear term out.  At k = 0 this is the plug-in: one chain
+    that takes no step, draws nothing and is reported as zero chains.  The
+    CI half-width uses sigma_hat / sqrt(n) only; Monte Carlo chain noise is
+    reported separately as ``mc_stderr``.  Raises DomainError when any
+    chain state leaves f's domain, and NumericOverflow, naming the stage,
+    when the sample covariance, a chain state, f of a state, the chain
+    combination, ``mc_stderr`` or sigma_f overflows.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k and nchains < 1:
         raise ValueError("need at least one chain when k >= 1")
     b = as_symmat(b)
-    sigma_hat_mat = sample_covariance(x)
+    with overflow_stage("sample covariance"):
+        sigma_hat_mat = sample_covariance(x)
     if sigma_hat_mat.dim != b.dim:
         raise DimMismatch(f"data dim {sigma_hat_mat.dim}, B dim {b.dim}")
     start = eigh(sigma_hat_mat)  # shared by the chains and sigma_f
-    lam, u = chain_eigenpairs(start, k, x.n, nchains if k else 1, rng)
+    with overflow_stage("chain state"):
+        lam, u = chain_eigenpairs(start, k, x.n, nchains if k else 1, rng)
     left = int(np.sum(~np.all(in_domain(lam, f), axis=(1, 2))))
     if left:
         lo, hi = f.domain
@@ -173,7 +180,18 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     if not np.all(np.isfinite(vals)):
         raise NumericOverflow(f"'{f.name}' of a chain state overflows floating "
                               "point; rescale the data")
-    y = vals @ hockey_stick_weights(k)
+    c = hockey_stick_weights(k)
+    u0 = start.eigenvectors
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        df_eig = _frechet_eig(start, f, b)  # D_0 in S_0's eigenbasis
+        w = (u0 @ df_eig @ u0.T) @ u[:, 1:]
+        w *= u[:, 1:]  # entry (j, m) summed over j is u_m^T D_0 u_m
+        lin = np.einsum("...jm,...m->...", w, lam[:, 1:])  # <S_i, D_0>, i >= 1
+        lin0 = start.eigenvalues @ np.diagonal(df_eig)  # <S_0, D_0>
+        y = vals @ c - (lin - lin0) @ c[1:]
+    if not np.all(np.isfinite(y)):
+        raise NumericOverflow(f"linear term: the chain combination of '{f.name}' "
+                              "overflows floating point; rescale the data")
 
     scale = _binade(y)
     z = y / scale  # exact; keeps the squares in y.std inside floating point
@@ -182,7 +200,7 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     if not math.isfinite(mc_stderr):
         raise NumericOverflow("the Monte Carlo stderr overflows floating "
                               "point; rescale the data")
-    shat = sigma_f(start, f, b)
+    shat = sigma_f(start, f, b, df_eig)
     ci = confidence_interval(value, shat, x.n, alpha)
     return EstimateReport(
         functional_value=value, estimator_kind="bias_reduced" if k else "plugin",

@@ -16,7 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import __version__
-from .errors import NumericOverflow, UsageError, ZeroMatrix
+from .errors import NumericOverflow, UsageError, ZeroMatrix, overflow_stage
 from .estimators import MAX_K, bias_reduced_estimate, sigma_f
 from .functions import ScalarFunction, parse_function_spec
 from .sampling import (
@@ -50,7 +50,6 @@ __all__ = [
     "normal_cdf",
     "ks_distance_to_normal",
     "two_sample_ks",
-    "fit_loglog_slope",
 ]
 
 EXPERIMENTS = ("bias_scaling", "coverage", "opnorm", "quadform")  # run_<name>
@@ -227,23 +226,6 @@ def two_sample_ks(a, b) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def fit_loglog_slope(ns, values, stderrs=None):
-    """Least-squares slope of log|value| against log n.
-
-    Cells whose |value| is below 3 times its stderr are noise-dominated
-    and excluded; returns (slope, used_mask).
-    """
-    ns = np.asarray(ns, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = np.abs(values) > 0
-    if stderrs is not None:
-        mask &= np.abs(values) > 3.0 * np.asarray(stderrs, dtype=float)
-    if mask.sum() < 2:
-        raise ValueError("fewer than two usable cells for the slope fit")
-    slope = np.polyfit(np.log(ns[mask]), np.log(np.abs(values[mask])), 1)[0]
-    return float(slope), mask
-
-
 def _table(cfg: ExperimentConfig, columns: str, rows) -> ResultTable:
     """A simulate result: space-separated ``columns``, the rows and the
     metadata (tool, version, config, seed)."""
@@ -283,7 +265,8 @@ def _estimate_cells(cfg: ExperimentConfig, f: ScalarFunction):
     for d, cells in _cells(cfg, "n", "k"):
         sigma = build_sigma(cfg.sigma, d)
         b, _ = build_b(cfg.b, d)
-        truth = trace_inner_product(apply_scalar_function(eigh(sigma), f), b)
+        with overflow_stage("f at the true Sigma"):
+            truth = trace_inner_product(apply_scalar_function(eigh(sigma), f), b)
         root = psd_factor(sigma)
         yield d, sigma, b, truth, (
             ((n, k), [

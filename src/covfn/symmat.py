@@ -1,6 +1,5 @@
 """Dense symmetric matrices: eigendecomposition, spectral functions,
-Loewner-matrix directional derivatives, Taylor remainders, Schatten norms
-and effective rank.
+Loewner-matrix directional derivatives, Schatten norms and effective rank.
 
 All matrices here are real symmetric and carried by :class:`SymMat`, an
 immutable wrapper around one ``numpy`` matrix or a stack of them; only
@@ -36,7 +35,6 @@ __all__ = [
     "apply_scalar_function",
     "loewner_first_difference",
     "frechet_derivative",
-    "taylor_remainder",
     "effective_rank",
     "schatten_norm",
     "trace_inner_product",
@@ -202,19 +200,6 @@ def _frechet_eig(d: SpectralDecomp, f: ScalarFunction, h) -> np.ndarray:
         raise DimMismatch(f"H has dim {h.dim}, decomposition has {d.source_dim}")
     u = d.eigenvectors
     return loewner_first_difference(d.eigenvalues, f) * (u.T @ h.entries @ u)
-
-
-def taylor_remainder(a, h, f: ScalarFunction) -> SymMat:
-    """First-order Taylor remainder f(A+H) - f(A) - Df(A; H)."""
-    a = as_symmat(a)
-    h = as_symmat(h)
-    if a.dim != h.dim:
-        raise DimMismatch(f"A has dim {a.dim}, H has dim {h.dim}")
-    da = eigh(a)
-    f_a_plus_h = apply_scalar_function(eigh(a.entries + h.entries), f)
-    f_a = apply_scalar_function(da, f)
-    df = frechet_derivative(da, f, h)
-    return SymMat(f_a_plus_h.entries - f_a.entries - df.entries)
 
 
 def effective_rank(a) -> float:

@@ -4,13 +4,14 @@ For centered Gaussian data the expectation of any member of the family
 
     {S^2, tr(S) S, tr(S^2) I, (tr S)^2 I, S, tr(S) I, I}
 
-under S -> sample covariance of n draws from N(0, S) stays inside the
-family, with coefficients affine in 1/n (Gaussian fourth-moment
-identities).  The expectation therefore acts as a 7x7 matrix on
-coefficient vectors, the bias operator is that matrix minus the identity,
-and the exact bias of the order-k bias-reduced estimator of S^2 is
-(-1)^k (bias operator)^{k+1} applied to the coefficients of S^2.  Used as
-ground truth in tests and rate experiments.
+(in the order of every coefficient vector here) under S -> sample
+covariance of n draws from N(0, S) stays inside the family, with
+coefficients affine in 1/n (Gaussian fourth-moment identities).  The
+expectation therefore acts as a 7x7 matrix on coefficient vectors, the
+bias operator is that matrix minus the identity, and the exact bias of
+the order-k bias-reduced estimator of S^2 is (-1)^k (bias operator)^{k+1}
+applied to the coefficients of S^2.  Used as ground truth in tests and
+rate experiments.
 """
 
 from __future__ import annotations
@@ -21,21 +22,10 @@ from .estimators import MAX_K
 from .symmat import SymMat, as_symmat
 
 __all__ = [
-    "QUAD_BASIS",
     "wishart_transfer_matrix",
     "evaluate_quad_family",
     "quad_wishart_oracle",
-    "expected_sandwich",
-    "expected_trace_times_cov",
-    "expected_trace_of_square",
-    "expected_square_of_trace",
 ]
-
-# basis order used for all coefficient vectors
-QUAD_BASIS = (
-    "S^2", "tr(S) S", "tr(S^2) I", "(tr S)^2 I", "S", "tr(S) I", "I",
-)
-
 
 def wishart_transfer_matrix(n: int) -> np.ndarray:
     """Matrix of the one-step expectation operator on the quadratic family.
@@ -99,32 +89,3 @@ def quad_wishart_oracle(sigma, n: int, k: int) -> SymMat:
     coefs[0] = 1.0  # f(x) = x^2
     coefs = np.linalg.matrix_power(bias_op, k + 1) @ coefs
     return evaluate_quad_family(((-1.0) ** k) * coefs, sigma)
-
-
-# Closed-form fourth-moment identities behind the transfer matrix; kept as
-# standalone functions so a Monte Carlo run can validate each coefficient.
-
-def expected_sandwich(sigma, a, n: int) -> SymMat:
-    """E[S A S] = Sigma A Sigma + (Sigma A Sigma + tr(A Sigma) Sigma)/n."""
-    s = as_symmat(sigma).entries
-    a = as_symmat(a).entries
-    sas = s @ a @ s
-    return SymMat(sas + (sas + np.trace(a @ s) * s) / n)
-
-
-def expected_trace_times_cov(sigma, n: int) -> SymMat:
-    """E[tr(S) S] = tr(Sigma) Sigma + 2 Sigma^2 / n."""
-    s = as_symmat(sigma).entries
-    return SymMat(np.trace(s) * s + 2.0 * (s @ s) / n)
-
-
-def expected_trace_of_square(sigma, n: int) -> float:
-    """E[tr(S^2)] = (1 + 1/n) tr(Sigma^2) + (tr Sigma)^2 / n."""
-    s = as_symmat(sigma).entries
-    return float((1.0 + 1.0 / n) * np.trace(s @ s) + np.trace(s) ** 2 / n)
-
-
-def expected_square_of_trace(sigma, n: int) -> float:
-    """E[(tr S)^2] = (tr Sigma)^2 + 2 tr(Sigma^2) / n."""
-    s = as_symmat(sigma).entries
-    return float(np.trace(s) ** 2 + 2.0 * np.trace(s @ s) / n)

@@ -1,0 +1,78 @@
+"""Test-only helpers: closed forms and fits that only the tests call.
+
+Each checks the package against an independent computation: the Gaussian
+fourth-moment identities behind ``wishart_oracle``'s transfer matrix, the
+first-order Taylor remainder of a spectral function, the plug-in estimate
+(the order-0 estimator) and the log-log slope of a bias against n.
+"""
+
+import numpy as np
+
+from covfn.errors import DimMismatch
+from covfn.estimators import EstimateReport, bias_reduced_estimate
+from covfn.functions import ScalarFunction
+from covfn.sampling import DataMatrix, RngStream
+from covfn.symmat import (SymMat, apply_scalar_function, as_symmat, eigh,
+                          frechet_derivative)
+
+
+def plugin_estimate(x: DataMatrix, f: ScalarFunction, b,
+                    alpha: float = 0.05) -> EstimateReport:
+    """Plug-in estimate <f(sample covariance), B> with its CI: order 0."""
+    return bias_reduced_estimate(x, f, b, 0, 0, RngStream(0), alpha)
+
+
+def taylor_remainder(a, h, f: ScalarFunction) -> SymMat:
+    """First-order Taylor remainder f(A+H) - f(A) - Df(A; H)."""
+    a = as_symmat(a)
+    h = as_symmat(h)
+    if a.dim != h.dim:
+        raise DimMismatch(f"A has dim {a.dim}, H has dim {h.dim}")
+    da = eigh(a)
+    f_a_plus_h = apply_scalar_function(eigh(a.entries + h.entries), f)
+    f_a = apply_scalar_function(da, f)
+    df = frechet_derivative(da, f, h)
+    return SymMat(f_a_plus_h.entries - f_a.entries - df.entries)
+
+
+def fit_loglog_slope(ns, values, stderrs=None):
+    """Least-squares slope of log|value| against log n.
+
+    Cells whose |value| is below 3 times its stderr are noise-dominated
+    and excluded; returns (slope, used_mask).
+    """
+    ns = np.asarray(ns, dtype=float)
+    values = np.asarray(values, dtype=float)
+    mask = np.abs(values) > 0
+    if stderrs is not None:
+        mask &= np.abs(values) > 3.0 * np.asarray(stderrs, dtype=float)
+    if mask.sum() < 2:
+        raise ValueError("fewer than two usable cells for the slope fit")
+    slope = np.polyfit(np.log(ns[mask]), np.log(np.abs(values[mask])), 1)[0]
+    return float(slope), mask
+
+
+def expected_sandwich(sigma, a, n: int) -> SymMat:
+    """E[S A S] = Sigma A Sigma + (Sigma A Sigma + tr(A Sigma) Sigma)/n."""
+    s = as_symmat(sigma).entries
+    a = as_symmat(a).entries
+    sas = s @ a @ s
+    return SymMat(sas + (sas + np.trace(a @ s) * s) / n)
+
+
+def expected_trace_times_cov(sigma, n: int) -> SymMat:
+    """E[tr(S) S] = tr(Sigma) Sigma + 2 Sigma^2 / n."""
+    s = as_symmat(sigma).entries
+    return SymMat(np.trace(s) * s + 2.0 * (s @ s) / n)
+
+
+def expected_trace_of_square(sigma, n: int) -> float:
+    """E[tr(S^2)] = (1 + 1/n) tr(Sigma^2) + (tr Sigma)^2 / n."""
+    s = as_symmat(sigma).entries
+    return float((1.0 + 1.0 / n) * np.trace(s @ s) + np.trace(s) ** 2 / n)
+
+
+def expected_square_of_trace(sigma, n: int) -> float:
+    """E[(tr S)^2] = (tr Sigma)^2 + 2 tr(Sigma^2) / n."""
+    s = as_symmat(sigma).entries
+    return float(np.trace(s) ** 2 + 2.0 * np.trace(s @ s) / n)

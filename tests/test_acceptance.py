@@ -14,7 +14,6 @@ from covfn.estimators import (
 )
 from covfn.experiments import (
     ExperimentConfig,
-    fit_loglog_slope,
     run_coverage,
     run_opnorm,
     run_quadform,
@@ -25,6 +24,7 @@ from covfn.symmat import apply_scalar_function, as_symmat, eigh, frechet_derivat
 from covfn.wishart_oracle import quad_wishart_oracle
 from test_estimators import brute_force_weights
 from conftest import random_orthogonal, random_sym
+from helpers import fit_loglog_slope, plugin_estimate
 
 
 def _report(criterion, ok, detail):
@@ -95,7 +95,6 @@ def test_criterion_3_weight_oracle():
 
 
 def test_criterion_4_k0_degeneracy():
-    from covfn.estimators import plugin_estimate
     from covfn.sampling import DataMatrix
     rng = np.random.default_rng(404)
     fns = [get_function("identity"), get_function("square"), get_function("exp")]

@@ -381,6 +381,45 @@ def test_overflowing_matrix_is_a_data_error(tmp_path, capsys, command, fmt):
     assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("chains", ["1", "20"])
+def test_overflowing_chain_combination_is_one_error_line(tmp_path, capsys, chains):
+    # square of eigenvalues near 1.12e154 is finite, but the weighted
+    # combination 2 <f(S_1), B> - <f(S_0), B> is not
+    z = np.random.default_rng(0).standard_normal((5000, 2))
+    rows = z / np.sqrt(np.mean(z**2, axis=0)) * np.sqrt([1.12e154, 1e150])
+    p = tmp_path / "big.csv"
+    p.write_text("".join(f"{a!r},{b!r}\n" for a, b in rows.tolist()))
+    assert run_cli(["estimate", "--data", str(p), "--fn", "square",
+                    "--B", "rank1:0", "--k", "1", "--chains", chains,
+                    "--out", str(tmp_path / "rep.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: NumericOverflow:"), err
+
+
+def test_overflow_errors_name_their_stage(tmp_path, capsys):
+    # the sample covariance, a chain state and f at the true Sigma each
+    # overflow here; the one SymMat check reports each under its stage
+    big = tmp_path / "big.csv"
+    big.write_text("1e200,1\n2,3\n1,1\n")
+    rows = 3e153 * np.random.default_rng(7).standard_normal((5, 3))
+    huge = tmp_path / "huge.csv"
+    huge.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("experiment=coverage\nd=2\nn=20\nk=1\nfn=exp\n"
+                   "sigma=diag:800,1\nM=2\nN=5\n")
+    out = ["--out", str(tmp_path / "t.out")]
+    errs = []
+    for argv, stage in ((["estimate", "--data", str(big)], "sample covariance"),
+                        (["estimate", "--data", str(huge), "--k", "3",
+                          "--chains", "200"], "chain state"),
+                        (["simulate", "--config", str(cfg)], "f at the true Sigma")):
+        assert run_cli(argv + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: NumericOverflow: {stage}:"), err
+        errs.append(err)
+    assert len(set(errs)) == 3
+
+
 @pytest.mark.parametrize("command", ["estimate", "bias_scaling"])
 @pytest.mark.parametrize("b", ["rank1vec:1e154,1e154", "file", "rank1vec:1e200,1"])
 def test_b_whose_nuclear_norm_overflows_is_a_data_error(tmp_path, capsys,

@@ -9,7 +9,6 @@ from covfn.estimators import (
     confidence_interval,
     hockey_stick_weight_ints,
     hockey_stick_weights,
-    plugin_estimate,
     sigma_f,
 )
 from covfn.functions import get_function
@@ -24,10 +23,12 @@ from covfn.sampling import (
 from covfn.symmat import (
     apply_scalar_function,
     eigh,
+    frechet_derivative,
     from_eigenpairs,
     trace_inner_product,
 )
 from conftest import random_spd, random_sym
+from helpers import plugin_estimate
 
 IDENTITY = get_function("identity")
 SQUARE = get_function("square")
@@ -191,14 +192,15 @@ class TestBiasReducedEstimate:
             assert rep0.mc_stderr == 0.0
 
     def test_linear_functional_is_unbiased(self, np_rng):
-        # identity f: every chain step preserves the expectation, so the
-        # weighted combination deviates from <cov, B> only by MC noise
+        # identity f: the linear term is the whole functional, so once it
+        # is subtracted every chain gives <cov, B> up to rounding
         sigma = np.diag([1.0, 2.0, 0.5])
         x = gaussian_sample(psd_factor(sigma), 200, RngStream(3))
         b = np.diag([1.0, 1.0, 0.0]) / 2.0
         target = trace_inner_product(sample_covariance(x), b)
         rep = bias_reduced_estimate(x, IDENTITY, b, 2, 400, RngStream(4))
-        assert abs(rep.functional_value - target) <= 5.0 * rep.mc_stderr
+        assert rep.functional_value == pytest.approx(target, rel=1e-12)
+        assert rep.mc_stderr <= 1e-12 * abs(target)
 
     def test_chains_are_batch_invariant(self, np_rng):
         # chain r of a batch equals chain r of a batch of r chains, the
@@ -220,16 +222,36 @@ class TestBiasReducedEstimate:
             np.testing.assert_array_equal(lam3[:, :t + 1], lam_t)
             np.testing.assert_array_equal(u3[:, :t + 1], u_t)
         weights = hockey_stick_weights(k)
+        d0 = frechet_derivative(eigh(start), SQUARE, b)
         ys = []
         for r in range(nchains):
             states = from_eigenpairs(lam[r], u[r])
             vals = [trace_inner_product(apply_scalar_function(eigh(st), SQUARE), b)
                     for st in states]
-            ys.append(float(np.dot(weights, vals)))
+            lin = [trace_inner_product(st - start.entries, d0) for st in states]
+            ys.append(float(np.dot(weights, vals)) - float(np.dot(weights[1:], lin[1:])))
         rep = bias_reduced_estimate(x, SQUARE, b, k, nchains, rng)
         assert rep.functional_value == pytest.approx(np.mean(ys), rel=1e-12)
         assert rep.mc_stderr == pytest.approx(
             np.std(ys, ddof=1) / np.sqrt(nchains), rel=1e-12)
+
+    def test_linear_term_has_mean_zero_at_every_state(self):
+        # a chain is a martingale, E S_t = S_0, so the control variate
+        # <S_t - S_0, Df(S_0; B)> has mean 0 at every state t
+        d, n, k, nchains = 8, 40, 3, 20000
+        sigma = np.diag(np.linspace(1.0, 2.0, d))
+        x = gaussian_sample(psd_factor(sigma), n, RngStream(21))
+        b = np.zeros((d, d))
+        b[0, 0] = 1.0
+        start = sample_covariance(x)
+        d0 = frechet_derivative(eigh(start), LOG, b).entries
+        lam, u = chain_eigenpairs(start, k, n, nchains, RngStream(22))
+        states = from_eigenpairs(lam[:, 1:], u[:, 1:])
+        lin = np.sum((states - start.entries) * d0, axis=(-2, -1))
+        mean = lin.mean(axis=0)
+        se = lin.std(axis=0, ddof=1) / math.sqrt(nchains)
+        assert np.all(se > 0)
+        assert np.all(np.abs(mean) <= 4.0 * se), mean / se
 
     def test_domain_failures_abort(self, np_rng):
         # n < d: every chain state is singular, so log fails on all chains

@@ -6,7 +6,6 @@ from covfn.experiments import (
     ExperimentConfig,
     build_b,
     build_sigma,
-    fit_loglog_slope,
     ks_distance_to_normal,
     normal_cdf,
     run_bias_scaling,
@@ -17,6 +16,7 @@ from covfn.experiments import (
     two_sample_ks,
 )
 from covfn.symmat import schatten_norm
+from helpers import fit_loglog_slope
 
 
 class TestSpecs:

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from covfn.cli import run_cli
 from covfn.errors import NotPSD
-from covfn.estimators import bias_reduced_estimate, plugin_estimate, sigma_f
+from covfn.estimators import bias_reduced_estimate, sigma_f
 from covfn.functions import get_function
 from covfn.sampling import DataMatrix, RngStream, chain_eigenpairs, psd_factor
 from covfn.symmat import effective_rank
 from conftest import random_orthogonal, random_sym
+from helpers import plugin_estimate
 
 REL = 1e-9
 CHAINS = 8

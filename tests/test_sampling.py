@@ -11,8 +11,8 @@ from covfn.sampling import (
     sample_covariance,
 )
 from covfn.symmat import SpectralDecomp, eigh, from_eigenpairs
-from covfn.wishart_oracle import expected_sandwich, expected_trace_of_square
 from conftest import random_spd, random_sym
+from helpers import expected_sandwich, expected_trace_of_square
 
 
 class TestPsdFactor:

@@ -19,10 +19,10 @@ from covfn.symmat import (
     from_eigenpairs,
     loewner_first_difference,
     schatten_norm,
-    taylor_remainder,
     trace_inner_product,
 )
 from conftest import random_spd, random_sym
+from helpers import taylor_remainder
 
 SQUARE = get_function("square")
 CUBE = get_function("cube")

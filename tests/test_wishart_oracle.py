@@ -7,14 +7,16 @@ from covfn.sampling import RngStream, gaussian_sample, psd_factor
 from covfn.symmat import trace_inner_product
 from covfn.wishart_oracle import (
     evaluate_quad_family,
-    expected_sandwich,
-    expected_square_of_trace,
-    expected_trace_of_square,
-    expected_trace_times_cov,
     quad_wishart_oracle,
     wishart_transfer_matrix,
 )
 from conftest import random_spd, random_sym
+from helpers import (
+    expected_sandwich,
+    expected_square_of_trace,
+    expected_trace_of_square,
+    expected_trace_times_cov,
+)
 
 
 def _sample_covariances(sigma, n, m, seed):

@@ -97,22 +97,20 @@ def _binade(a: np.ndarray) -> float:
     return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
 
 
-def sigma_f(sigma, f: ScalarFunction, b, df_eig=None) -> float:
+def sigma_f(sigma, f: ScalarFunction, b) -> float:
     """Asymptotic std dev sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 
     Computed in the eigenbasis of Sigma, where both the square root
     (``symmat.psd_sqrt``, which raises NotPSD) and the Loewner-matrix
     derivative are exact on eigenvalues.  ``sigma`` may be given as its
-    SpectralDecomp, and ``df_eig``, Df(Sigma; B) in that eigenbasis, when
-    it is already computed.  The norm is taken of entries scaled
+    SpectralDecomp.  The norm is taken of entries scaled
     by a power of two, so it is finite wherever its value is; a value
     beyond floating point raises NumericOverflow.
     """
     dec = eigh(sigma)
     root = psd_sqrt(dec.eigenvalues)
-    if df_eig is None:
-        df_eig = _frechet_eig(dec, f, b)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        df_eig = _frechet_eig(dec, f, b)
         sandwiched = root[:, None] * df_eig * root[None, :]
         scale = _binade(sandwiched)  # exact, so the norm cannot overflow
         out = math.sqrt(2.0) * float(np.linalg.norm(sandwiched / scale)) * scale
@@ -155,7 +153,7 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     reported separately as ``mc_stderr``.  Raises DomainError when any
     chain state leaves f's domain, and NumericOverflow, naming the stage,
     when the sample covariance, a chain state, f of a state, the chain
-    combination, ``mc_stderr`` or sigma_f overflows.
+    combination, its linear term, ``mc_stderr`` or sigma_f overflows.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -181,17 +179,26 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
         raise NumericOverflow(f"'{f.name}' of a chain state overflows floating "
                               "point; rescale the data")
     c = hockey_stick_weights(k)
-    u0 = start.eigenvectors
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        df_eig = _frechet_eig(start, f, b)  # D_0 in S_0's eigenbasis
-        w = (u0 @ df_eig @ u0.T) @ u[:, 1:]
-        w *= u[:, 1:]  # entry (j, m) summed over j is u_m^T D_0 u_m
-        lin = np.einsum("...jm,...m->...", w, lam[:, 1:])  # <S_i, D_0>, i >= 1
-        lin0 = start.eigenvalues @ np.diagonal(df_eig)  # <S_0, D_0>
-        y = vals @ c - (lin - lin0) @ c[1:]
+        y = vals @ c
     if not np.all(np.isfinite(y)):
-        raise NumericOverflow(f"linear term: the chain combination of '{f.name}' "
-                              "overflows floating point; rescale the data")
+        raise NumericOverflow(f"the chain combination of '{f.name}' overflows "
+                              "floating point; rescale the data")
+    if k:  # subtract sum_{i>=1} c_i <S_i - S_0, D_0>
+        u0 = start.eigenvectors
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            df_eig = _frechet_eig(start, f, b)  # D_0 in S_0's eigenbasis
+            unit = _binade(df_eig)
+            d0 = df_eig / unit  # exact; keeps <S_i, D_0> / unit finite
+            w = (u0 @ d0 @ u0.T) @ u[:, 1:]
+            w *= u[:, 1:]  # entry (j, m) summed over j is u_m^T D_0 u_m / unit
+            lin = np.einsum("...jm,...m->...", w, lam[:, 1:])  # <S_i, D_0> / unit
+            lin0 = start.eigenvalues @ np.diagonal(d0)  # <S_0, D_0> / unit
+            y = y - ((lin - lin0) @ c[1:]) * unit
+        if not np.all(np.isfinite(y)):
+            raise NumericOverflow(f"linear term: the chain combination of "
+                                  f"'{f.name}' less its linear term overflows "
+                                  "floating point; rescale the data")
 
     scale = _binade(y)
     z = y / scale  # exact; keeps the squares in y.std inside floating point
@@ -200,7 +207,7 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     if not math.isfinite(mc_stderr):
         raise NumericOverflow("the Monte Carlo stderr overflows floating "
                               "point; rescale the data")
-    shat = sigma_f(start, f, b, df_eig)
+    shat = sigma_f(start, f, b)
     ci = confidence_interval(value, shat, x.n, alpha)
     return EstimateReport(
         functional_value=value, estimator_kind="bias_reduced" if k else "plugin",

@@ -503,6 +503,42 @@ def test_data_whose_second_moments_overflow_gives_finite_output(tmp_path, capsys
     assert "RuntimeWarning" not in capsys.readouterr().err
 
 
+def test_linear_term_beyond_floating_point_still_gives_a_finite_estimate(
+        tmp_path, capsys):
+    # cube at eigenvalues near 4.1e102 with B = I/4: <f(S_i), B>, about
+    # 6.9e307, and sigma_f are finite, but <S_0, D_0> = 3 <f(S_0), B> is not;
+    # the linear term is taken with D_0 scaled by a power of two
+    z = np.random.default_rng(0).standard_normal((5000, 4))
+    rows = z / np.sqrt(np.mean(z**2, axis=0)) * np.sqrt(4.1e102)
+    p = tmp_path / "big.csv"
+    p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    out = tmp_path / "rep.json"
+    assert run_cli(["estimate", "--data", str(p), "--fn", "power:3", "--k", "1",
+                    "--chains", "20", "--out", str(out)]) == 0
+    import json
+    obj = json.loads(out.read_text())
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    assert 6e307 < row["functional_value"] < 8e307
+    assert row["mc_stderr"] > 0 and np.isfinite(row["mc_stderr"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("k, stage", [("0", "sigma_f of 'power'"),
+                                      ("1", "linear term:")])
+def test_derivative_beyond_floating_point_is_a_data_error(tmp_path, capsys,
+                                                         k, stage):
+    # power:-1 at eigenvalues near 1e-160 is finite, but its derivative,
+    # about -1e320, and so D_0 and sigma_f are not
+    rows = 1e-80 * np.random.default_rng(3).standard_normal((200, 2))
+    p = tmp_path / "tiny.csv"
+    p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    assert run_cli(["estimate", "--data", str(p), "--fn", "power:-1", "--k", k,
+                    "--chains", "20", "--out", str(tmp_path / "rep.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: NumericOverflow: {stage}"), err
+
+
 def test_sigma_hat_beyond_floating_point_is_a_data_error(tmp_path, capsys):
     # exp at eigenvalues near 705 is finite, but sigma_f, about
     # sqrt(2) * 705 * exp(705), is not

@@ -235,24 +235,6 @@ class TestBiasReducedEstimate:
         assert rep.mc_stderr == pytest.approx(
             np.std(ys, ddof=1) / np.sqrt(nchains), rel=1e-12)
 
-    def test_linear_term_has_mean_zero_at_every_state(self):
-        # a chain is a martingale, E S_t = S_0, so the control variate
-        # <S_t - S_0, Df(S_0; B)> has mean 0 at every state t
-        d, n, k, nchains = 8, 40, 3, 20000
-        sigma = np.diag(np.linspace(1.0, 2.0, d))
-        x = gaussian_sample(psd_factor(sigma), n, RngStream(21))
-        b = np.zeros((d, d))
-        b[0, 0] = 1.0
-        start = sample_covariance(x)
-        d0 = frechet_derivative(eigh(start), LOG, b).entries
-        lam, u = chain_eigenpairs(start, k, n, nchains, RngStream(22))
-        states = from_eigenpairs(lam[:, 1:], u[:, 1:])
-        lin = np.sum((states - start.entries) * d0, axis=(-2, -1))
-        mean = lin.mean(axis=0)
-        se = lin.std(axis=0, ddof=1) / math.sqrt(nchains)
-        assert np.all(se > 0)
-        assert np.all(np.abs(mean) <= 4.0 * se), mean / se
-
     def test_domain_failures_abort(self, np_rng):
         # n < d: every chain state is singular, so log fails on all chains
         x = DataMatrix(np_rng.standard_normal((2, 3)))

@@ -149,14 +149,15 @@ class TestBootstrapChain:
 class TestBartlettStep:
     @pytest.mark.parametrize("d, n", [(3, 7), (4, 2)])
     def test_moments_match_wishart_oracle(self, np_rng, d, n):
-        # one step is a Wishart W_d(n, Sigma/n) for n >= d and n < d alike
+        # one step is a Wishart W_d(n, Sigma/n) for n >= d and n < d alike,
+        # and a chain is a martingale: every state has mean Sigma
         sigma = random_spd(np_rng, d)
         a = random_sym(np_rng, d)
         m = 20000
-        lam, u = chain_eigenpairs(sigma, 1, n, m, RngStream(8, d))
+        lam, u = chain_eigenpairs(sigma, 3, n, m, RngStream(8, d))
         s = from_eigenpairs(lam[:, 1], u[:, 1])
         for draws, exact in (
-            (s, sigma),
+            (from_eigenpairs(lam[:, 1:], u[:, 1:]), sigma),
             (s @ a @ s, expected_sandwich(sigma, a, n).entries),
             (np.sum(s * s, axis=(1, 2)), expected_trace_of_square(sigma, n)),
         ):

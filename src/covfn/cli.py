@@ -183,8 +183,9 @@ def _build_parser() -> _Parser:
     est.add_argument("--fn", default="identity",
                      help="scalar function spec, NAME[:p1,p2,...]")
     est.add_argument("--B", default="identity", dest="b",
-                     help="identity | rank1:INDEX | rank1vec:u1,...,ud | file:PATH "
-                          "(nuclear-normalized)")
+                     help="identity | diag:v1,...,vd | linspace:lo,hi | "
+                          "spiked:base,s1,... | rank1:INDEX | rank1vec:u1,...,ud | "
+                          "file:PATH (nuclear-normalized)")
     est.add_argument("--k", type=int, default=0, help="bias-correction order")
     est.add_argument("--chains", type=int, default=200,
                      help="bootstrap chains per estimate (ignored for k=0)")
@@ -250,7 +251,10 @@ def run_cli(argv) -> int:
     try:
         args = parser.parse_args(argv)
         command = _cmd_estimate if args.subcommand == "estimate" else _cmd_simulate
-        table = command(args)
+        # the library checks every result it returns and raises one
+        # NumericOverflow naming the stage; numpy's warnings would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = command(args)
         render = table_to_csv if args.format == "csv" else table_to_json
         _emit(render(table), args.out)
         return 0

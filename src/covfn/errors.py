@@ -2,6 +2,8 @@
 
 from contextlib import contextmanager
 
+import numpy as np
+
 
 class CovfnError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,6 +31,13 @@ class ZeroMatrix(CovfnError):
 
 class NumericOverflow(CovfnError):
     """A result left the floating-point range."""
+
+
+def finite(x, what: str):
+    """``x`` if every entry is finite, else NumericOverflow naming ``what``."""
+    if not np.all(np.isfinite(x)):
+        raise NumericOverflow(f"{what} overflows floating point; rescale the data")
+    return x
 
 
 @contextmanager

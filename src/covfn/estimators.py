@@ -25,8 +25,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (BadAlpha, DimMismatch, DomainError, NumericOverflow,
-                     overflow_stage)
+from .errors import BadAlpha, DimMismatch, DomainError, finite, overflow_stage
 from .functions import ScalarFunction
 from .sampling import (
     DataMatrix,
@@ -74,7 +73,12 @@ class EstimateReport:
 
 
 def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) -> tuple:
-    """Symmetric interval point +/- z_{1-alpha/2} * sigma_hat / sqrt(n)."""
+    """Symmetric interval point +/- z_{1-alpha/2} * sigma_hat / sqrt(n).
+
+    sigma_hat is divided by a power of two for the product, so the
+    half-width is finite wherever its value is; an interval beyond
+    floating point raises NumericOverflow.
+    """
     if not (0.0 < alpha < 1.0):
         raise BadAlpha(f"alpha must be in (0, 1), got {alpha}")
     if sigma_hat < 0:
@@ -82,8 +86,9 @@ def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) ->
     if n < 1:
         raise ValueError("n must be >= 1")
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    half = z * sigma_hat / math.sqrt(n)
-    return (point - half, point + half)
+    scale = _binade(sigma_hat)  # exact, so z * sigma_hat cannot overflow
+    half = z * (sigma_hat / scale) / math.sqrt(n) * scale
+    return finite((point - half, point + half), "the confidence interval")
 
 
 def _binade(a: np.ndarray) -> float:
@@ -109,15 +114,10 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
     """
     dec = eigh(sigma)
     root = psd_sqrt(dec.eigenvalues)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        df_eig = _frechet_eig(dec, f, b)
-        sandwiched = root[:, None] * df_eig * root[None, :]
-        scale = _binade(sandwiched)  # exact, so the norm cannot overflow
-        out = math.sqrt(2.0) * float(np.linalg.norm(sandwiched / scale)) * scale
-    if not math.isfinite(out):
-        raise NumericOverflow(f"sigma_f of '{f.name}' overflows floating "
-                              "point; rescale the data")
-    return out
+    sandwiched = root[:, None] * _frechet_eig(dec, f, b) * root[None, :]
+    scale = _binade(sandwiched)  # exact, so the norm cannot overflow
+    out = math.sqrt(2.0) * float(np.linalg.norm(sandwiched / scale)) * scale
+    return finite(out, f"sigma_f of '{f.name}'")
 
 
 def hockey_stick_weight_ints(k: int) -> list:
@@ -173,40 +173,28 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
         raise DomainError(f"{left} of {len(lam)} chains left the domain "
                           f"({lo}, {hi}) of '{f.name}'")
     proj = np.sum(u * (b.entries @ u), axis=-2)  # u_m^T B u_m
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        vals = np.sum(f.eval(lam) * proj, axis=-1)  # <f(state_t), B> per chain
-    if not np.all(np.isfinite(vals)):
-        raise NumericOverflow(f"'{f.name}' of a chain state overflows floating "
-                              "point; rescale the data")
+    vals = np.sum(f.eval(lam) * proj, axis=-1)  # <f(state_t), B> per chain
+    finite(vals, f"'{f.name}' of a chain state")
     c = hockey_stick_weights(k)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        y = vals @ c
-    if not np.all(np.isfinite(y)):
-        raise NumericOverflow(f"the chain combination of '{f.name}' overflows "
-                              "floating point; rescale the data")
+    y = finite(vals @ c, f"the chain combination of '{f.name}'")
     if k:  # subtract sum_{i>=1} c_i <S_i - S_0, D_0>
         u0 = start.eigenvectors
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            df_eig = _frechet_eig(start, f, b)  # D_0 in S_0's eigenbasis
-            unit = _binade(df_eig)
-            d0 = df_eig / unit  # exact; keeps <S_i, D_0> / unit finite
-            w = (u0 @ d0 @ u0.T) @ u[:, 1:]
-            w *= u[:, 1:]  # entry (j, m) summed over j is u_m^T D_0 u_m / unit
-            lin = np.einsum("...jm,...m->...", w, lam[:, 1:])  # <S_i, D_0> / unit
-            lin0 = start.eigenvalues @ np.diagonal(d0)  # <S_0, D_0> / unit
-            y = y - ((lin - lin0) @ c[1:]) * unit
-        if not np.all(np.isfinite(y)):
-            raise NumericOverflow(f"linear term: the chain combination of "
-                                  f"'{f.name}' less its linear term overflows "
-                                  "floating point; rescale the data")
+        df_eig = _frechet_eig(start, f, b)  # D_0 in S_0's eigenbasis
+        unit = _binade(df_eig)
+        d0 = df_eig / unit  # exact; keeps <S_i, D_0> / unit finite
+        w = (u0 @ d0 @ u0.T) @ u[:, 1:]
+        w *= u[:, 1:]  # entry (j, m) summed over j is u_m^T D_0 u_m / unit
+        lin = np.einsum("...jm,...m->...", w, lam[:, 1:])  # <S_i, D_0> / unit
+        lin0 = start.eigenvalues @ np.diagonal(d0)  # <S_0, D_0> / unit
+        y = finite(y - ((lin - lin0) @ c[1:]) * unit,
+                   f"linear term: the chain combination of '{f.name}' less "
+                   "its linear term")
 
     scale = _binade(y)
     z = y / scale  # exact; keeps the squares in y.std inside floating point
     value = float(z.mean()) * scale
     mc_stderr = float(z.std(ddof=1) / math.sqrt(z.size)) * scale if z.size > 1 else 0.0
-    if not math.isfinite(mc_stderr):
-        raise NumericOverflow("the Monte Carlo stderr overflows floating "
-                              "point; rescale the data")
+    finite(mc_stderr, "the Monte Carlo stderr")
     shat = sigma_f(start, f, b)
     ci = confidence_interval(value, shat, x.n, alpha)
     return EstimateReport(

@@ -41,7 +41,7 @@ __all__ = [
     "ExperimentConfig",
     "ResultTable",
     "build_b",
-    "build_sigma",
+    "build_matrix",
     "run_experiment",
     "run_bias_scaling",
     "run_coverage",
@@ -124,82 +124,68 @@ def _spec_numbers(rest: str, spec: str) -> np.ndarray:
     return vals
 
 
-def build_b(spec: str, d: int, normalize: bool = True):
-    """Build a test matrix from a spec string; returns (SymMat, factor).
+def build_matrix(spec: str, d: int) -> np.ndarray:
+    """The d-by-d matrix of a ``B`` or ``sigma`` spec string.
 
-    Specs: ``identity`` (I/d when normalized), ``rank1:IDX``,
-    ``rank1vec:u1,...,ud``, ``file:PATH`` (a d-by-d CSV).  When
-    ``normalize`` is set the result is scaled to nuclear norm at most 1
-    and the applied factor returned.
+    Specs: ``identity``, ``diag:v1,...,vd``, ``linspace:lo,hi`` (a
+    diagonal from lo to hi), ``spiked:base,s1,...`` (a diagonal, spikes
+    first, then base entries), ``rank1:IDX`` (e_IDX e_IDX^T),
+    ``rank1vec:u1,...,ud`` (u u^T) and ``file:PATH`` (a d-by-d CSV).
     """
     name, _, rest = spec.partition(":")
     name = name.strip()
     if name == "identity":
-        b = np.eye(d)
-    elif name == "rank1":
+        return np.eye(d)
+    if name == "rank1":
         try:
             idx = int(rest)
         except ValueError:
-            raise UsageError(f"bad rank1 index in B spec {spec!r}") from None
+            raise UsageError(f"bad rank1 index in spec {spec!r}") from None
         if not (0 <= idx < d):
             raise UsageError(f"rank1 index {idx} outside [0, {d})")
-        b = np.zeros((d, d))
-        b[idx, idx] = 1.0
-    elif name == "rank1vec":
-        u = _spec_numbers(rest, spec)
-        if u.shape != (d,):
-            raise UsageError(f"rank1vec needs {d} components, got {u.size}")
-        with np.errstate(over="ignore"):  # SymMat reports it
-            b = np.outer(u, u)
-    elif name == "file":
-        b = load_data_csv(rest).rows
-        if b.shape[0] != b.shape[1]:
-            raise UsageError(f"B file must hold a square matrix, got {b.shape}")
-        if b.shape[0] != d:
-            raise UsageError(f"B file is {b.shape[0]}x{b.shape[0]}, data dim is {d}")
-    else:
-        raise UsageError(f"unknown B spec {spec!r}")
-    factor = 1.0
-    if normalize:
-        nuc = schatten_norm(b, 1)
-        if not np.isfinite(nuc):
-            raise NumericOverflow("the nuclear norm of B overflows floating "
-                                  "point; rescale B")
-        if nuc > 1.0:
-            factor = 1.0 / nuc
-            b = b * factor
-    return SymMat(b), factor
-
-
-def build_sigma(spec: str, d: int) -> SymMat:
-    """Build a covariance from a spec string.
-
-    Specs: ``identity``, ``diag:v1,...``, ``linspace:lo,hi``,
-    ``spiked:base,s1,...`` (spikes first, then base entries).
-    """
-    name, _, rest = spec.partition(":")
-    name = name.strip()
-    if name == "identity":
-        return SymMat(np.eye(d))
-    if name == "diag":
-        vals = _spec_numbers(rest, spec)
+        return np.diag(np.arange(d) == idx).astype(float)
+    if name == "file":
+        a = load_data_csv(rest).rows
+        if a.shape[0] != a.shape[1]:
+            raise UsageError(f"matrix file must hold a square matrix, got {a.shape}")
+        if a.shape[0] != d:
+            raise UsageError(f"matrix file is {a.shape[0]}x{a.shape[0]}, d is {d}")
+        return a
+    if name not in ("diag", "linspace", "spiked", "rank1vec"):
+        raise UsageError(f"unknown matrix spec {spec!r}")
+    vals = _spec_numbers(rest, spec)
+    if name == "rank1vec":
         if vals.size != d:
-            raise UsageError(f"diag spec has {vals.size} entries, d = {d}")
-        return SymMat(np.diag(vals))
+            raise UsageError(f"rank1vec needs {d} components, got {vals.size}")
+        return np.outer(vals, vals)
+    if name == "diag" and vals.size != d:
+        raise UsageError(f"diag spec has {vals.size} entries, d = {d}")
     if name == "linspace":
-        ends = _spec_numbers(rest, spec)
-        if ends.size != 2:
+        if vals.size != 2:
             raise UsageError(f"linspace needs lo,hi, got {spec!r}")
-        return SymMat(np.diag(np.linspace(ends[0], ends[1], d)))
+        vals = np.linspace(vals[0], vals[1], d)
     if name == "spiked":
-        toks = _spec_numbers(rest, spec)
-        base, spikes = toks[0], toks[1:]
+        base, spikes = vals[0], vals[1:]
         if len(spikes) > d:
             raise UsageError("more spikes than dimensions")
         vals = np.full(d, base)
         vals[: len(spikes)] = spikes
-        return SymMat(np.diag(vals))
-    raise UsageError(f"unknown sigma spec {spec!r}")
+    return np.diag(vals)
+
+
+def build_b(spec: str, d: int):
+    """``build_matrix`` scaled to nuclear norm at most 1; returns
+    (SymMat, the applied factor)."""
+    b = build_matrix(spec, d)
+    nuc = schatten_norm(b, 1)
+    if not np.isfinite(nuc):
+        raise NumericOverflow("the nuclear norm of B overflows floating "
+                              "point; rescale B")
+    factor = 1.0
+    if nuc > 1.0:
+        factor = 1.0 / nuc
+        b = b * factor
+    return SymMat(b), factor
 
 
 def normal_cdf(x):
@@ -263,11 +249,11 @@ def _estimate_cells(cfg: ExperimentConfig, f: ScalarFunction):
     d's cells before moving on to the next d.
     """
     for d, cells in _cells(cfg, "n", "k"):
-        sigma = build_sigma(cfg.sigma, d)
+        sigma = SymMat(build_matrix(cfg.sigma, d))
         b, _ = build_b(cfg.b, d)
+        root = psd_factor(sigma)  # NotPSD before f is taken of sigma
         with overflow_stage("f at the true Sigma"):
             truth = trace_inner_product(apply_scalar_function(eigh(sigma), f), b)
-        root = psd_factor(sigma)
         yield d, sigma, b, truth, (
             ((n, k), [
                 bias_reduced_estimate(gaussian_sample(root, n, cell.spawn(2 * m)),
@@ -341,7 +327,7 @@ def run_opnorm(cfg: ExperimentConfig) -> ResultTable:
     ||Sigma|| (sqrt(r/n) or r/n, whichever is larger)."""
     rows = []
     for d, cells in _cells(cfg, "n"):
-        sigma = build_sigma(cfg.sigma, d)
+        sigma = SymMat(build_matrix(cfg.sigma, d))
         r_eff = effective_rank(sigma)
         opnorm_sigma = schatten_norm(sigma, np.inf)
         root = psd_factor(sigma)
@@ -371,12 +357,12 @@ def run_quadform(cfg: ExperimentConfig) -> ResultTable:
             g = s.standard_normal(d, d)
             sigma = SymMat(g @ g.T / d + 0.1 * np.eye(d))
         else:
-            sigma = build_sigma(cfg.sigma, d)
+            sigma = SymMat(build_matrix(cfg.sigma, d))
         if cfg.b == "random":
             g = s.standard_normal(d, d)
             a = SymMat((g + g.T) / 2.0)
         else:
-            a, _ = build_b(cfg.b, d, normalize=False)
+            a = SymMat(build_matrix(cfg.b, d))
         root = psd_factor(sigma)
         x = gaussian_sample(root, QUADFORM_DRAWS, s).rows
         lhs = np.einsum("ni,ij,nj->n", x, a.entries, x)

@@ -176,8 +176,7 @@ def gaussian_sample(root: np.ndarray, n: int, rng: RngStream) -> DataMatrix:
 
 def sample_covariance(x: DataMatrix) -> SymMat:
     """(1/n) X^T X; no mean-centering, the model is centered."""
-    with np.errstate(over="ignore", invalid="ignore"):  # SymMat reports it
-        return SymMat(x.rows.T @ x.rows / x.n)
+    return SymMat(x.rows.T @ x.rows / x.n)
 
 
 def chain_eigenpairs(start, k: int, n: int, nchains: int,
@@ -218,8 +217,7 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
             nchains, rows.size)
         bartlett[:, diag, diag] = np.sqrt(
             rng.spawn(2 * t).gen.chisquare(dofs)).reshape(nchains, m)
-        with np.errstate(over="ignore", invalid="ignore"):  # SymMat reports it
-            g = bartlett @ root
-            cur = eigh(np.swapaxes(g, -1, -2) @ g / n)
+        g = bartlett @ root
+        cur = eigh(np.swapaxes(g, -1, -2) @ g / n)
         lam[:, t], u[:, t] = cur.eigenvalues, cur.eigenvectors
     return lam, u

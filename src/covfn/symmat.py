@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimMismatch, DomainError, EigFailure, NotPSD,
-                     NumericOverflow, ZeroMatrix)
+from .errors import DimMismatch, DomainError, EigFailure, NotPSD, ZeroMatrix, finite
 from .functions import ScalarFunction
 
 # The one tolerance policy: each threshold is one of these constants times
@@ -51,9 +50,7 @@ class SymMat:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
             raise DimMismatch(f"expected square matrices, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NumericOverflow("a matrix overflows floating point; "
-                                  "rescale the data")
+        finite(a, "a matrix")
         at = np.swapaxes(a, -1, -2)
         a = a.copy() if np.array_equal(a, at) else (a + at) / 2.0
         a.setflags(write=False)
@@ -155,8 +152,7 @@ def _check_domain(eigs: np.ndarray, f: ScalarFunction):
 def apply_scalar_function(d: SpectralDecomp, f: ScalarFunction) -> SymMat:
     """Spectral matrix function f(A) = U f(Lambda) U^T."""
     _check_domain(d.eigenvalues, f)
-    with np.errstate(over="ignore", invalid="ignore"):  # SymMat reports it
-        return SymMat(from_eigenpairs(f.eval(d.eigenvalues), d.eigenvectors))
+    return SymMat(from_eigenpairs(f.eval(d.eigenvalues), d.eigenvectors))
 
 
 def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:

@@ -9,14 +9,16 @@ from covfn.cli import (
     table_to_csv,
     table_to_json,
 )
-from covfn.errors import IoError, ParseError, RaggedRows, UsageError
+from covfn.errors import IoError, NumericOverflow, ParseError, RaggedRows, UsageError
+from covfn.estimators import bias_reduced_estimate
 from covfn.experiments import (
     CONFIG_KEYS,
     EXPERIMENTS,
     ExperimentConfig,
     ResultTable,
 )
-from covfn.sampling import _parse_csv_lines
+from covfn.functions import get_function
+from covfn.sampling import RngStream, _parse_csv_lines
 
 
 class TestLoadDataCsv:
@@ -338,6 +340,37 @@ def test_simulate_b_from_file(tmp_path):
     assert rows[0] == rows[1] and len(rows[0]) == 2
 
 
+def test_simulate_with_a_rotated_sigma_from_file(tmp_path):
+    # the rotated Sigma and B give the diagonal case's <f(Sigma), B> and
+    # oracle bias; only the data drawn through the non-diagonal root differ
+    q = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))[0]
+    files = {}
+    for name, diag in (("sigma", [1.0, 2.0, 3.0]), ("B", [1.0, 0.0, 0.0])):
+        files[name] = tmp_path / f"{name}.csv"
+        np.savetxt(files[name], q @ np.diag(diag) @ q.T, delimiter=",",
+                   fmt="%.17g")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("experiment=bias_scaling\nd=3\nn=20,40\nk=0,1,2\n"
+                   "fn=square\nM=3\nN=5\nseed=2\n")
+
+    def run(sigma, b, name):
+        out = tmp_path / name
+        assert run_cli(["simulate", "--config", str(cfg), "--set", f"sigma={sigma}",
+                        "--set", f"B={b}", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    rotated = run(f"file:{files['sigma']}", f"file:{files['B']}", "r1.csv")
+    assert run(f"file:{files['sigma']}", f"file:{files['B']}", "r2.csv") == rotated
+    diagonal = run("diag:1,2,3", "rank1:0", "d.csv")
+    oracles = []
+    for text in (rotated, diagonal):
+        lines = [l for l in text.decode().splitlines() if not l.startswith("#")]
+        col = lines[0].split(",").index("bias_oracle")
+        oracles.append([float(l.split(",")[col]) for l in lines[1:]])
+    assert len(oracles[0]) == 6
+    np.testing.assert_allclose(oracles[0], oracles[1], rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("k", ["0", "1"])
 def test_overflowing_function_is_a_data_error(tmp_path, capsys, k):
     # exp of eigenvalues of order 1e6 is beyond floating point
@@ -418,6 +451,17 @@ def test_overflow_errors_name_their_stage(tmp_path, capsys):
         assert err.startswith(f"error: NumericOverflow: {stage}:"), err
         errs.append(err)
     assert len(set(errs)) == 3
+
+
+def test_library_callers_see_numpys_warning_then_the_stage(tmp_path):
+    # only run_cli silences numpy's overflow warnings; the library raises
+    # the same one NumericOverflow after numpy has warned
+    p = tmp_path / "big.csv"
+    p.write_text("1e200,1\n2,3\n1,1\n")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericOverflow, match="^sample covariance:"):
+            bias_reduced_estimate(load_data_csv(str(p)), get_function("identity"),
+                                  np.eye(2) / 2, 0, 1, RngStream(0))
 
 
 @pytest.mark.parametrize("command", ["estimate", "bias_scaling"])
@@ -520,6 +564,8 @@ def test_linear_term_beyond_floating_point_still_gives_a_finite_estimate(
     row = dict(zip(obj["columns"], obj["rows"][0]))
     assert 6e307 < row["functional_value"] < 8e307
     assert row["mc_stderr"] > 0 and np.isfinite(row["mc_stderr"])
+    # sigma_hat is near 1.5e308, so z * sigma_hat alone would overflow
+    assert np.isfinite(row["ci_lo"]) and np.isfinite(row["ci_hi"])
     assert capsys.readouterr().err == ""
 
 

@@ -5,7 +5,7 @@ from covfn.errors import UsageError
 from covfn.experiments import (
     ExperimentConfig,
     build_b,
-    build_sigma,
+    build_matrix,
     ks_distance_to_normal,
     normal_cdf,
     run_bias_scaling,
@@ -58,18 +58,18 @@ class TestSpecs:
             build_b(f"file:{p}", 2)
 
     def test_build_sigma_variants(self):
-        np.testing.assert_allclose(build_sigma("identity", 3).entries, np.eye(3))
-        np.testing.assert_allclose(build_sigma("diag:1,2,3", 3).entries,
+        np.testing.assert_allclose(build_matrix("identity", 3), np.eye(3))
+        np.testing.assert_allclose(build_matrix("diag:1,2,3", 3),
                                    np.diag([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(build_sigma("linspace:1,2", 3).entries,
+        np.testing.assert_allclose(build_matrix("linspace:1,2", 3),
                                    np.diag([1.0, 1.5, 2.0]))
-        np.testing.assert_allclose(build_sigma("spiked:1,2", 3).entries,
+        np.testing.assert_allclose(build_matrix("spiked:1,2", 3),
                                    np.diag([2.0, 1.0, 1.0]))
         with pytest.raises(UsageError):
-            build_sigma("diag:1,2", 3)
+            build_matrix("diag:1,2", 3)
         for bad in ("linspace:1", "linspace:1,2,3", "spiked:", "diag:1,x,3"):
             with pytest.raises(UsageError):
-                build_sigma(bad, 3)
+                build_matrix(bad, 3)
 
     def test_config_validation(self):
         with pytest.raises(UsageError):

@@ -51,7 +51,9 @@ __all__ = [
     "MAX_K",
 ]
 
-MAX_K = 62  # largest order whose chain weights C(k+1, i+1) fit in 64 bits
+# The one bound on k.  The weights are exact ints; their float copies are exact
+# to k = 55 (C(57, 28) > 2^53), and they fit a signed int64 up to k = 65.
+MAX_K = 62
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def hockey_stick_weight_ints(k: int) -> list:
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > MAX_K:
-        raise OverflowError(f"weights exceed 64-bit integers for k > {MAX_K}")
+        raise OverflowError(f"k must be at most MAX_K = {MAX_K}, got {k}")
     return [(-1) ** i * math.comb(k + 1, i + 1) for i in range(k + 1)]
 
 
@@ -162,9 +164,9 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     b = as_symmat(b)
     with overflow_stage("sample covariance"):
         sigma_hat_mat = sample_covariance(x)
+        start = eigh(sigma_hat_mat)  # shared by the chains and sigma_f
     if sigma_hat_mat.dim != b.dim:
         raise DimMismatch(f"data dim {sigma_hat_mat.dim}, B dim {b.dim}")
-    start = eigh(sigma_hat_mat)  # shared by the chains and sigma_f
     with overflow_stage("chain state"):
         lam, u = chain_eigenpairs(start, k, x.n, nchains if k else 1, rng)
     left = int(np.sum(~np.all(in_domain(lam, f), axis=(1, 2))))

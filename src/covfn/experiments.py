@@ -177,7 +177,11 @@ def build_b(spec: str, d: int):
     """``build_matrix`` scaled to nuclear norm at most 1; returns
     (SymMat, the applied factor)."""
     b = build_matrix(spec, d)
-    nuc = schatten_norm(b, 1)
+    sym = SymMat(b)  # NumericOverflow for a non-finite entry
+    try:
+        nuc = schatten_norm(sym, 1)
+    except NumericOverflow:  # finite entries, an eigenvalue beyond them
+        nuc = np.inf
     if not np.isfinite(nuc):
         raise NumericOverflow("the nuclear norm of B overflows floating "
                               "point; rescale B")

@@ -87,7 +87,8 @@ def eigh(a) -> SpectralDecomp:
     reduction order, one matrix of a stack at a time).  Within degenerate
     eigenspaces the basis is arbitrary; downstream spectral operations are
     basis-invariant.  A SpectralDecomp passes through, so one
-    decomposition can be shared.
+    decomposition can be shared.  An eigenvalue beyond floating point
+    (finite entries can have one) raises NumericOverflow.
     """
     if isinstance(a, SpectralDecomp):
         return a
@@ -96,6 +97,7 @@ def eigh(a) -> SpectralDecomp:
         lam, u = np.linalg.eigh(a.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
         raise EigFailure(str(exc)) from exc
+    finite(lam, "an eigenvalue")
     lam.setflags(write=False)
     u.setflags(write=False)
     return SpectralDecomp(eigenvalues=lam, eigenvectors=u)

@@ -1,7 +1,7 @@
 """Test-only helpers: closed forms and fits that only the tests call.
 
 Each checks the package against an independent computation: the Gaussian
-fourth-moment identities behind ``wishart_oracle``'s transfer matrix, the
+fourth-moment identities behind ``wishart_oracle``'s closed form, the
 first-order Taylor remainder of a spectral function, the plug-in estimate
 (the order-0 estimator) and the log-log slope of a bias against n.
 """

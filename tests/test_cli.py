@@ -263,7 +263,7 @@ class TestRunCli:
     (["--k", "0", "--chains", "0"], 0),  # --chains is ignored for k=0
     (["--fn", "smoothstep:1,2,-1"], 2),
     (["--B", "rank1vec:1,a,2"], 1),
-    (["--k", "63"], 1),  # chain weights overflow 64 bits past k = 62
+    (["--k", "63"], 1),  # above MAX_K = 62
     (["--alpha", "2"], 1),
     (["--alpha", "0"], 1),
     (["--alpha", "1"], 1),
@@ -390,6 +390,28 @@ def test_overflowing_data_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: NumericOverflow:") and "overflow" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "opnorm", "coverage"])
+def test_overflowing_eigenvalue_is_a_data_error(tmp_path, capsys, command):
+    # every entry is finite, but an eigenvalue (near 3.4e308 and 2e308)
+    # is not
+    if command == "estimate":
+        p = tmp_path / "one.csv"
+        p.write_text("1.3e154,1.3e154\n")
+        argv = ["estimate", "--data", str(p), "--fn", "square", "--k", "0"]
+    else:
+        sig = tmp_path / "sigma.csv"
+        sig.write_text("1e308,1e308\n1e308,1e308\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"experiment={command}\nd=2\nn=20\nk=1\n"
+                       f"sigma=file:{sig}\nM=2\nN=5\n")
+        argv = ["simulate", "--config", str(cfg)]
+    assert run_cli(argv + ["--out", str(tmp_path / "t.out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: NumericOverflow:"), err
+    if command == "estimate":
+        assert err[0].startswith("error: NumericOverflow: sample covariance:")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,7 @@ from covfn.estimators import MAX_K, bias_reduced_estimate
 from covfn.functions import get_function
 from covfn.sampling import RngStream, gaussian_sample, psd_factor
 from covfn.symmat import trace_inner_product
-from covfn.wishart_oracle import (
-    evaluate_quad_family,
-    quad_wishart_oracle,
-    wishart_transfer_matrix,
-)
+from covfn.wishart_oracle import quad_wishart_oracle
 from conftest import random_spd, random_sym
 from helpers import (
     expected_sandwich,
@@ -41,13 +39,34 @@ class TestClosedForms:
         np.testing.assert_allclose(out, 0.3 * np.eye(2), atol=1e-14)
 
     def test_k1_closed_form(self, np_rng):
-        # composing the bias operator twice by hand:
-        # bias_1 = -(tr(S) S + 3 S^2) / n^2
+        # composing the bias operator by hand:
+        # bias_1 = -(3 S^2 + tr(S) S) / n^2, bias_2 = +(5 S^2 + 3 tr(S) S) / n^3,
+        # bias_3 = -(11 S^2 + 5 tr(S) S) / n^4
         sigma = random_spd(np_rng, 3)
         n = 29
-        out = quad_wishart_oracle(sigma, n, 1).entries
-        expected = -(np.trace(sigma) * sigma + 3.0 * sigma @ sigma) / n**2
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
+        for k, a, b in ((1, 3.0, 1.0), (2, 5.0, 3.0), (3, 11.0, 5.0)):
+            out = quad_wishart_oracle(sigma, n, k).entries
+            expected = (-1) ** k * (a * sigma @ sigma
+                                    + b * np.trace(sigma) * sigma) / n ** (k + 1)
+            np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+    def test_matches_exact_rational_arithmetic(self):
+        # the 2x2 recursion (a, b) -> ((a + 2b) / n, a / n) on the
+        # coefficients of S^2 and tr(S) S, run in exact rationals
+        diag = [0.3, 1.7, 2.9]
+        exact_diag = [Fraction(x) for x in diag]
+        tr = sum(exact_diag)
+        for n in (3, 37, 101, 999):
+            for k in (5, 20, 40, 62):
+                a, b = Fraction(1), Fraction(0)
+                for _ in range(k + 1):
+                    a, b = (a + 2 * b) / n, a / n
+                expected = [float((-1) ** k * (a * x * x + b * tr * x))
+                            for x in exact_diag]
+                # a numpy int n must not wrap at 64 bits
+                out = quad_wishart_oracle(np.diag(diag), np.int64(n), k).entries
+                np.testing.assert_allclose(out, np.diag(expected), rtol=1e-15,
+                                           atol=0)
 
     def test_higher_orders_gain_a_power_of_n(self, np_rng):
         # scaling n by c must scale the order-k bias by c^-(k+1)
@@ -70,22 +89,6 @@ class TestClosedForms:
             quad_wishart_oracle(np.eye(2), 10, MAX_K + 1)
 
 
-class TestEvaluateFamily:
-    def test_basis_evaluation(self, np_rng):
-        sigma = random_spd(np_rng, 3)
-        s = sigma
-        tr = np.trace(s)
-        tr2 = np.trace(s @ s)
-        combos = np.eye(7)
-        expected = [
-            s @ s, tr * s, tr2 * np.eye(3), tr**2 * np.eye(3),
-            s, tr * np.eye(3), np.eye(3),
-        ]
-        for coefs, want in zip(combos, expected):
-            np.testing.assert_allclose(
-                evaluate_quad_family(coefs, sigma).entries, want, rtol=1e-12)
-
-
 _MC_M = 10**6
 _MC_N = 7
 
@@ -98,8 +101,8 @@ def covs():
 
 
 class TestMonteCarloValidation:
-    """Validate every coefficient of the one-step expectation map against
-    a high-replicate Monte Carlo oracle (5 stderr), d = 3."""
+    """Validate the fourth-moment identities behind the oracle against a
+    high-replicate Monte Carlo oracle (5 stderr), d = 3."""
 
     M = _MC_M
     N = _MC_N
@@ -136,22 +139,19 @@ class TestMonteCarloValidation:
         stderr = samples.std(ddof=1) / np.sqrt(self.M)
         assert abs(mean - expected_square_of_trace(sigma, self.N)) <= 5.0 * stderr
 
-    def test_transfer_matrix_consistent_with_moment_functions(self, np_rng):
-        # the 7x7 map must agree with the standalone closed forms on the
-        # first four basis elements
+    def test_oracle_matches_the_moment_functions(self, np_rng):
+        # B = T - I applied once and twice through the moment identities
+        # validated above: B S^2 = E[S^2] - S^2, B (tr(S) S) = E[tr(S) S]
+        # - tr(S) S, and B^2 S^2 = (B S^2 + B (tr(S) S)) / n
         sigma = random_spd(np_rng, 3)
         n = 13
-        t = wishart_transfer_matrix(n)
-        for col, direct in (
-            (0, lambda: expected_sandwich(sigma, np.eye(3), n).entries),
-            (1, lambda: expected_trace_times_cov(sigma, n).entries),
-            (2, lambda: expected_trace_of_square(sigma, n) * np.eye(3)),
-            (3, lambda: expected_square_of_trace(sigma, n) * np.eye(3)),
-        ):
-            coefs = np.zeros(7)
-            coefs[col] = 1.0
-            via_matrix = evaluate_quad_family(t @ coefs, sigma).entries
-            np.testing.assert_allclose(via_matrix, direct(), rtol=1e-12)
+        bias_sq = expected_sandwich(sigma, np.eye(3), n).entries - sigma @ sigma
+        bias_tr = (expected_trace_times_cov(sigma, n).entries
+                   - np.trace(sigma) * sigma)
+        np.testing.assert_allclose(quad_wishart_oracle(sigma, n, 0).entries,
+                                   bias_sq, rtol=1e-12)
+        np.testing.assert_allclose(quad_wishart_oracle(sigma, n, 1).entries,
+                                   -(bias_sq + bias_tr) / n, rtol=1e-12)
 
 
 class TestOracleAgainstEstimator:

@@ -253,9 +253,11 @@ def _estimate_cells(cfg: ExperimentConfig, f: ScalarFunction):
     d's cells before moving on to the next d.
     """
     for d, cells in _cells(cfg, "n", "k"):
-        sigma = SymMat(build_matrix(cfg.sigma, d))
+        with overflow_stage("true Sigma"):
+            sigma = SymMat(build_matrix(cfg.sigma, d))
         b, _ = build_b(cfg.b, d)
-        root = psd_factor(sigma)  # NotPSD before f is taken of sigma
+        with overflow_stage("true Sigma"):
+            root = psd_factor(sigma)  # NotPSD before f is taken of sigma
         with overflow_stage("f at the true Sigma"):
             truth = trace_inner_product(apply_scalar_function(eigh(sigma), f), b)
         yield d, sigma, b, truth, (
@@ -331,15 +333,17 @@ def run_opnorm(cfg: ExperimentConfig) -> ResultTable:
     ||Sigma|| (sqrt(r/n) or r/n, whichever is larger)."""
     rows = []
     for d, cells in _cells(cfg, "n"):
-        sigma = SymMat(build_matrix(cfg.sigma, d))
-        r_eff = effective_rank(sigma)
-        opnorm_sigma = schatten_norm(sigma, np.inf)
-        root = psd_factor(sigma)
+        with overflow_stage("true Sigma"):
+            sigma = SymMat(build_matrix(cfg.sigma, d))
+            r_eff = effective_rank(sigma)
+            opnorm_sigma = schatten_norm(sigma, np.inf)
+            root = psd_factor(sigma)
         for (n,), cell in cells:
             errs = np.empty(cfg.m)
             for m in range(cfg.m):
                 data = gaussian_sample(root, n, cell.spawn(m))
-                diff = sample_covariance(data).entries - sigma.entries
+                with overflow_stage("sample covariance"):
+                    diff = sample_covariance(data).entries - sigma.entries
                 errs[m] = np.abs(np.linalg.eigvalsh(diff)).max()
             mean_err = float(errs.mean())
             benchmark = opnorm_sigma * max(np.sqrt(r_eff / n), r_eff / n)
@@ -361,13 +365,15 @@ def run_quadform(cfg: ExperimentConfig) -> ResultTable:
             g = s.standard_normal(d, d)
             sigma = SymMat(g @ g.T / d + 0.1 * np.eye(d))
         else:
-            sigma = SymMat(build_matrix(cfg.sigma, d))
+            with overflow_stage("true Sigma"):
+                sigma = SymMat(build_matrix(cfg.sigma, d))
         if cfg.b == "random":
             g = s.standard_normal(d, d)
             a = SymMat((g + g.T) / 2.0)
         else:
             a = SymMat(build_matrix(cfg.b, d))
-        root = psd_factor(sigma)
+        with overflow_stage("true Sigma"):
+            root = psd_factor(sigma)
         x = gaussian_sample(root, QUADFORM_DRAWS, s).rows
         lhs = np.einsum("ni,ij,nj->n", x, a.entries, x)
         lam = np.linalg.eigvalsh(root @ a.entries @ root)

@@ -14,12 +14,18 @@ decomposed once.  Step t of all chains draws from two streams spawned
 from the estimate's stream, ``spawn(2t - 1)`` for the normals and
 ``spawn(2t)`` for the chi-squares, each in one call and in chain-major
 blocks: chain r's draws do not depend on the number of chains, and the
-first t steps do not depend on the chain length.
+first t steps do not depend on the chain length.  After its draws, a step
+is split into contiguous blocks of chains, one per CPU the process may
+use, which run on a thread pool; numpy's matmul and ``eigh`` release the
+GIL and work matrix by matrix, so the states do not depend on the split.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,6 +45,23 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# A chain step runs in at most _WORKERS blocks (the CPUs this process may
+# use) of at least MIN_BLOCK chains each; a smaller stack runs as one
+# block in the calling thread, where no hand-off to the pool is paid.
+MIN_BLOCK = 64
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None  # created on first use: concurrent.futures imports logging
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _mix64(a: int, b: int) -> int:
@@ -179,6 +202,30 @@ def sample_covariance(x: DataMatrix) -> SymMat:
     return SymMat(x.rows.T @ x.rows / x.n)
 
 
+def _run_blocks(task, nchains: int) -> None:
+    """Run ``task(lo, hi)`` over contiguous blocks covering range(nchains).
+
+    Each block runs on the pool in a copy of the caller's context, so
+    ``np.errstate`` reaches it.  With one block, or when any block
+    raises, ``task(0, nchains)`` runs in the calling thread: the whole
+    stack raises exactly what one serial pass raises, whichever block
+    failed.
+    """
+    global _pool
+    nblocks = max(1, min(_WORKERS, nchains // MIN_BLOCK))
+    if nblocks > 1:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="covfn")
+        futures = [_pool.submit(contextvars.copy_context().run, task,
+                                i * nchains // nblocks,
+                                (i + 1) * nchains // nblocks)
+                   for i in range(nblocks)]
+        if not any([f.exception() for f in futures]):  # waits for every block
+            return
+    task(0, nchains)
+
+
 def chain_eigenpairs(start, k: int, n: int, nchains: int,
                      rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the states of ``nchains`` bootstrap chains.
@@ -194,8 +241,10 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
     call on ``rng.spawn(2t)``, chain after chain; numpy fills both
     sequentially, so chain r's draws do not depend on ``nchains`` and a
     run's first t steps do not depend on k.  At k = 0 nothing is drawn.
-    ``start`` may be given as its SpectralDecomp.  Each state is
-    decomposed once; returns eigenvalues (nchains, k+1, d) and
+    The rest of a step runs in blocks of chains (``_run_blocks``), each
+    block writing its own slice of the output, so no number depends on
+    the number of blocks.  ``start`` may be given as its SpectralDecomp.
+    Each state is decomposed once; returns eigenvalues (nchains, k+1, d) and
     eigenvectors (nchains, k+1, d, d).  Raises NotPSD when a state to be
     stepped from is not PSD and NumericOverflow when a state overflows.
     """
@@ -205,19 +254,27 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
     d, m = start.source_dim, min(n, start.source_dim)
     lam = np.empty((nchains, k + 1, d))
     u = np.empty((nchains, k + 1, d, d))
-    cur = start  # one shared root at the first step
-    lam[:, 0], u[:, 0] = cur.eigenvalues, cur.eigenvectors
+    lam[:, 0], u[:, 0] = start.eigenvalues, start.eigenvectors
     rows, cols = np.triu_indices(m, 1, d)
     diag = np.arange(m)
     dofs = np.tile(n - diag, nchains)
     bartlett = np.zeros((nchains, m, d))
+
+    def step(t, sqrt_eigs, lo, hi):
+        if t == 1:  # one shared root at the first step
+            root = from_eigenpairs(sqrt_eigs, start.eigenvectors)
+        else:
+            root = from_eigenpairs(sqrt_eigs[lo:hi], u[lo:hi, t - 1])
+        g = bartlett[lo:hi] @ root
+        cur = eigh(np.swapaxes(g, -1, -2) @ g / n)
+        lam[lo:hi, t], u[lo:hi, t] = cur.eigenvalues, cur.eigenvectors
+
     for t in range(1, k + 1):
-        root = psd_factor(cur)
+        # checked on the whole stack, so NotPSD names its minimum
+        sqrt_eigs = psd_sqrt(start.eigenvalues if t == 1 else lam[:, t - 1])
         bartlett[:, rows, cols] = rng.spawn(2 * t - 1).standard_normal(
             nchains, rows.size)
         bartlett[:, diag, diag] = np.sqrt(
             rng.spawn(2 * t).gen.chisquare(dofs)).reshape(nchains, m)
-        g = bartlett @ root
-        cur = eigh(np.swapaxes(g, -1, -2) @ g / n)
-        lam[:, t], u[:, t] = cur.eigenvalues, cur.eigenvectors
+        _run_blocks(functools.partial(step, t, sqrt_eigs), nchains)
     return lam, u

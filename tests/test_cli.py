@@ -475,6 +475,44 @@ def test_overflow_errors_name_their_stage(tmp_path, capsys):
     assert len(set(errs)) == 3
 
 
+_HUGE_SIGMA = {"diag": "1e308,0\n0,1e308\n", "full": "1e308,1e308\n1e308,1e308\n"}
+
+
+@pytest.mark.parametrize("command, sigma, line", [
+    ("opnorm", "diag", "sample covariance: a matrix overflows"),
+    ("opnorm", "full", "true Sigma: an eigenvalue overflows"),
+    ("coverage", "full", "true Sigma: an eigenvalue overflows"),
+    ("coverage", "rank1vec:1e200,1", "true Sigma: a matrix overflows"),
+    ("quadform", "full", "true Sigma: an eigenvalue overflows"),
+])
+def test_simulate_set_up_overflow_names_its_stage(tmp_path, capsys, command,
+                                                  sigma, line):
+    if sigma in _HUGE_SIGMA:
+        (tmp_path / "sigma.csv").write_text(_HUGE_SIGMA[sigma])
+        sigma = f"file:{tmp_path / 'sigma.csv'}"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"experiment={command}\nd=2\nn=20\nk=1\nsigma={sigma}\n"
+                   "M=2\nN=5\n")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: NumericOverflow: {line} floating point; rescale the data\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_overflowing_chain_state_is_one_line_in_any_number_of_blocks(
+        tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(covfn.sampling, "_WORKERS", workers)
+    rows = 3e153 * np.random.default_rng(7).standard_normal((5, 3))
+    p = tmp_path / "huge.csv"
+    p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    assert run_cli(["estimate", "--data", str(p), "--k", "3", "--chains", "200",
+                    "--out", str(tmp_path / "t.out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: NumericOverflow: chain state: a matrix overflows floating point; "
+        "rescale the data\n")
+
+
 def test_library_callers_see_numpys_warning_then_the_stage(tmp_path):
     # only run_cli silences numpy's overflow warnings; the library raises
     # the same one NumericOverflow after numpy has warned
@@ -524,6 +562,23 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_starts_no_thread_pool():
+    # concurrent.futures imports logging, which setup time would pay for;
+    # the chain step's pool is made on first use
+    import os
+    import subprocess
+    import sys
+
+    import covfn
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(covfn.__file__)))
+    code = ("import sys, threading, covfn.cli; "
+            "print('concurrent.futures' in sys.modules, threading.active_count())")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "1"]
 
 
 def test_bias_scaling_has_an_oracle_past_order_20(tmp_path):

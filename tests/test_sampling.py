@@ -1,10 +1,17 @@
+import multiprocessing
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from covfn.errors import NotPSD
+import covfn.sampling
+from covfn.errors import NotPSD, NumericOverflow
 from covfn.sampling import (
     DataMatrix,
     RngStream,
+    _run_blocks,
     chain_eigenpairs,
     gaussian_sample,
     psd_factor,
@@ -166,25 +173,30 @@ class TestBartlettStep:
             assert np.all(np.abs(mean - exact) <= 5.0 * stderr)
 
     @pytest.mark.parametrize("d, n", [(6, 9), (5, 3)])
-    def test_step_root_is_psd_factor_of_the_state_stack(self, np_rng, d, n):
+    def test_step_root_is_psd_factor_of_the_state_stack(self, np_rng, d, n,
+                                                        monkeypatch):
         # step 2 of every chain, taken by hand from psd_factor of the stack
         # of step-1 decompositions and step 2's documented draws, gives the
-        # engine's step-2 eigenpairs bit for bit
-        nchains, m = 4, min(n, d)
-        lam, u = chain_eigenpairs(random_spd(np_rng, d), 2, n, nchains,
-                                  RngStream(6))
-        root = psd_factor(SpectralDecomp(lam[:, 1], u[:, 1]))
-        rows, cols = np.triu_indices(m, 1, d)
-        diag = np.arange(m)
-        bartlett = np.zeros((nchains, m, d))
-        bartlett[:, rows, cols] = RngStream(6).spawn(3).standard_normal(
-            nchains, rows.size)
-        bartlett[:, diag, diag] = np.sqrt(RngStream(6).spawn(4).gen.chisquare(
-            np.tile(n - diag, nchains))).reshape(nchains, m)
-        g = bartlett @ root
-        step = eigh(np.swapaxes(g, -1, -2) @ g / n)
-        np.testing.assert_array_equal(step.eigenvalues, lam[:, 2])
-        np.testing.assert_array_equal(step.eigenvectors, u[:, 2])
+        # engine's step-2 eigenpairs bit for bit, in one block of 4 chains
+        # and in two blocks of 129
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
+        m = min(n, d)
+        start = random_spd(np_rng, d)
+        for nchains in (4, 129):
+            lam, u = chain_eigenpairs(start, 2, n, nchains, RngStream(6))
+            root = psd_factor(SpectralDecomp(lam[:, 1], u[:, 1]))
+            rows, cols = np.triu_indices(m, 1, d)
+            diag = np.arange(m)
+            bartlett = np.zeros((nchains, m, d))
+            bartlett[:, rows, cols] = RngStream(6).spawn(3).standard_normal(
+                nchains, rows.size)
+            bartlett[:, diag, diag] = np.sqrt(
+                RngStream(6).spawn(4).gen.chisquare(
+                    np.tile(n - diag, nchains))).reshape(nchains, m)
+            g = bartlett @ root
+            step = eigh(np.swapaxes(g, -1, -2) @ g / n)
+            np.testing.assert_array_equal(step.eigenvalues, lam[:, 2])
+            np.testing.assert_array_equal(step.eigenvectors, u[:, 2])
 
     def test_step_draws_are_uncorrelated(self):
         # From Sigma = I each step's Bartlett factor R is the Cholesky
@@ -215,6 +227,115 @@ class TestBartlettStep:
         np.testing.assert_allclose(
             chi1, RngStream(4).spawn(2).gen.chisquare(dofs).reshape(nchains, d),
             rtol=1e-10)
+
+
+class TestBlocks:
+    @staticmethod
+    def block_sizes(monkeypatch, workers, min_block, *args):
+        """chain_eigenpairs(*args) with ``workers`` CPUs and blocks of at
+        least ``min_block`` chains, and the stack sizes each step's eigh
+        saw, block by block."""
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", workers)
+        monkeypatch.setattr(covfn.sampling, "MIN_BLOCK", min_block)
+        sizes = []
+
+        def spy(a):
+            if np.ndim(a) == 3:  # a stack of Gram matrices, not the start
+                sizes.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(covfn.sampling, "eigh", spy)
+        return chain_eigenpairs(*args), sorted(sizes)
+
+    @pytest.mark.parametrize("nchains", [1, 63, 64, 65, 200, 201])
+    def test_output_does_not_depend_on_the_blocks(self, np_rng, nchains,
+                                                  monkeypatch):
+        args = (random_spd(np_rng, 4), 3, 9, nchains, RngStream(12))
+        (lam, u), sizes = self.block_sizes(monkeypatch, 1, 64, *args)
+        assert sizes == [nchains] * 3
+        for workers in (2, 3):
+            for min_block in (1, 64):
+                nblocks = max(1, min(workers, nchains // min_block))
+                (lam_b, u_b), sizes = self.block_sizes(
+                    monkeypatch, workers, min_block, *args)
+                assert len(sizes) == 3 * nblocks and sum(sizes) == 3 * nchains
+                np.testing.assert_array_equal(lam_b, lam)
+                np.testing.assert_array_equal(u_b, u)
+
+    def test_eight_threads_switching_fast_write_every_row(self, np_rng,
+                                                         monkeypatch):
+        # more threads than CPUs, interleaved as finely as the interpreter
+        # allows, each writing its own rows of the shared output
+        args = (random_spd(np_rng, 3), 3, 5, 400, RngStream(13))
+        (lam, u), _ = self.block_sizes(monkeypatch, 1, 64, *args)
+        monkeypatch.setattr(covfn.sampling, "_pool", None)  # one of 8 threads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                (lam_b, u_b), sizes = self.block_sizes(monkeypatch, 8, 1, *args)
+                assert sizes == [50] * 24
+                np.testing.assert_array_equal(lam_b, lam)
+                np.testing.assert_array_equal(u_b, u)
+        finally:
+            sys.setswitchinterval(interval)
+            covfn.sampling._pool.shutdown()
+
+    def test_a_failing_block_reruns_the_whole_stack_here(self, monkeypatch):
+        # whichever block fails, the caller sees what the whole stack raises
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 3)
+        calls = []
+
+        def task(lo, hi):
+            calls.append((lo, hi, threading.current_thread()
+                          is threading.main_thread()))
+            if lo <= 150 < hi:
+                raise NumericOverflow(f"chains {lo} to {hi}")
+
+        with pytest.raises(NumericOverflow, match="^chains 0 to 200$"):
+            _run_blocks(task, 200)
+        assert sorted(calls[:3]) == [(0, 66, False), (66, 133, False),
+                                     (133, 200, False)]
+        assert calls[3:] == [(0, 200, True)]
+
+    def test_blocks_run_in_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
+        seen = []
+
+        def task(lo, hi):
+            err = np.geterr()
+            seen.append((err["over"], err["invalid"], threading.current_thread()
+                         is threading.main_thread()))
+
+        with np.errstate(over="ignore", invalid="raise"):
+            _run_blocks(task, 200)
+        assert seen == [("ignore", "raise", False)] * 2
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch):
+        # the parent's pool threads do not exist in a child forked from it
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
+        args = (np.eye(5), 2, 20, 200, RngStream(1))
+        lam, _ = chain_eigenpairs(*args)  # the parent's pool now exists
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send_bytes(
+            chain_eigenpairs(*args)[0].tobytes()))
+        child.start()
+        try:
+            assert recv.poll(60), "the child's chain step hung"
+            assert recv.recv_bytes() == lam.tobytes()
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            child.kill()
+
+    def test_not_psd_start_names_the_minimum_of_the_stack(self, monkeypatch):
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
+        with pytest.raises(NotPSD, match=r"^minimum eigenvalue -2 below the "
+                           r"PSD tolerance$"):
+            chain_eigenpairs(np.diag([1.0, -2.0, 3.0]), 2, 5, 200, RngStream(0))
 
 
 class TestRngStream:

@@ -25,7 +25,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import BadAlpha, DimMismatch, DomainError, finite, overflow_stage
+from .errors import BadAlpha, DimMismatch, finite, overflow_stage
 from .functions import ScalarFunction
 from .sampling import (
     DataMatrix,
@@ -34,10 +34,11 @@ from .sampling import (
     sample_covariance,
 )
 from .symmat import (
+    _binade,
     _frechet_eig,
     as_symmat,
+    check_domain,
     eigh,
-    in_domain,
     psd_sqrt,
 )
 
@@ -93,17 +94,6 @@ def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) ->
     return finite((point - half, point + half), "the confidence interval")
 
 
-def _binade(a: np.ndarray) -> float:
-    """Power of two at or below max |a| (1.0 if that is 0 or not finite).
-
-    Dividing by it and multiplying back is exact, so a second moment taken
-    of ``a / _binade(a)`` equals the unscaled one bit for bit wherever the
-    unscaled one does not overflow, and is finite wherever the result is.
-    """
-    top = float(np.max(np.abs(a)))
-    return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
-
-
 def sigma_f(sigma, f: ScalarFunction, b) -> float:
     """Asymptotic std dev sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 
@@ -152,8 +142,9 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     noise of the linear term out.  At k = 0 this is the plug-in: one chain
     that takes no step, draws nothing and is reported as zero chains.  The
     CI half-width uses sigma_hat / sqrt(n) only; Monte Carlo chain noise is
-    reported separately as ``mc_stderr``.  Raises DomainError when any
-    chain state leaves f's domain, and NumericOverflow, naming the stage,
+    reported separately as ``mc_stderr``.  Raises DomainError, before any
+    chain is drawn, when S_0 lies outside f's domain, and after the draws
+    when a chain state leaves it; and NumericOverflow, naming the stage,
     when the sample covariance, a chain state, f of a state, the chain
     combination, its linear term, ``mc_stderr`` or sigma_f overflows.
     """
@@ -167,13 +158,10 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
         start = eigh(sigma_hat_mat)  # shared by the chains and sigma_f
     if sigma_hat_mat.dim != b.dim:
         raise DimMismatch(f"data dim {sigma_hat_mat.dim}, B dim {b.dim}")
+    check_domain(start.eigenvalues, f, "eigenvalues of the sample covariance")
     with overflow_stage("chain state"):
         lam, u = chain_eigenpairs(start, k, x.n, nchains if k else 1, rng)
-    left = int(np.sum(~np.all(in_domain(lam, f), axis=(1, 2))))
-    if left:
-        lo, hi = f.domain
-        raise DomainError(f"{left} of {len(lam)} chains left the domain "
-                          f"({lo}, {hi}) of '{f.name}'")
+    check_domain(lam[:, 1:], f, "chains")
     proj = np.sum(u * (b.entries @ u), axis=-2)  # u_m^T B u_m
     vals = np.sum(f.eval(lam) * proj, axis=-1)  # <f(state_t), B> per chain
     finite(vals, f"'{f.name}' of a chain state")

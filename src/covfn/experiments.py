@@ -16,7 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import __version__
-from .errors import NumericOverflow, UsageError, ZeroMatrix, overflow_stage
+from .errors import NumericOverflow, UsageError, ZeroMatrix, finite, overflow_stage
 from .estimators import MAX_K, bias_reduced_estimate, sigma_f
 from .functions import ScalarFunction, parse_function_spec
 from .sampling import (
@@ -28,6 +28,7 @@ from .sampling import (
 )
 from .symmat import (
     SymMat,
+    _binade,
     apply_scalar_function,
     effective_rank,
     eigh,
@@ -338,16 +339,17 @@ def run_opnorm(cfg: ExperimentConfig) -> ResultTable:
             r_eff = effective_rank(sigma)
             opnorm_sigma = schatten_norm(sigma, np.inf)
             root = psd_factor(sigma)
+        unit = _binade(opnorm_sigma)  # exact; errors and benchmark are in units of it
         for (n,), cell in cells:
             errs = np.empty(cfg.m)
             for m in range(cfg.m):
                 data = gaussian_sample(root, n, cell.spawn(m))
                 with overflow_stage("sample covariance"):
                     diff = sample_covariance(data).entries - sigma.entries
-                errs[m] = np.abs(np.linalg.eigvalsh(diff)).max()
-            mean_err = float(errs.mean())
-            benchmark = opnorm_sigma * max(np.sqrt(r_eff / n), r_eff / n)
-            rows.append([d, n, cfg.m, mean_err, r_eff, mean_err / benchmark])
+                errs[m] = np.abs(np.linalg.eigvalsh(diff)).max() / unit
+            mean_err = finite(float(errs.mean()) * unit, "the mean operator-norm error")
+            benchmark = opnorm_sigma / unit * max(np.sqrt(r_eff / n), r_eff / n)
+            rows.append([d, n, cfg.m, mean_err, r_eff, mean_err / unit / benchmark])
     return _table(cfg, "d n M mean_opnorm_err eff_rank ratio", rows)
 
 

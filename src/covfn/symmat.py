@@ -10,6 +10,7 @@ NumericOverflow on non-finite entries, which only overflow can produce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import DimMismatch, DomainError, EigFailure, NotPSD, ZeroMatrix, fi
 from .functions import ScalarFunction
 
 # The one tolerance policy: each threshold is one of these constants times
-# max |eigenvalue| of the matrix (or stack) at hand, so it is scale-free.
+# max |eigenvalue| of its own matrix, so it is scale-free.
 DOMAIN_MARGIN = 1e-12  # f's finite domain endpoints move inward by this
 LOEWNER_GAP = 1e-8  # eigenvalues closer than this are tied in L(f)
 PSD_TOL = 1e-10  # eigenvalues above minus this count as nonnegative
@@ -31,6 +32,7 @@ __all__ = [
     "from_eigenpairs",
     "check_psd",
     "psd_sqrt",
+    "check_domain",
     "apply_scalar_function",
     "loewner_first_difference",
     "frechet_derivative",
@@ -129,31 +131,26 @@ def psd_sqrt(eigs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(eigs, 0.0))
 
 
-def in_domain(eigs: np.ndarray, f: ScalarFunction) -> np.ndarray:
-    """Elementwise mask of the eigenvalues inside f's open domain.
+def check_domain(eigs: np.ndarray, f: ScalarFunction, what: str) -> None:
+    """Raise DomainError counting the ``what`` (entries of the first axis:
+    chains of a stack, eigenvalues of one matrix) outside f's domain.
 
-    The endpoints move inward by DOMAIN_MARGIN * max |eigs| over the whole
-    array: a rank-deficient covariance yields eigenvalues around
-    1e-16 * scale rather than exact zeros, so an eigenvalue this close to
-    the boundary is treated as outside.
+    Each matrix's finite endpoints move inward by DOMAIN_MARGIN times its
+    own max |eigenvalue| (last axis), so a rank-deficient covariance, whose
+    zero eigenvalues come out near 1e-16 * scale, is outside.
     """
     lo, hi = f.domain
-    margin = DOMAIN_MARGIN * np.abs(eigs).max(initial=0.0)
-    return (eigs > lo + margin) & (eigs < hi - margin)
-
-
-def _check_domain(eigs: np.ndarray, f: ScalarFunction):
-    bad = ~in_domain(eigs, f)
-    if np.any(bad):
-        lo, hi = f.domain
-        raise DomainError(
-            f"eigenvalue(s) {eigs[bad]} outside domain ({lo}, {hi}) of '{f.name}'"
-        )
+    margin = DOMAIN_MARGIN * np.abs(eigs).max(axis=-1, keepdims=True, initial=0.0)
+    inside = (eigs > lo + margin) & (eigs < hi - margin)
+    left = ~np.all(inside, axis=tuple(range(1, eigs.ndim)))
+    if left.any():
+        raise DomainError(f"{left.sum()} of {len(eigs)} {what} left the domain "
+                          f"({lo}, {hi}) of '{f.name}'")
 
 
 def apply_scalar_function(d: SpectralDecomp, f: ScalarFunction) -> SymMat:
     """Spectral matrix function f(A) = U f(Lambda) U^T."""
-    _check_domain(d.eigenvalues, f)
+    check_domain(d.eigenvalues, f, "eigenvalues")
     return SymMat(from_eigenpairs(f.eval(d.eigenvalues), d.eigenvectors))
 
 
@@ -165,7 +162,7 @@ def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:
     f'(l_i).  On the zero grid only exact ties use f'.
     """
     eigs = np.asarray(eigs, dtype=float)
-    _check_domain(eigs, f)
+    check_domain(eigs, f, "eigenvalues")
     tol = LOEWNER_GAP * np.abs(eigs).max(initial=0.0)
     li = eigs[:, None]
     lj = eigs[None, :]
@@ -200,6 +197,17 @@ def _frechet_eig(d: SpectralDecomp, f: ScalarFunction, h) -> np.ndarray:
     return loewner_first_difference(d.eigenvalues, f) * (u.T @ h.entries @ u)
 
 
+def _binade(a: np.ndarray) -> float:
+    """Power of two at or below max |a| (1.0 if that is 0 or not finite).
+
+    Dividing by it and multiplying back is exact, so a sum or second moment
+    taken of ``a / _binade(a)`` equals the unscaled one bit for bit wherever
+    the unscaled one does not overflow, and is finite wherever the result is.
+    """
+    top = float(np.max(np.abs(a)))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
+
+
 def effective_rank(a) -> float:
     """tr(A) / ||A||_op for a nonzero PSD matrix; lies in [1, d]."""
     lam = eigh(a).eigenvalues
@@ -207,7 +215,8 @@ def effective_rank(a) -> float:
     if opnorm == 0.0:
         raise ZeroMatrix("effective rank undefined for the zero matrix")
     check_psd(lam)
-    return float(lam.sum()) / opnorm
+    scale = _binade(lam)  # exact; keeps tr(A) / scale finite
+    return float((lam / scale).sum()) / (opnorm / scale)
 
 
 def schatten_norm(a, p) -> float:

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+import covfn.estimators
 import covfn.sampling
 from covfn.cli import (
     load_config,
@@ -499,6 +502,38 @@ def test_simulate_set_up_overflow_names_its_stage(tmp_path, capsys, command,
         f"error: NumericOverflow: {line} floating point; rescale the data\n")
 
 
+def test_opnorm_of_a_sigma_whose_trace_overflows_matches_the_identity(tmp_path):
+    # eff_rank and ratio are scale-free: at Sigma = 1e308 I they must read
+    # as at Sigma = I, not inf and 0
+    (tmp_path / "sigma.csv").write_text(_HUGE_SIGMA["diag"])
+    rows = []
+    for sigma in (f"file:{tmp_path / 'sigma.csv'}", "identity"):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"experiment=opnorm\nd=2\nn=1\nM=1\nseed=0\nsigma={sigma}\n")
+        out = tmp_path / "t.json"
+        assert run_cli(["simulate", "--config", str(cfg), "--format", "json",
+                        "--out", str(out)]) == 0
+        rows.append(json.loads(out.read_text())["rows"][0])
+    (*_, err, r_eff, ratio), (*_, err_id, r_eff_id, ratio_id) = rows
+    assert err == pytest.approx(1e308 * err_id, rel=1e-12)
+    assert r_eff == r_eff_id == 2
+    assert ratio == pytest.approx(ratio_id, rel=1e-12) and ratio > 0
+
+
+def test_opnorm_error_beyond_floating_point_is_a_data_error(tmp_path, capsys):
+    # at seed 29 the sample covariance is finite, but its distance to
+    # Sigma = 1e308 I has an eigenvalue beyond floating point
+    (tmp_path / "sigma.csv").write_text("1e308,0,0\n0,1e308,0\n0,0,1e308\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("experiment=opnorm\nd=3\nn=1\nM=1\nseed=29\n"
+                   f"sigma=file:{tmp_path / 'sigma.csv'}\n")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: NumericOverflow: the mean operator-norm error overflows "
+        "floating point; rescale the data\n")
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_overflowing_chain_state_is_one_line_in_any_number_of_blocks(
         tmp_path, capsys, monkeypatch, workers):
@@ -708,12 +743,28 @@ def test_estimator_kind_follows_k(data_csv, tmp_path, k, kind, chains):
 
 def test_chain_leaving_the_domain_is_a_data_error(tmp_path, capsys):
     p = tmp_path / "near_singular.csv"
-    p.write_text("1.4142135623730951,0\n0,0.0014142135623730952\n")
+    p.write_text("1.4142135623730951,0\n0,0.00014142135623730952\n")
     assert run_cli(["estimate", "--data", str(p), "--fn", "log", "--k", "1",
                     "--chains", "200", "--seed", "2",
                     "--out", str(tmp_path / "rep.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: DomainError:") and "of 200 chains" in err
+    assert err.startswith("error: DomainError: 1 of 200 chains left"), err
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_singular_sample_covariance_fails_before_any_chain_is_drawn(
+        tmp_path, capsys, monkeypatch, k):
+    def no_chains(*args):
+        raise AssertionError("chains drawn")
+
+    monkeypatch.setattr(covfn.estimators, "chain_eigenpairs", no_chains)
+    p = tmp_path / "singular.csv"
+    p.write_text("1,2\n2,4\n")
+    assert run_cli(["estimate", "--data", str(p), "--fn", "log", "--k", str(k),
+                    "--out", str(tmp_path / "rep.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: DomainError: 1 of 2 eigenvalues of the sample covariance left "
+        "the domain (0.0, inf) of 'log'\n")
 
 
 @pytest.mark.parametrize("command, flag", [("estimate", "--data"),

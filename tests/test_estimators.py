@@ -22,6 +22,7 @@ from covfn.sampling import (
 )
 from covfn.symmat import (
     apply_scalar_function,
+    check_domain,
     eigh,
     frechet_derivative,
     from_eigenpairs,
@@ -236,21 +237,43 @@ class TestBiasReducedEstimate:
             np.std(ys, ddof=1) / np.sqrt(nchains), rel=1e-12)
 
     def test_domain_failures_abort(self, np_rng):
-        # n < d: every chain state is singular, so log fails on all chains
+        # n < d: the sample covariance is singular, so log fails on it
         x = DataMatrix(np_rng.standard_normal((2, 3)))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^1 of 3 eigenvalues of the "
+                           "sample covariance left"):
             bias_reduced_estimate(x, LOG, np.eye(3) / 3, 1, 20, RngStream(0))
 
     def test_any_chain_leaving_the_domain_raises(self):
-        # Sigma_hat = diag(1, 1e-6) from n = 2 rows: on RngStream(7), 2 of
+        # Sigma_hat = diag(1, 1e-8) from n = 2 rows: on RngStream(7), 4 of
         # the 200 order-1 chains step to a state whose small eigenvalue is
         # below log's domain margin.  Dropping them would condition the
         # chain mean.
-        x = DataMatrix(np.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, 1e-3]]))
+        x = DataMatrix(np.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, 1e-4]]))
         assert plugin_estimate(x, LOG, np.eye(2) / 2).functional_value == (
-            pytest.approx(-3.0 * np.log(10.0)))
-        with pytest.raises(DomainError, match="2 of 200 chains .* 'log'"):
+            pytest.approx(-4.0 * np.log(10.0)))
+        with pytest.raises(DomainError, match="4 of 200 chains .* 'log'"):
             bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, 200, RngStream(7))
+
+    def test_a_chains_verdict_does_not_depend_on_the_other_chains(self):
+        # chain r's draws do not depend on N, so neither may its verdict:
+        # the count at N is the number of the first N chains that fail alone
+        x = DataMatrix(np.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, 1e-4]]))
+        lam, _ = chain_eigenpairs(eigh(sample_covariance(x)), 1, x.n, 200,
+                                  RngStream(7))
+
+        def fails_alone(r):
+            try:
+                check_domain(lam[r:r + 1, 1:], LOG, "chains")
+            except DomainError:
+                return True
+            return False
+
+        bad = [fails_alone(r) for r in range(200)]
+        for nchains, left in zip((50, 100, 150, 200), (1, 2, 2, 4)):
+            assert sum(bad[:nchains]) == left
+            with pytest.raises(DomainError, match=f"^{left} of {nchains} chains"):
+                bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, nchains,
+                                      RngStream(7))
 
     def test_report_provenance(self, np_rng):
         x = DataMatrix(np_rng.standard_normal((25, 2)))

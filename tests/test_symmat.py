@@ -13,6 +13,7 @@ from covfn.symmat import (
     SymMat,
     apply_scalar_function,
     as_symmat,
+    check_domain,
     effective_rank,
     eigh,
     frechet_derivative,
@@ -130,6 +131,24 @@ class TestApplyScalarFunction:
     def test_log_of_singular_matrix_rejected(self):
         with pytest.raises(DomainError):
             apply_scalar_function(eigh(np.diag([1.0, 0.0])), LOG)
+
+
+class TestCheckDomain:
+    def test_each_margin_is_relative_to_its_own_matrix(self):
+        # 3.4e-12 is about 1e5 above the rounding of a 0.115-scale matrix,
+        # so the state is inside log's domain whatever its neighbours reach
+        check_domain(np.array([[3.4e-12, 0.115]]), LOG, "chains")
+        check_domain(np.array([[3.4e-12, 0.115], [1.0, 5.43]]), LOG, "chains")
+
+    def test_counts_the_entries_of_the_first_axis(self):
+        chains = np.array([[[1e-14, 0.115], [0.5, 1.0]],
+                           [[1.0, 5.43], [2.0, 3.0]],
+                           [[0.5, 1.0], [-1.0, 2.0]]])  # (chains, states, d)
+        with pytest.raises(DomainError, match=r"^2 of 3 chains left the domain "
+                           r"\(0\.0, inf\) of 'log'$"):
+            check_domain(chains, LOG, "chains")
+        with pytest.raises(DomainError, match="^2 of 3 eigenvalues left"):
+            check_domain(np.array([0.0, 1.0, -1.0]), LOG, "eigenvalues")
 
 
 class TestLoewner:
@@ -264,6 +283,9 @@ class TestEffectiveRank:
 
     def test_diag_2_1_1(self):
         assert effective_rank(np.diag([2.0, 1.0, 1.0])) == pytest.approx(2.0)
+
+    def test_finite_where_the_trace_overflows(self):
+        assert effective_rank(np.diag([1e308, 1e308])) == 2.0
 
     def test_scale_invariance(self, np_rng):
         a = random_spd(np_rng, 6)

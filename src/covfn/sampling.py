@@ -6,24 +6,19 @@ streams and every draw is a pure function of the key, so all Monte Carlo
 output is reproducible bit-for-bit.  Normal variates use numpy's ziggurat
 generator (``Generator.standard_normal``), fixed for this build.
 
-``chain_eigenpairs`` is the one chain sampler.  A chain step is the
-sample covariance of n Gaussian draws from the current state, i.e. one
-Wishart draw.  It is taken in Bartlett form from at most d(d+1)/2
-variates, so a step costs O(d^3) whatever n is, and every state is
-decomposed once.  Step t of all chains draws from two streams spawned
-from the estimate's stream, ``spawn(2t - 1)`` for the normals and
-``spawn(2t)`` for the chi-squares, each in one call and in chain-major
-blocks: chain r's draws do not depend on the number of chains, and the
-first t steps do not depend on the chain length.  After its draws, a step
-is split into contiguous blocks of chains, one per CPU the process may
-use, which run on a thread pool; numpy's matmul and ``eigh`` release the
-GIL and work matrix by matrix, so the states do not depend on the split.
+``chain_eigenpairs`` is the one chain sampler.  Each step is one Wishart
+draw in Bartlett form applied to a factor the chain carries, so only the
+start has a root and a step costs O(d^3) whatever n is.  All draws come
+first, in the calling thread, from streams keyed by step; then the chains
+run in contiguous blocks, one per CPU the process may use, on a thread
+pool.  numpy's matmul and ``eigh`` release the GIL and work matrix by
+matrix, so the states depend neither on the split nor on the number of
+chains.
 """
 
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import os
 import warnings
@@ -231,22 +226,25 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
     """Eigenpairs of the states of ``nchains`` bootstrap chains.
 
     Every chain starts at ``start``; each step replaces the state S by the
-    sample covariance of n draws from N(0, S), drawn as the Wishart
-    F R^T R F / n with F the symmetric root of S and R the m-by-d
-    (m = min(n, d)) upper-trapezoidal Bartlett factor of an n-by-d
-    standard normal matrix: strictly-upper entries N(0, 1), row-major,
-    and the diagonal sqrt(chi^2_{n-i}) for i < m.  R^T R has the law of
-    Z^T Z for every n, n < d included.  Step t draws the normals of all
-    chains in one call on ``rng.spawn(2t - 1)`` and the chi-squares in one
-    call on ``rng.spawn(2t)``, chain after chain; numpy fills both
-    sequentially, so chain r's draws do not depend on ``nchains`` and a
-    run's first t steps do not depend on k.  At k = 0 nothing is drawn.
-    The rest of a step runs in blocks of chains (``_run_blocks``), each
-    block writing its own slice of the output, so no number depends on
-    the number of blocks.  ``start`` may be given as its SpectralDecomp.
-    Each state is decomposed once; returns eigenvalues (nchains, k+1, d) and
-    eigenvectors (nchains, k+1, d, d).  Raises NotPSD when a state to be
-    stepped from is not PSD and NumericOverflow when a state overflows.
+    sample covariance of n draws from N(0, S), a Wishart W(n, S)/n.  A
+    chain carries a factor H with H^T H = S, so the start's is the only
+    root: H = ``psd_factor(start)``, and a step takes G = R[:, :p] H (p
+    the rows of H), the state G^T G / n and the factor G / sqrt(n).  R is
+    the m-by-d (m = min(n, d)) upper-trapezoidal Bartlett factor of an
+    n-by-d standard normal matrix: strictly-upper entries N(0, 1),
+    row-major, and the diagonal sqrt(chi^2_{n-i}) for i < m; R[:, :p] is
+    the Bartlett factor of an n-by-p one, so n < d keeps the law.  Step t
+    draws the normals of all chains in one call on ``rng.spawn(2t - 1)``
+    and the chi-squares in one call on ``rng.spawn(2t)``, chain after
+    chain; numpy fills both sequentially, so chain r's draws do not
+    depend on ``nchains`` and a run's first t steps do not depend on k.
+    After all draws, one ``_run_blocks`` pass runs each block of chains
+    through all k steps, writing its own slice of the output, so no
+    number depends on the number of blocks.  At k = 0 nothing is drawn
+    and no root is taken.  ``start`` may be given as its SpectralDecomp.
+    Returns eigenvalues (nchains, k+1, d) and eigenvectors
+    (nchains, k+1, d, d).  Raises NotPSD when k >= 1 and ``start`` is not
+    PSD, and NumericOverflow when a state overflows.
     """
     if k < 0 or n < 1 or nchains < 1:
         raise ValueError("need k >= 0, n >= 1 and nchains >= 1")
@@ -255,26 +253,26 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
     lam = np.empty((nchains, k + 1, d))
     u = np.empty((nchains, k + 1, d, d))
     lam[:, 0], u[:, 0] = start.eigenvalues, start.eigenvectors
+    if k == 0:
+        return lam, u
+    root = psd_factor(start)
     rows, cols = np.triu_indices(m, 1, d)
     diag = np.arange(m)
     dofs = np.tile(n - diag, nchains)
-    bartlett = np.zeros((nchains, m, d))
-
-    def step(t, sqrt_eigs, lo, hi):
-        if t == 1:  # one shared root at the first step
-            root = from_eigenpairs(sqrt_eigs, start.eigenvectors)
-        else:
-            root = from_eigenpairs(sqrt_eigs[lo:hi], u[lo:hi, t - 1])
-        g = bartlett[lo:hi] @ root
-        cur = eigh(np.swapaxes(g, -1, -2) @ g / n)
-        lam[lo:hi, t], u[lo:hi, t] = cur.eigenvalues, cur.eigenvectors
-
-    for t in range(1, k + 1):
-        # checked on the whole stack, so NotPSD names its minimum
-        sqrt_eigs = psd_sqrt(start.eigenvalues if t == 1 else lam[:, t - 1])
-        bartlett[:, rows, cols] = rng.spawn(2 * t - 1).standard_normal(
-            nchains, rows.size)
-        bartlett[:, diag, diag] = np.sqrt(
+    bartlett = np.zeros((k, nchains, m, d))
+    for t, r in enumerate(bartlett, start=1):
+        r[:, rows, cols] = rng.spawn(2 * t - 1).standard_normal(nchains,
+                                                                rows.size)
+        r[:, diag, diag] = np.sqrt(
             rng.spawn(2 * t).gen.chisquare(dofs)).reshape(nchains, m)
-        _run_blocks(functools.partial(step, t, sqrt_eigs), nchains)
+
+    def run(lo, hi):
+        h = root
+        for t, r in enumerate(bartlett[:, lo:hi], start=1):
+            g = r[..., :h.shape[-2]] @ h
+            cur = eigh(np.swapaxes(g, -1, -2) @ g / n)
+            lam[lo:hi, t], u[lo:hi, t] = cur.eigenvalues, cur.eigenvectors
+            h = g / math.sqrt(n)
+
+    _run_blocks(run, nchains)
     return lam, u

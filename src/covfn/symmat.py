@@ -3,7 +3,7 @@ Loewner-matrix directional derivatives, Schatten norms and effective rank.
 
 All matrices here are real symmetric and carried by :class:`SymMat`, an
 immutable wrapper around one ``numpy`` matrix or a stack of them; only
-this module decomposes them (``eigh``) and rebuilds them
+this module decomposes them (``eigh``, ``eigvalsh``) and rebuilds them
 (``from_eigenpairs``).  Construction symmetrizes its input and raises
 NumericOverflow on non-finite entries, which only overflow can produce.
 """
@@ -29,6 +29,7 @@ __all__ = [
     "SpectralDecomp",
     "as_symmat",
     "eigh",
+    "eigvalsh",
     "from_eigenpairs",
     "check_psd",
     "psd_sqrt",
@@ -103,6 +104,20 @@ def eigh(a) -> SpectralDecomp:
     lam.setflags(write=False)
     u.setflags(write=False)
     return SpectralDecomp(eigenvalues=lam, eigenvectors=u)
+
+
+def eigvalsh(a) -> np.ndarray:
+    """Eigenvalues (ascending) of a symmetric matrix or a stack of them.
+
+    LAPACK's values-only driver, so they can differ from ``eigh``'s in the
+    last bits.  An eigenvalue beyond floating point raises NumericOverflow,
+    as in ``eigh``.
+    """
+    try:
+        lam = np.linalg.eigvalsh(as_symmat(a).entries)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+        raise EigFailure(str(exc)) from exc
+    return finite(lam, "an eigenvalue")
 
 
 def from_eigenpairs(lam: np.ndarray, u: np.ndarray) -> np.ndarray:

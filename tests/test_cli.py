@@ -530,7 +530,20 @@ def test_opnorm_error_beyond_floating_point_is_a_data_error(tmp_path, capsys):
     assert run_cli(["simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "t.out")]) == 2
     assert capsys.readouterr().err == (
-        "error: NumericOverflow: the mean operator-norm error overflows "
+        "error: NumericOverflow: operator-norm error: an eigenvalue overflows "
+        "floating point; rescale the data\n")
+
+
+def test_quadform_weights_beyond_floating_point_are_a_data_error(tmp_path,
+                                                                 capsys):
+    # Sigma^{1/2} B Sigma^{1/2} has the entry 1e100 * 1e200 * 1e100
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("experiment=quadform\nd=2\nM=1\nsigma=diag:1e200,1\n"
+                   "B=diag:1e200,1\n")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: NumericOverflow: quadratic-form weights: a matrix overflows "
         "floating point; rescale the data\n")
 
 

@@ -17,7 +17,7 @@ from covfn.sampling import (
     psd_factor,
     sample_covariance,
 )
-from covfn.symmat import SpectralDecomp, eigh, from_eigenpairs
+from covfn.symmat import eigh, from_eigenpairs
 from conftest import random_spd, random_sym
 from helpers import expected_sandwich, expected_trace_of_square
 
@@ -173,60 +173,66 @@ class TestBartlettStep:
             assert np.all(np.abs(mean - exact) <= 5.0 * stderr)
 
     @pytest.mark.parametrize("d, n", [(6, 9), (5, 3)])
-    def test_step_root_is_psd_factor_of_the_state_stack(self, np_rng, d, n,
-                                                        monkeypatch):
-        # step 2 of every chain, taken by hand from psd_factor of the stack
-        # of step-1 decompositions and step 2's documented draws, gives the
-        # engine's step-2 eigenpairs bit for bit, in one block of 4 chains
-        # and in two blocks of 129
+    def test_steps_carry_the_factor_of_the_start(self, np_rng, d, n,
+                                                 monkeypatch):
+        # steps 1 and 2 of every chain, taken by hand from the documented
+        # draws as g_1 = R_1 psd_factor(start) and g_2 = R_2[:, :, :p] g_1 /
+        # sqrt(n) (p the rows of g_1), give the engine's eigenpairs bit for
+        # bit, in one block of 4 chains and in two blocks of 129
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
         m = min(n, d)
         start = random_spd(np_rng, d)
+        rows, cols = np.triu_indices(m, 1, d)
+        diag = np.arange(m)
         for nchains in (4, 129):
             lam, u = chain_eigenpairs(start, 2, n, nchains, RngStream(6))
-            root = psd_factor(SpectralDecomp(lam[:, 1], u[:, 1]))
-            rows, cols = np.triu_indices(m, 1, d)
-            diag = np.arange(m)
-            bartlett = np.zeros((nchains, m, d))
-            bartlett[:, rows, cols] = RngStream(6).spawn(3).standard_normal(
-                nchains, rows.size)
-            bartlett[:, diag, diag] = np.sqrt(
-                RngStream(6).spawn(4).gen.chisquare(
-                    np.tile(n - diag, nchains))).reshape(nchains, m)
-            g = bartlett @ root
-            step = eigh(np.swapaxes(g, -1, -2) @ g / n)
-            np.testing.assert_array_equal(step.eigenvalues, lam[:, 2])
-            np.testing.assert_array_equal(step.eigenvectors, u[:, 2])
+            h = psd_factor(start)
+            for t in (1, 2):
+                bartlett = np.zeros((nchains, m, d))
+                bartlett[:, rows, cols] = RngStream(6).spawn(
+                    2 * t - 1).standard_normal(nchains, rows.size)
+                bartlett[:, diag, diag] = np.sqrt(
+                    RngStream(6).spawn(2 * t).gen.chisquare(
+                        np.tile(n - diag, nchains))).reshape(nchains, m)
+                g = bartlett[:, :, :h.shape[-2]] @ h
+                step = eigh(np.swapaxes(g, -1, -2) @ g / n)
+                np.testing.assert_array_equal(step.eigenvalues, lam[:, t])
+                np.testing.assert_array_equal(step.eigenvectors, u[:, t])
+                h = g / np.sqrt(n)
+            assert h.shape == (nchains, m, d)
 
     def test_step_draws_are_uncorrelated(self):
-        # From Sigma = I each step's Bartlett factor R is the Cholesky
-        # factor of n F^{-1} S F^{-1} (F the root of the state stepped
-        # from), so the engine's own normals and chi-squares can be read
-        # back: normals vs the chi-square stream, vs the next step's
-        # normals, and vs the neighbouring chain's block.
+        # From Sigma = I the start's root is I, so step 1's Bartlett factor
+        # R_1 is the Cholesky factor of n S_1 and the factor it carries is
+        # R_1 / sqrt(n); step 2's R_2 is then the Cholesky factor of
+        # n^2 R_1^{-T} S_2 R_1^{-1}.  So the engine's own normals and
+        # chi-squares can be read back: normals vs the chi-square stream,
+        # vs the next step's normals, and vs the neighbouring chain's block.
         d, n, nchains = 3, 50, 3335
         lam, u = chain_eigenpairs(np.eye(d), 2, n, nchains, RngStream(4))
         s1 = from_eigenpairs(lam[:, 1], u[:, 1])
         s2 = from_eigenpairs(lam[:, 2], u[:, 2])
-        inv_root = from_eigenpairs(1.0 / np.sqrt(lam[:, 1]), u[:, 1])
         rows, cols = np.triu_indices(d, 1)
         r1 = np.swapaxes(np.linalg.cholesky(n * s1), -1, -2)
-        r2 = np.swapaxes(np.linalg.cholesky(n * inv_root @ s2 @ inv_root),
-                         -1, -2)
+        inv_r1 = np.linalg.inv(r1)
+        r2 = np.swapaxes(np.linalg.cholesky(
+            n * n * np.swapaxes(inv_r1, -1, -2) @ s2 @ inv_r1), -1, -2)
         z1, z2 = r1[:, rows, cols], r2[:, rows, cols]
         chi1 = np.diagonal(r1, axis1=-2, axis2=-1) ** 2
+        chi2 = np.diagonal(r2, axis1=-2, axis2=-1) ** 2
         for a, b in ((z1, chi1), (z1, z2), (z1[:-1], z1[1:])):
             assert a.size >= 10**4
             assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 0.03
         # the correlations cannot see chi-squares drawn on the normals'
-        # key, so step 1 is also pinned to its documented streams
-        np.testing.assert_allclose(
-            z1, RngStream(4).spawn(1).standard_normal(nchains, rows.size),
-            rtol=1e-10)
+        # key, so both steps are also pinned to their documented streams
         dofs = np.tile(n - np.arange(d), nchains)
-        np.testing.assert_allclose(
-            chi1, RngStream(4).spawn(2).gen.chisquare(dofs).reshape(nchains, d),
-            rtol=1e-10)
+        for t, z, chi in ((1, z1, chi1), (2, z2, chi2)):
+            np.testing.assert_allclose(
+                z, RngStream(4).spawn(2 * t - 1).standard_normal(
+                    nchains, rows.size), rtol=1e-10)
+            np.testing.assert_allclose(
+                chi, RngStream(4).spawn(2 * t).gen.chisquare(dofs).reshape(
+                    nchains, d), rtol=1e-10)
 
 
 class TestBlocks:
@@ -331,11 +337,27 @@ class TestBlocks:
         finally:
             child.kill()
 
-    def test_not_psd_start_names_the_minimum_of_the_stack(self, monkeypatch):
+    def test_not_psd_start_names_its_minimum(self, monkeypatch):
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
         with pytest.raises(NotPSD, match=r"^minimum eigenvalue -2 below the "
                            r"PSD tolerance$"):
             chain_eigenpairs(np.diag([1.0, -2.0, 3.0]), 2, 5, 200, RngStream(0))
+
+    def test_only_a_stepped_start_needs_a_root(self, monkeypatch):
+        # at k = 0 a start that is not PSD gives its own eigenpairs; from
+        # k = 1 on its root is taken, and raises before anything is drawn
+        def no_draws(self, child):
+            raise AssertionError("a stream was spawned")
+
+        monkeypatch.setattr(RngStream, "spawn", no_draws)
+        start = np.diag([1.0, -2.0, 3.0])
+        lam, u = chain_eigenpairs(start, 0, 5, 3, RngStream(0))
+        np.testing.assert_array_equal(lam, np.tile([-2.0, 1.0, 3.0], (3, 1, 1)))
+        np.testing.assert_array_equal(from_eigenpairs(lam, u)[:, 0],
+                                      np.tile(start, (3, 1, 1)))
+        for k in (1, 2):
+            with pytest.raises(NotPSD):
+                chain_eigenpairs(start, k, 5, 3, RngStream(0))
 
 
 class TestRngStream:

@@ -16,6 +16,7 @@ from covfn.symmat import (
     check_domain,
     effective_rank,
     eigh,
+    eigvalsh,
     frechet_derivative,
     from_eigenpairs,
     loewner_first_difference,
@@ -111,6 +112,21 @@ class TestEigh:
             err = np.abs(from_eigenpairs(lam, u) - as_symmat(a).entries).max()
             assert err <= 1e-10 * (1.0 + np.abs(a).max())
             assert np.all(np.diff(d.eigenvalues) >= 0)
+
+
+class TestEigvalsh:
+    def test_values_only_driver_bit_for_bit(self, np_rng):
+        # the opnorm and quadform outputs rest on these bits, which eigh's
+        # eigenvalues need not share
+        stack = np.array([random_sym(np_rng, 6) for _ in range(50)])
+        np.testing.assert_array_equal(eigvalsh(stack), np.linalg.eigvalsh(stack))
+        for a in stack:
+            np.testing.assert_array_equal(eigvalsh(a), np.linalg.eigvalsh(a))
+
+    def test_eigenvalue_beyond_floating_point(self):
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericOverflow, match="^an eigenvalue overflows"):
+            eigvalsh(np.full((2, 2), 1e308))
 
 
 class TestApplyScalarFunction:

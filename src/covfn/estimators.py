@@ -9,10 +9,13 @@ so each state's linear term <S_i - S_0, D_0>, D_0 = Df(S_0; B), has mean
 exactly 0 and is subtracted as a control variate: the mean is unchanged
 and the chain noise that the linear term carries is gone.  The plug-in
 estimator <f(S_0), B> is the order-0 case: one chain that takes no step,
-with weight 1.  The chains come as eigenpairs from
-``sampling.chain_eigenpairs``, so f and the projections onto B and D_0
-are read off the one decomposition of each state; a chain state outside
-f's domain is an error, never dropped.  Confidence intervals use the
+with weight 1.  The chains come from ``sampling.chain_states``.  For a
+polynomial f (``ScalarFunction.coefficients``) they come as matrices, and
+<f(S_i), B> and <S_i, D_0> are traces of their products with B and D_0,
+so no chain state is decomposed.  For every other f they come as
+eigenpairs, f and the projections onto B and D_0 are read off the one
+decomposition of each state, and a chain state outside f's domain is an
+error, never dropped.  Confidence intervals use the
 asymptotic standard deviation
 sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 """
@@ -30,7 +33,7 @@ from .functions import ScalarFunction
 from .sampling import (
     DataMatrix,
     RngStream,
-    chain_eigenpairs,
+    chain_states,
     sample_covariance,
 )
 from .symmat import (
@@ -126,6 +129,32 @@ def hockey_stick_weights(k: int) -> np.ndarray:
     return np.array(hockey_stick_weight_ints(k), dtype=float)
 
 
+def _eig_contraction(lam, u, f: ScalarFunction, b) -> np.ndarray:
+    """<f(S), B> for each S = U diag(lam) U^T, as sum_m f(lam_m) u_m^T B u_m."""
+    proj = np.sum(u * (b @ u), axis=-2)  # u_m^T B u_m
+    return np.sum(f.eval(lam) * proj, axis=-1)
+
+
+def _polynomial_contraction(s, coefficients, b) -> np.ndarray:
+    """<p(S), B> for each symmetric S of the stack ``s``, p = sum_j c_j x^j.
+
+    No decomposition: tr(S^j B) = sum S o (S^{j-1} B) for symmetric S.
+    Each S is divided by the power of two at or below its max |entry|
+    and each term scaled back exactly, so a term is finite wherever its
+    value is.
+    """
+    e = np.frexp(np.abs(s).max(axis=(-2, -1)))[1] - 1  # S = 2^e S_hat
+    s_hat = np.ldexp(s, -e[..., None, None])
+    power = b  # S_hat^{j-1} B
+    out = np.full(e.shape, coefficients[0] * np.trace(b))
+    for j, c in enumerate(coefficients[1:], start=1):
+        if j > 1:
+            power = s_hat @ power
+        if c:
+            out += c * np.ldexp(np.sum(s_hat * power, axis=(-2, -1)), j * e)
+    return out
+
+
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                           nchains: int, rng: RngStream,
                           alpha: float = 0.05) -> EstimateReport:
@@ -133,7 +162,7 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
 
     Simulates ``nchains`` independent chains S_0, ..., S_k from the sample
     covariance S_0 (step t of every chain draws from ``rng.spawn(2t - 1)``
-    and ``rng.spawn(2t)``, see ``chain_eigenpairs``) and averages, over
+    and ``rng.spawn(2t)``, see ``chain_states``) and averages, over
     the chains,
 
         sum_i c_i <f(S_i), B> - sum_{i>=1} c_i <S_i - S_0, D_0>,
@@ -141,6 +170,9 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     with D_0 = Df(S_0; B); the second sum has mean 0 and takes the chain
     noise of the linear term out.  At k = 0 this is the plug-in: one chain
     that takes no step, draws nothing and is reported as zero chains.  The
+    terms of S_0 come from its eigenpairs.  The terms of a stepped state
+    come from the state itself when f is a polynomial (domain R, so there
+    is no chain domain check), and from its eigenpairs otherwise.  The
     CI half-width uses sigma_hat / sqrt(n) only; Monte Carlo chain noise is
     reported separately as ``mc_stderr``.  Raises DomainError, before any
     chain is drawn, when S_0 lies outside f's domain, and after the draws
@@ -159,11 +191,19 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     if sigma_hat_mat.dim != b.dim:
         raise DimMismatch(f"data dim {sigma_hat_mat.dim}, B dim {b.dim}")
     check_domain(start.eigenvalues, f, "eigenvalues of the sample covariance")
+    poly = k >= 1 and f.coefficients is not None
     with overflow_stage("chain state"):
-        lam, u = chain_eigenpairs(start, k, x.n, nchains if k else 1, rng)
-    check_domain(lam[:, 1:], f, "chains")
-    proj = np.sum(u * (b.entries @ u), axis=-2)  # u_m^T B u_m
-    vals = np.sum(f.eval(lam) * proj, axis=-1)  # <f(state_t), B> per chain
+        chains = chain_states(start, k, x.n, nchains if k else 1, rng,
+                              decompose=not poly)
+    if poly:
+        vals = np.empty((nchains, k + 1))
+        vals[:, 0] = _eig_contraction(start.eigenvalues, start.eigenvectors,
+                                      f, b.entries)
+        vals[:, 1:] = _polynomial_contraction(chains, f.coefficients, b.entries)
+    else:
+        lam, u = chains
+        check_domain(lam[:, 1:], f, "chains")
+        vals = _eig_contraction(lam, u, f, b.entries)  # <f(S_i), B> per chain
     finite(vals, f"'{f.name}' of a chain state")
     c = hockey_stick_weights(k)
     y = finite(vals @ c, f"the chain combination of '{f.name}'")
@@ -172,9 +212,13 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
         df_eig = _frechet_eig(start, f, b)  # D_0 in S_0's eigenbasis
         unit = _binade(df_eig)
         d0 = df_eig / unit  # exact; keeps <S_i, D_0> / unit finite
-        w = (u0 @ d0 @ u0.T) @ u[:, 1:]
-        w *= u[:, 1:]  # entry (j, m) summed over j is u_m^T D_0 u_m / unit
-        lin = np.einsum("...jm,...m->...", w, lam[:, 1:])  # <S_i, D_0> / unit
+        d0_mat = u0 @ d0 @ u0.T  # D_0 / unit
+        if poly:
+            lin = _polynomial_contraction(chains, (0.0, 1.0), d0_mat)
+        else:
+            w = d0_mat @ u[:, 1:]
+            w *= u[:, 1:]  # entry (j, m) summed over j is u_m^T D_0 u_m / unit
+            lin = np.einsum("...jm,...m->...", w, lam[:, 1:])  # <S_i, D_0> / unit
         lin0 = start.eigenvalues @ np.diagonal(d0)  # <S_0, D_0> / unit
         y = finite(y - ((lin - lin0) @ c[1:]) * unit,
                    f"linear term: the chain combination of '{f.name}' less "

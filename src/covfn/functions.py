@@ -1,7 +1,9 @@
 """Registry of smooth scalar functions with analytic derivatives.
 
 Each member knows its open domain; spectral operations refuse matrices
-whose eigenvalues leave it.  ``smoothstep`` is a C-infinity plateau
+whose eigenvalues leave it.  ``identity``, ``square`` and ``cube`` also
+carry their power-basis coefficients, so <f(S), B> can be taken from S
+itself, with no decomposition.  ``smoothstep`` is a C-infinity plateau
 function built from the standard exp(-1/x) mollifier, usable to isolate a
 spectral cluster (value 1 on [a, b], 0 outside (a - delta, b + delta)).
 """
@@ -22,13 +24,15 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar function f with its analytic derivative and open domain."""
+    """A scalar function f with its analytic derivative and open domain;
+    ``coefficients`` (c_0, c_1, ...) are set when f = sum_j c_j x^j."""
 
     name: str
     params: tuple
     eval: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     domain: tuple  # open interval (lo, hi)
+    coefficients: tuple | None = None
 
     def __repr__(self):
         if self.params:
@@ -119,13 +123,13 @@ def _asf(x):
 _FACTORIES = {
     "identity": lambda: ScalarFunction(
         "identity", (), lambda x: _asf(x) + 0.0, lambda x: np.ones_like(_asf(x)),
-        (-_INF, _INF)),
+        (-_INF, _INF), (0.0, 1.0)),
     "square": lambda: ScalarFunction(
         "square", (), lambda x: _asf(x) ** 2, lambda x: 2.0 * _asf(x),
-        (-_INF, _INF)),
+        (-_INF, _INF), (0.0, 0.0, 1.0)),
     "cube": lambda: ScalarFunction(
         "cube", (), lambda x: _asf(x) ** 3, lambda x: 3.0 * _asf(x) ** 2,
-        (-_INF, _INF)),
+        (-_INF, _INF), (0.0, 0.0, 0.0, 1.0)),
     "log": lambda: ScalarFunction(
         "log", (), lambda x: np.log(_asf(x)), lambda x: 1.0 / _asf(x),
         (0.0, _INF)),

@@ -6,12 +6,13 @@ streams and every draw is a pure function of the key, so all Monte Carlo
 output is reproducible bit-for-bit.  Normal variates use numpy's ziggurat
 generator (``Generator.standard_normal``), fixed for this build.
 
-``chain_eigenpairs`` is the one chain sampler.  Each step is one Wishart
+``chain_states`` is the one chain sampler.  Each step is one Wishart
 draw in Bartlett form applied to a factor the chain carries, so only the
 start has a root and a step costs O(d^3) whatever n is.  All draws come
 first, in the calling thread, from streams keyed by step; then the chains
 run in contiguous blocks, one per CPU the process may use, on a thread
-pool.  numpy's matmul and ``eigh`` release the GIL and work matrix by
+pool, and each block either decomposes its states or keeps them as they
+are.  numpy's matmul and ``eigh`` release the GIL and work matrix by
 matrix, so the states depend neither on the split nor on the number of
 chains.
 """
@@ -36,7 +37,7 @@ __all__ = [
     "psd_factor",
     "gaussian_sample",
     "sample_covariance",
-    "chain_eigenpairs",
+    "chain_states",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -221,9 +222,9 @@ def _run_blocks(task, nchains: int) -> None:
     task(0, nchains)
 
 
-def chain_eigenpairs(start, k: int, n: int, nchains: int,
-                     rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the states of ``nchains`` bootstrap chains.
+def chain_states(start, k: int, n: int, nchains: int, rng: RngStream,
+                 decompose: bool = True):
+    """States of ``nchains`` bootstrap chains, as eigenpairs or as matrices.
 
     Every chain starts at ``start``; each step replaces the state S by the
     sample covariance of n draws from N(0, S), a Wishart W(n, S)/n.  A
@@ -242,19 +243,27 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
     through all k steps, writing its own slice of the output, so no
     number depends on the number of blocks.  At k = 0 nothing is drawn
     and no root is taken.  ``start`` may be given as its SpectralDecomp.
-    Returns eigenvalues (nchains, k+1, d) and eigenvectors
-    (nchains, k+1, d, d).  Raises NotPSD when k >= 1 and ``start`` is not
-    PSD, and NumericOverflow when a state overflows.
+
+    With ``decompose``, returns the eigenvalues (nchains, k+1, d) and
+    eigenvectors (nchains, k+1, d, d) of every state, the start's at
+    index 0.  Without, returns the stepped states S_1, ..., S_k
+    themselves, (nchains, k, d, d), and decomposes none of them.  Raises
+    NotPSD when k >= 1 and ``start`` is not PSD, and NumericOverflow when
+    an entry or an eigenvalue of a state overflows, in either form.
     """
     if k < 0 or n < 1 or nchains < 1:
         raise ValueError("need k >= 0, n >= 1 and nchains >= 1")
     start = eigh(start)
     d, m = start.source_dim, min(n, start.source_dim)
-    lam = np.empty((nchains, k + 1, d))
-    u = np.empty((nchains, k + 1, d, d))
-    lam[:, 0], u[:, 0] = start.eigenvalues, start.eigenvectors
+    if decompose:
+        lam = np.empty((nchains, k + 1, d))
+        u = np.empty((nchains, k + 1, d, d))
+        lam[:, 0], u[:, 0] = start.eigenvalues, start.eigenvectors
+        out = lam, u
+    else:
+        out = states = np.empty((nchains, k, d, d))
     if k == 0:
-        return lam, u
+        return out
     root = psd_factor(start)
     rows, cols = np.triu_indices(m, 1, d)
     diag = np.arange(m)
@@ -270,9 +279,19 @@ def chain_eigenpairs(start, k: int, n: int, nchains: int,
         h = root
         for t, r in enumerate(bartlett[:, lo:hi], start=1):
             g = r[..., :h.shape[-2]] @ h
-            cur = eigh(np.swapaxes(g, -1, -2) @ g / n)
-            lam[lo:hi, t], u[lo:hi, t] = cur.eigenvalues, cur.eigenvectors
+            s = np.swapaxes(g, -1, -2) @ g / n
+            if decompose:
+                cur = eigh(s)
+                lam[lo:hi, t], u[lo:hi, t] = cur.eigenvalues, cur.eigenvectors
+            else:
+                s = states[lo:hi, t - 1] = SymMat(s).entries
+                # no eigenvalue exceeds d max |entry|, so only a state this
+                # near the top of the range can have one beyond floating
+                # point; eigh raises for it as the decomposing pass does
+                big = np.abs(s).max(axis=(-2, -1)) >= 2.0 ** 1023 / d
+                if big.any():
+                    eigh(s[big])
             h = g / math.sqrt(n)
 
     _run_blocks(run, nchains)
-    return lam, u
+    return out

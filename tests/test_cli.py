@@ -694,6 +694,31 @@ def test_linear_term_beyond_floating_point_still_gives_a_finite_estimate(
     assert capsys.readouterr().err == ""
 
 
+def test_linear_term_beyond_floating_point_still_gives_a_finite_cube(
+        tmp_path, capsys):
+    # the data above, with cube: every <f(S_i), B> and <S_i, D_0> is taken
+    # from the state, scaled by a power of two, and agrees with power:3,
+    # which reads them off eigenpairs
+    z = np.random.default_rng(0).standard_normal((5000, 4))
+    rows = z / np.sqrt(np.mean(z**2, axis=0)) * np.sqrt(4.1e102)
+    p = tmp_path / "big.csv"
+    p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    import json
+    got = {}
+    for fn in ("cube", "power:3"):
+        out = tmp_path / f"{fn}.json"
+        assert run_cli(["estimate", "--data", str(p), "--fn", fn, "--k", "1",
+                        "--chains", "20", "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        got[fn] = dict(zip(obj["columns"], obj["rows"][0]))
+    assert capsys.readouterr().err == ""
+    cube = got["cube"]
+    assert 6e307 < cube["functional_value"] < 8e307
+    assert np.isfinite(cube["ci_lo"]) and np.isfinite(cube["ci_hi"])
+    for key in ("functional_value", "mc_stderr"):
+        assert cube[key] == pytest.approx(got["power:3"][key], rel=1e-12), key
+
+
 @pytest.mark.parametrize("k, stage", [("0", "sigma_f of 'power'"),
                                       ("1", "linear term:")])
 def test_derivative_beyond_floating_point_is_a_data_error(tmp_path, capsys,
@@ -770,7 +795,7 @@ def test_singular_sample_covariance_fails_before_any_chain_is_drawn(
     def no_chains(*args):
         raise AssertionError("chains drawn")
 
-    monkeypatch.setattr(covfn.estimators, "chain_eigenpairs", no_chains)
+    monkeypatch.setattr(covfn.estimators, "chain_states", no_chains)
     p = tmp_path / "singular.csv"
     p.write_text("1,2\n2,4\n")
     assert run_cli(["estimate", "--data", str(p), "--fn", "log", "--k", str(k),

@@ -1,9 +1,12 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from covfn.errors import BadAlpha, DomainError
+import covfn.sampling
+from covfn.errors import BadAlpha, DomainError, NumericOverflow
 from covfn.estimators import (
     bias_reduced_estimate,
     confidence_interval,
@@ -15,7 +18,7 @@ from covfn.functions import get_function
 from covfn.sampling import (
     DataMatrix,
     RngStream,
-    chain_eigenpairs,
+    chain_states,
     gaussian_sample,
     psd_factor,
     sample_covariance,
@@ -212,14 +215,14 @@ class TestBiasReducedEstimate:
         k, nchains = 2, 8
         rng = RngStream(55)
         start = sample_covariance(x)
-        lam, u = chain_eigenpairs(start, k, 30, nchains, rng)
+        lam, u = chain_states(start, k, 30, nchains, rng)
         for r in range(1, nchains + 1):
-            lam_r, u_r = chain_eigenpairs(start, k, 30, r, rng)
+            lam_r, u_r = chain_states(start, k, 30, r, rng)
             np.testing.assert_array_equal(lam_r[r - 1], lam[r - 1])
             np.testing.assert_array_equal(u_r[r - 1], u[r - 1])
-        lam3, u3 = chain_eigenpairs(start, 3, 30, nchains, rng)
+        lam3, u3 = chain_states(start, 3, 30, nchains, rng)
         for t in range(4):
-            lam_t, u_t = chain_eigenpairs(start, t, 30, nchains, rng)
+            lam_t, u_t = chain_states(start, t, 30, nchains, rng)
             np.testing.assert_array_equal(lam3[:, :t + 1], lam_t)
             np.testing.assert_array_equal(u3[:, :t + 1], u_t)
         weights = hockey_stick_weights(k)
@@ -258,7 +261,7 @@ class TestBiasReducedEstimate:
         # chain r's draws do not depend on N, so neither may its verdict:
         # the count at N is the number of the first N chains that fail alone
         x = DataMatrix(np.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, 1e-4]]))
-        lam, _ = chain_eigenpairs(eigh(sample_covariance(x)), 1, x.n, 200,
+        lam, _ = chain_states(eigh(sample_covariance(x)), 1, x.n, 200,
                                   RngStream(7))
 
         def fails_alone(r):
@@ -274,6 +277,79 @@ class TestBiasReducedEstimate:
             with pytest.raises(DomainError, match=f"^{left} of {nchains} chains"):
                 bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, nchains,
                                       RngStream(7))
+
+    @pytest.mark.parametrize("name", ["identity", "square", "cube"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n, d, nchains", [(40, 5, 4), (40, 5, 129),
+                                               (6, 10, 129)])
+    def test_polynomial_and_eigenpair_contractions_agree(
+            self, np_rng, monkeypatch, name, k, n, d, nchains):
+        # the same f without its coefficients reads every term off
+        # eigenpairs; on the same draws both give the same report, and
+        # only the eigenpair run decomposes a chain state
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)  # 129: two blocks
+        decomposed = []
+
+        def spy(a):
+            if np.ndim(a) == 3:
+                decomposed.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(covfn.sampling, "eigh", spy)
+        f = get_function(name)
+        x = DataMatrix(np_rng.standard_normal((n, d)) * np.linspace(1, 3, d))
+        b = random_sym(np_rng, d)
+        poly = bias_reduced_estimate(x, f, b, k, nchains, RngStream(5))
+        assert decomposed == []
+        eig = bias_reduced_estimate(x, dataclasses.replace(f, coefficients=None),
+                                    b, k, nchains, RngStream(5))
+        assert sum(decomposed) == k * nchains
+        assert poly.functional_value == pytest.approx(eig.functional_value,
+                                                      rel=1e-12)
+        # identity's control variate takes out all chain noise, so its
+        # mc_stderr is rounding on both sides
+        assert poly.mc_stderr == pytest.approx(
+            eig.mc_stderr, rel=1e-12, abs=1e-12 * abs(eig.functional_value))
+
+    @pytest.mark.parametrize("name, top, only_eig", [
+        ("identity", 308.2, 0), ("square", 154.1, 4), ("cube", 102.7, 2)])
+    def test_polynomial_contraction_is_finite_where_eigenpairs_are(
+            self, name, top, only_eig):
+        # data scaled up to where f of a chain state leaves floating point.
+        # The polynomial run raises only where the eigenpair run does, and
+        # for identity raises the same error.  The eigenpair run of square
+        # and cube also raises where f of the largest eigenvalue overflows
+        # but <f(S), B> does not (``only_eig`` of these 136 runs).
+        f = get_function(name)
+        g = dataclasses.replace(f, coefficients=None)
+        z = np.random.default_rng(1).standard_normal((4, 2))
+        z[:, 1] = z[:, 0] + 0.01 * z[:, 1]
+
+        def run(fn, x, k, seed):
+            try:
+                return bias_reduced_estimate(x, fn, np.eye(2) / 2, k, 20,
+                                             RngStream(seed))
+            except NumericOverflow as exc:
+                return str(exc)
+
+        outcomes = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in 10.0 ** (top / 2 - 1.5 + np.linspace(0, 1.6, 17)):
+                for k, seed in itertools.product((1, 2), range(4)):
+                    poly = run(f, DataMatrix(c * z), k, seed)
+                    eig = run(g, DataMatrix(c * z), k, seed)
+                    if isinstance(poly, str):
+                        assert isinstance(eig, str)
+                        assert poly == eig or name != "identity"
+                        outcomes.append("both")
+                    elif isinstance(eig, str):
+                        outcomes.append("eig")
+                    else:
+                        assert poly.functional_value == pytest.approx(
+                            eig.functional_value, rel=1e-12)
+                        outcomes.append("neither")
+        assert outcomes.count("eig") == only_eig
+        assert outcomes.count("both") and outcomes.count("neither")
 
     def test_report_provenance(self, np_rng):
         x = DataMatrix(np_rng.standard_normal((25, 2)))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from covfn.errors import DomainError
+from covfn.estimators import bias_reduced_estimate
 from covfn.functions import get_function, parse_function_spec
+from covfn.sampling import DataMatrix, RngStream
 from covfn.symmat import apply_scalar_function, eigh
 
 # interior grids on which each member's analytic derivative is checked
@@ -27,6 +29,28 @@ def test_analytic_derivative_matches_finite_differences(spec):
     fd = (f.eval(x + h) - f.eval(x - h)) / (2 * h)
     an = f.deriv(x)
     assert np.all(np.abs(fd - an) <= 1e-6 * (1.0 + np.abs(an)))
+
+
+@pytest.mark.parametrize("spec", list(GRIDS), ids=lambda s: str(s))
+def test_coefficients_reproduce_eval(spec):
+    # only the polynomials carry coefficients, and they are f itself
+    f = get_function(*spec)
+    if spec[0] not in ("identity", "square", "cube"):
+        assert f.coefficients is None
+        return
+    x = np.linspace(-4, 4, 101)
+    np.testing.assert_allclose(
+        np.polynomial.polynomial.polyval(x, f.coefficients), f.eval(x),
+        rtol=1e-15, atol=0)
+
+
+def test_power_two_keeps_its_domain_check():
+    # power:2 equals square on (0, inf) but has no coefficients, so a
+    # singular sample covariance (n < d) is still outside its domain
+    x = DataMatrix(np.random.default_rng(0).standard_normal((2, 3)))
+    with pytest.raises(DomainError, match="sample covariance left the domain"):
+        bias_reduced_estimate(x, get_function("power", 2.0), np.eye(3) / 3, 1,
+                              20, RngStream(0))
 
 
 def test_smoothstep_plateau_and_support():

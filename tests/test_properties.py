@@ -18,7 +18,7 @@ from covfn.cli import run_cli
 from covfn.errors import NotPSD
 from covfn.estimators import bias_reduced_estimate, sigma_f
 from covfn.functions import get_function
-from covfn.sampling import DataMatrix, RngStream, chain_eigenpairs, psd_factor
+from covfn.sampling import DataMatrix, RngStream, chain_states, psd_factor
 from covfn.symmat import effective_rank
 from conftest import random_orthogonal, random_sym
 from helpers import plugin_estimate
@@ -153,7 +153,7 @@ def test_same_matrix_is_not_psd_everywhere():
     with pytest.raises(NotPSD):
         effective_rank(a)
     with pytest.raises(NotPSD):
-        chain_eigenpairs(a, 1, 10, 2, RngStream(0))
+        chain_states(a, 1, 10, 2, RngStream(0))
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])

@@ -12,12 +12,12 @@ from covfn.sampling import (
     DataMatrix,
     RngStream,
     _run_blocks,
-    chain_eigenpairs,
+    chain_states,
     gaussian_sample,
     psd_factor,
     sample_covariance,
 )
-from covfn.symmat import eigh, from_eigenpairs
+from covfn.symmat import SymMat, eigh, from_eigenpairs
 from conftest import random_spd, random_sym
 from helpers import expected_sandwich, expected_trace_of_square
 
@@ -112,15 +112,15 @@ class TestSampleCovariance:
         assert np.all(np.abs(mean - sigma) <= 5.0 * stderr + 1e-12)
 
 
-def chain_states(start, k, n, rng):
+def one_chain(start, k, n, rng):
     """States (k+1, d, d) of one chain: the N=1 slice of the engine."""
-    return from_eigenpairs(*chain_eigenpairs(start, k, n, 1, rng))[0]
+    return from_eigenpairs(*chain_states(start, k, n, 1, rng))[0]
 
 
 class TestBootstrapChain:
     def test_zero_steps_consumes_no_randomness(self):
         rng = RngStream(3, 4)
-        states = chain_states(np.eye(3), 0, 10, rng)
+        states = one_chain(np.eye(3), 0, 10, rng)
         assert states.shape == (1, 3, 3)
         np.testing.assert_array_equal(states[0], np.eye(3))
         # stream still at its origin: draws match a fresh stream
@@ -128,17 +128,17 @@ class TestBootstrapChain:
                                       RngStream(3, 4).standard_normal(4))
 
     def test_zero_start_is_absorbing(self):
-        states = chain_states(np.zeros((2, 2)), 3, 5, RngStream(1))
+        states = one_chain(np.zeros((2, 2)), 3, 5, RngStream(1))
         np.testing.assert_array_equal(states, np.zeros((4, 2, 2)))
 
     def test_concentration_at_large_n(self):
-        states = chain_states(np.eye(5), 1, 10**5, RngStream(13))
+        states = one_chain(np.eye(5), 1, 10**5, RngStream(13))
         assert np.abs(states[1] - np.eye(5)).max() <= 0.05
 
     def test_reproducible_bit_identical(self):
         start = np.diag([1.0, 2.0])
-        s1 = chain_eigenpairs(start, 3, 25, 4, RngStream(77, 5))
-        s2 = chain_eigenpairs(start, 3, 25, 4, RngStream(77, 5))
+        s1 = chain_states(start, 3, 25, 4, RngStream(77, 5))
+        s2 = chain_states(start, 3, 25, 4, RngStream(77, 5))
         for a, b in zip(s1, s2):
             np.testing.assert_array_equal(a, b)
 
@@ -148,7 +148,7 @@ class TestBootstrapChain:
             n = d + 5
             k = int(np_rng.integers(0, 3))
             start = random_spd(np_rng, d, lo=0.2, hi=2.0)
-            lam, _ = chain_eigenpairs(start, k, n, 1, RngStream(1000, run))
+            lam, _ = chain_states(start, k, n, 1, RngStream(1000, run))
             for eigs in lam[0]:
                 assert eigs.min() >= -1e-10 * max(1.0, np.abs(eigs).max())
 
@@ -161,7 +161,7 @@ class TestBartlettStep:
         sigma = random_spd(np_rng, d)
         a = random_sym(np_rng, d)
         m = 20000
-        lam, u = chain_eigenpairs(sigma, 3, n, m, RngStream(8, d))
+        lam, u = chain_states(sigma, 3, n, m, RngStream(8, d))
         s = from_eigenpairs(lam[:, 1], u[:, 1])
         for draws, exact in (
             (from_eigenpairs(lam[:, 1:], u[:, 1:]), sigma),
@@ -177,15 +177,19 @@ class TestBartlettStep:
                                                  monkeypatch):
         # steps 1 and 2 of every chain, taken by hand from the documented
         # draws as g_1 = R_1 psd_factor(start) and g_2 = R_2[:, :, :p] g_1 /
-        # sqrt(n) (p the rows of g_1), give the engine's eigenpairs bit for
-        # bit, in one block of 4 chains and in two blocks of 129
+        # sqrt(n) (p the rows of g_1), give the engine's eigenpairs, and
+        # its states when it keeps them as matrices, bit for bit, in one
+        # block of 4 chains and in two blocks of 129
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
         m = min(n, d)
         start = random_spd(np_rng, d)
         rows, cols = np.triu_indices(m, 1, d)
         diag = np.arange(m)
         for nchains in (4, 129):
-            lam, u = chain_eigenpairs(start, 2, n, nchains, RngStream(6))
+            lam, u = chain_states(start, 2, n, nchains, RngStream(6))
+            states = chain_states(start, 2, n, nchains, RngStream(6),
+                                  decompose=False)
+            assert states.shape == (nchains, 2, d, d)
             h = psd_factor(start)
             for t in (1, 2):
                 bartlett = np.zeros((nchains, m, d))
@@ -195,7 +199,9 @@ class TestBartlettStep:
                     RngStream(6).spawn(2 * t).gen.chisquare(
                         np.tile(n - diag, nchains))).reshape(nchains, m)
                 g = bartlett[:, :, :h.shape[-2]] @ h
-                step = eigh(np.swapaxes(g, -1, -2) @ g / n)
+                s = SymMat(np.swapaxes(g, -1, -2) @ g / n)
+                np.testing.assert_array_equal(s.entries, states[:, t - 1])
+                step = eigh(s)
                 np.testing.assert_array_equal(step.eigenvalues, lam[:, t])
                 np.testing.assert_array_equal(step.eigenvectors, u[:, t])
                 h = g / np.sqrt(n)
@@ -209,7 +215,7 @@ class TestBartlettStep:
         # chi-squares can be read back: normals vs the chi-square stream,
         # vs the next step's normals, and vs the neighbouring chain's block.
         d, n, nchains = 3, 50, 3335
-        lam, u = chain_eigenpairs(np.eye(d), 2, n, nchains, RngStream(4))
+        lam, u = chain_states(np.eye(d), 2, n, nchains, RngStream(4))
         s1 = from_eigenpairs(lam[:, 1], u[:, 1])
         s2 = from_eigenpairs(lam[:, 2], u[:, 2])
         rows, cols = np.triu_indices(d, 1)
@@ -238,7 +244,7 @@ class TestBartlettStep:
 class TestBlocks:
     @staticmethod
     def block_sizes(monkeypatch, workers, min_block, *args):
-        """chain_eigenpairs(*args) with ``workers`` CPUs and blocks of at
+        """chain_states(*args) with ``workers`` CPUs and blocks of at
         least ``min_block`` chains, and the stack sizes each step's eigh
         saw, block by block."""
         monkeypatch.setattr(covfn.sampling, "_WORKERS", workers)
@@ -251,7 +257,7 @@ class TestBlocks:
             return eigh(a)
 
         monkeypatch.setattr(covfn.sampling, "eigh", spy)
-        return chain_eigenpairs(*args), sorted(sizes)
+        return chain_states(*args), sorted(sizes)
 
     @pytest.mark.parametrize("nchains", [1, 63, 64, 65, 200, 201])
     def test_output_does_not_depend_on_the_blocks(self, np_rng, nchains,
@@ -323,11 +329,11 @@ class TestBlocks:
         # the parent's pool threads do not exist in a child forked from it
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
         args = (np.eye(5), 2, 20, 200, RngStream(1))
-        lam, _ = chain_eigenpairs(*args)  # the parent's pool now exists
+        lam, _ = chain_states(*args)  # the parent's pool now exists
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=lambda: send.send_bytes(
-            chain_eigenpairs(*args)[0].tobytes()))
+            chain_states(*args)[0].tobytes()))
         child.start()
         try:
             assert recv.poll(60), "the child's chain step hung"
@@ -341,7 +347,23 @@ class TestBlocks:
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
         with pytest.raises(NotPSD, match=r"^minimum eigenvalue -2 below the "
                            r"PSD tolerance$"):
-            chain_eigenpairs(np.diag([1.0, -2.0, 3.0]), 2, 5, 200, RngStream(0))
+            chain_states(np.diag([1.0, -2.0, 3.0]), 2, 5, 200, RngStream(0))
+
+    @pytest.mark.parametrize("seed, outcome", [
+        (0, None), (3, "an eigenvalue overflows"), (6, "a matrix overflows")])
+    def test_states_overflow_where_their_eigenpairs_do(self, seed, outcome):
+        # a rank-one start with eigenvalue 1e308 and n = 1: each state is
+        # c S_0 with c ~ chi^2_1-like, so an entry (c > 3.6) or only the
+        # eigenvalue (c > 1.8) can leave floating point
+        start = 0.5e308 * np.ones((2, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for decompose in (True, False):
+                args = (start, 2, 1, 4, RngStream(seed), decompose)
+                if outcome is None:
+                    chain_states(*args)
+                else:
+                    with pytest.raises(NumericOverflow, match=f"^{outcome}"):
+                        chain_states(*args)
 
     def test_only_a_stepped_start_needs_a_root(self, monkeypatch):
         # at k = 0 a start that is not PSD gives its own eigenpairs; from
@@ -351,13 +373,13 @@ class TestBlocks:
 
         monkeypatch.setattr(RngStream, "spawn", no_draws)
         start = np.diag([1.0, -2.0, 3.0])
-        lam, u = chain_eigenpairs(start, 0, 5, 3, RngStream(0))
+        lam, u = chain_states(start, 0, 5, 3, RngStream(0))
         np.testing.assert_array_equal(lam, np.tile([-2.0, 1.0, 3.0], (3, 1, 1)))
         np.testing.assert_array_equal(from_eigenpairs(lam, u)[:, 0],
                                       np.tile(start, (3, 1, 1)))
         for k in (1, 2):
             with pytest.raises(NotPSD):
-                chain_eigenpairs(start, k, 5, 3, RngStream(0))
+                chain_states(start, k, 5, 3, RngStream(0))
 
 
 class TestRngStream:

@@ -9,14 +9,12 @@ so each state's linear term <S_i - S_0, D_0>, D_0 = Df(S_0; B), has mean
 exactly 0 and is subtracted as a control variate: the mean is unchanged
 and the chain noise that the linear term carries is gone.  The plug-in
 estimator <f(S_0), B> is the order-0 case: one chain that takes no step,
-with weight 1.  The chains come from ``sampling.chain_states``.  For a
-polynomial f (``ScalarFunction.coefficients``) they come as matrices, and
-<f(S_i), B> and <S_i, D_0> are traces of their products with B and D_0,
-so no chain state is decomposed.  For every other f they come as
-eigenpairs, f and the projections onto B and D_0 are read off the one
-decomposition of each state, and a chain state outside f's domain is an
-error, never dropped.  Confidence intervals use the
-asymptotic standard deviation
+with weight 1.  ``sampling.chain_states`` hands each block of states to
+the estimator, which keeps no state: <S_i, D_0> is sum S_i o D_0, for a
+polynomial f (``ScalarFunction.coefficients``) <f(S_i), B> is a trace
+of products too, and every other f keeps each state's eigenvalues and
+weights u_m^T B u_m; a chain state outside f's domain is an error, never
+dropped.  Confidence intervals use the asymptotic standard deviation
 sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 """
 
@@ -129,22 +127,24 @@ def hockey_stick_weights(k: int) -> np.ndarray:
     return np.array(hockey_stick_weight_ints(k), dtype=float)
 
 
-def _eig_contraction(lam, u, f: ScalarFunction, b) -> np.ndarray:
-    """<f(S), B> for each S = U diag(lam) U^T, as sum_m f(lam_m) u_m^T B u_m."""
-    proj = np.sum(u * (b @ u), axis=-2)  # u_m^T B u_m
-    return np.sum(f.eval(lam) * proj, axis=-1)
+def _weights(u, b) -> np.ndarray:
+    """u_m^T B u_m for each eigenvector u_m, the columns of each matrix of u."""
+    return np.sum(u * (b @ u), axis=-2)
 
 
-def _polynomial_contraction(s, coefficients, b) -> np.ndarray:
-    """<p(S), B> for each symmetric S of the stack ``s``, p = sum_j c_j x^j.
+def _binade_split(s):
+    """(S_hat, e), S = 2^e S_hat, 2^e at or below max |entry| of each S."""
+    e = np.frexp(np.abs(s).max(axis=(-2, -1)))[1] - 1
+    return np.ldexp(s, -e[..., None, None]), e
+
+
+def _polynomial_contraction(s_hat, e, coefficients, b) -> np.ndarray:
+    """<p(S), B> for each symmetric S = 2^e S_hat, p = sum_j c_j x^j.
 
     No decomposition: tr(S^j B) = sum S o (S^{j-1} B) for symmetric S.
-    Each S is divided by the power of two at or below its max |entry|
-    and each term scaled back exactly, so a term is finite wherever its
-    value is.
+    Each term is taken of S_hat and scaled back exactly, so it is finite
+    wherever its value is.
     """
-    e = np.frexp(np.abs(s).max(axis=(-2, -1)))[1] - 1  # S = 2^e S_hat
-    s_hat = np.ldexp(s, -e[..., None, None])
     power = b  # S_hat^{j-1} B
     out = np.full(e.shape, coefficients[0] * np.trace(b))
     for j, c in enumerate(coefficients[1:], start=1):
@@ -170,15 +170,16 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     with D_0 = Df(S_0; B); the second sum has mean 0 and takes the chain
     noise of the linear term out.  At k = 0 this is the plug-in: one chain
     that takes no step, draws nothing and is reported as zero chains.  The
-    terms of S_0 come from its eigenpairs.  The terms of a stepped state
-    come from the state itself when f is a polynomial (domain R, so there
-    is no chain domain check), and from its eigenpairs otherwise.  The
-    CI half-width uses sigma_hat / sqrt(n) only; Monte Carlo chain noise is
-    reported separately as ``mc_stderr``.  Raises DomainError, before any
-    chain is drawn, when S_0 lies outside f's domain, and after the draws
-    when a chain state leaves it; and NumericOverflow, naming the stage,
-    when the sample covariance, a chain state, f of a state, the chain
-    combination, its linear term, ``mc_stderr`` or sigma_f overflows.
+    terms of S_0 come from its eigenpairs, once.  A stepped state's terms
+    are taken in its block of the chain pass, from the state itself when
+    f is a polynomial (domain R, so there is no chain domain check), and
+    from its eigenpairs otherwise.  The CI half-width uses sigma_hat /
+    sqrt(n) only; Monte Carlo chain noise is reported separately as
+    ``mc_stderr``.  Raises DomainError, before any chain is drawn, when S_0
+    lies outside f's domain, and after the draws when a chain state leaves
+    it; and NumericOverflow, naming the stage, when the sample covariance,
+    a chain state, f of a state, the chain combination, its linear term,
+    ``mc_stderr`` or sigma_f overflows.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -191,34 +192,47 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     if sigma_hat_mat.dim != b.dim:
         raise DimMismatch(f"data dim {sigma_hat_mat.dim}, B dim {b.dim}")
     check_domain(start.eigenvalues, f, "eigenvalues of the sample covariance")
-    poly = k >= 1 and f.coefficients is not None
-    with overflow_stage("chain state"):
-        chains = chain_states(start, k, x.n, nchains if k else 1, rng,
-                              decompose=not poly)
-    if poly:
-        vals = np.empty((nchains, k + 1))
-        vals[:, 0] = _eig_contraction(start.eigenvalues, start.eigenvectors,
-                                      f, b.entries)
-        vals[:, 1:] = _polynomial_contraction(chains, f.coefficients, b.entries)
-    else:
-        lam, u = chains
-        check_domain(lam[:, 1:], f, "chains")
-        vals = _eig_contraction(lam, u, f, b.entries)  # <f(S_i), B> per chain
-    finite(vals, f"'{f.name}' of a chain state")
-    c = hockey_stick_weights(k)
-    y = finite(vals @ c, f"the chain combination of '{f.name}'")
-    if k:  # subtract sum_{i>=1} c_i <S_i - S_0, D_0>
+    nchains = nchains if k else 1
+    vals = np.empty((nchains, k + 1))  # <f(S_i), B> per chain
+    vals[:, 0] = np.sum(f.eval(start.eigenvalues)
+                        * _weights(start.eigenvectors, b.entries), axis=-1)
+    if k:
         u0 = start.eigenvectors
         df_eig = _frechet_eig(start, f, b)  # D_0 in S_0's eigenbasis
         unit = _binade(df_eig)
         d0 = df_eig / unit  # exact; keeps <S_i, D_0> / unit finite
         d0_mat = u0 @ d0 @ u0.T  # D_0 / unit
-        if poly:
-            lin = _polynomial_contraction(chains, (0.0, 1.0), d0_mat)
-        else:
-            w = d0_mat @ u[:, 1:]
-            w *= u[:, 1:]  # entry (j, m) summed over j is u_m^T D_0 u_m / unit
-            lin = np.einsum("...jm,...m->...", w, lam[:, 1:])  # <S_i, D_0> / unit
+        lin = np.empty((nchains, k))  # <S_i, D_0> / unit
+        lam, w = np.empty((2, nchains, k, x.d))  # eigenvalues and weights
+        poly = f.coefficients
+
+        def visit(lo, hi, t, s):
+            s_hat, e = _binade_split(s.entries)
+            if poly is None:
+                dec = eigh(s.entries)
+                lam[lo:hi, t - 1] = dec.eigenvalues
+                w[lo:hi, t - 1] = _weights(dec.eigenvectors, b.entries)
+            else:
+                # |eigenvalue| <= d max |entry| < 2^(e + 1 + bits(d)), so only
+                # these states can have one beyond floating point; eigh
+                # raises for it
+                big = e >= 1023 - x.d.bit_length()
+                if big.any():
+                    eigh(s.entries[big])
+                vals[lo:hi, t] = _polynomial_contraction(s_hat, e, poly,
+                                                         b.entries)
+            lin[lo:hi, t - 1] = _polynomial_contraction(s_hat, e, (0.0, 1.0),
+                                                        d0_mat)
+
+        with overflow_stage("chain state"):
+            chain_states(start, k, x.n, nchains, rng, visit)
+        if poly is None:
+            check_domain(lam, f, "chains")
+            vals[:, 1:] = np.sum(f.eval(lam) * w, axis=-1)
+    finite(vals, f"'{f.name}' of a chain state")
+    c = hockey_stick_weights(k)
+    y = finite(vals @ c, f"the chain combination of '{f.name}'")
+    if k:  # subtract sum_{i>=1} c_i <S_i - S_0, D_0>
         lin0 = start.eigenvalues @ np.diagonal(d0)  # <S_0, D_0> / unit
         y = finite(y - ((lin - lin0) @ c[1:]) * unit,
                    f"linear term: the chain combination of '{f.name}' less "

@@ -6,15 +6,15 @@ streams and every draw is a pure function of the key, so all Monte Carlo
 output is reproducible bit-for-bit.  Normal variates use numpy's ziggurat
 generator (``Generator.standard_normal``), fixed for this build.
 
-``chain_states`` is the one chain sampler.  Each step is one Wishart
-draw in Bartlett form applied to a factor the chain carries, so only the
-start has a root and a step costs O(d^3) whatever n is.  All draws come
-first, in the calling thread, from streams keyed by step; then the chains
-run in contiguous blocks, one per CPU the process may use, on a thread
-pool, and each block either decomposes its states or keeps them as they
-are.  numpy's matmul and ``eigh`` release the GIL and work matrix by
-matrix, so the states depend neither on the split nor on the number of
-chains.
+``chain_states`` is the one chain sampler, and it knows nothing of f.
+Each step is one Wishart draw in Bartlett form applied to a factor the
+chain carries, so only the start has a root and a step costs O(d^3)
+whatever n is.  All draws come first, in the calling thread, from
+streams keyed by step; then the chains run in contiguous blocks, one per
+CPU the process may use, on a thread pool, and each block hands its
+states to the caller.  numpy's matmul and ``eigh`` release the GIL and
+work matrix by matrix, so no number depends on the split nor on the
+number of chains.
 """
 
 from __future__ import annotations
@@ -195,7 +195,21 @@ def gaussian_sample(root: np.ndarray, n: int, rng: RngStream) -> DataMatrix:
 
 def sample_covariance(x: DataMatrix) -> SymMat:
     """(1/n) X^T X; no mean-centering, the model is centered."""
-    return SymMat(x.rows.T @ x.rows / x.n)
+    return _gram(x.rows, x.n)
+
+
+def _gram(a: np.ndarray, n: int) -> SymMat:
+    """A^T A / n for a matrix A or each matrix of a stack.  Where rows *
+    max|A|^2 could reach 2^1023, A is divided by a power of two and its
+    Gram scaled back exactly, so it is finite wherever its value is; every
+    other Gram is formed as is, whatever else is in the stack."""
+    top = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]  # max|A| < 2^top
+    e = (a.shape[-2].bit_length() + 2 * top - 1022) // 2
+    if e.max() > 0:
+        e = np.maximum(e, 0)[..., None, None]
+        a = np.ldexp(a, -e)
+        return SymMat(np.ldexp(np.swapaxes(a, -1, -2) @ a / n, 2 * e))
+    return SymMat(np.swapaxes(a, -1, -2) @ a / n)
 
 
 def _run_blocks(task, nchains: int) -> None:
@@ -223,8 +237,8 @@ def _run_blocks(task, nchains: int) -> None:
 
 
 def chain_states(start, k: int, n: int, nchains: int, rng: RngStream,
-                 decompose: bool = True):
-    """States of ``nchains`` bootstrap chains, as eigenpairs or as matrices.
+                 visit) -> None:
+    """Run ``nchains`` bootstrap chains k steps and hand over each state.
 
     Every chain starts at ``start``; each step replaces the state S by the
     sample covariance of n draws from N(0, S), a Wishart W(n, S)/n.  A
@@ -240,31 +254,22 @@ def chain_states(start, k: int, n: int, nchains: int, rng: RngStream,
     chain; numpy fills both sequentially, so chain r's draws do not
     depend on ``nchains`` and a run's first t steps do not depend on k.
     After all draws, one ``_run_blocks`` pass runs each block of chains
-    through all k steps, writing its own slice of the output, so no
-    number depends on the number of blocks.  At k = 0 nothing is drawn
-    and no root is taken.  ``start`` may be given as its SpectralDecomp.
-
-    With ``decompose``, returns the eigenvalues (nchains, k+1, d) and
-    eigenvectors (nchains, k+1, d, d) of every state, the start's at
-    index 0.  Without, returns the stepped states S_1, ..., S_k
-    themselves, (nchains, k, d, d), and decomposes none of them.  Raises
-    NotPSD when k >= 1 and ``start`` is not PSD, and NumericOverflow when
-    an entry or an eigenvalue of a state overflows, in either form.
+    lo..hi-1 through all k steps and calls ``visit(lo, hi, t, s)``, on
+    the block's thread and in step order, with their states S_t as one
+    SymMat stack (s.entries[r - lo] is chain r's); ``visit`` writes only
+    rows lo..hi-1 of what it fills, so no number depends on the number of
+    blocks.  At k = 0 nothing is drawn, no root is taken and ``visit`` is
+    not called.  ``start`` may be given as its SpectralDecomp.  Raises
+    NotPSD when k >= 1 and ``start`` is not PSD, NumericOverflow when an
+    entry of a state overflows, and what ``visit`` raises, as one serial
+    pass raises it.
     """
     if k < 0 or n < 1 or nchains < 1:
         raise ValueError("need k >= 0, n >= 1 and nchains >= 1")
-    start = eigh(start)
-    d, m = start.source_dim, min(n, start.source_dim)
-    if decompose:
-        lam = np.empty((nchains, k + 1, d))
-        u = np.empty((nchains, k + 1, d, d))
-        lam[:, 0], u[:, 0] = start.eigenvalues, start.eigenvectors
-        out = lam, u
-    else:
-        out = states = np.empty((nchains, k, d, d))
     if k == 0:
-        return out
+        return
     root = psd_factor(start)
+    d, m = root.shape[-1], min(n, root.shape[-1])
     rows, cols = np.triu_indices(m, 1, d)
     diag = np.arange(m)
     dofs = np.tile(n - diag, nchains)
@@ -279,19 +284,7 @@ def chain_states(start, k: int, n: int, nchains: int, rng: RngStream,
         h = root
         for t, r in enumerate(bartlett[:, lo:hi], start=1):
             g = r[..., :h.shape[-2]] @ h
-            s = np.swapaxes(g, -1, -2) @ g / n
-            if decompose:
-                cur = eigh(s)
-                lam[lo:hi, t], u[lo:hi, t] = cur.eigenvalues, cur.eigenvectors
-            else:
-                s = states[lo:hi, t - 1] = SymMat(s).entries
-                # no eigenvalue exceeds d max |entry|, so only a state this
-                # near the top of the range can have one beyond floating
-                # point; eigh raises for it as the decomposing pass does
-                big = np.abs(s).max(axis=(-2, -1)) >= 2.0 ** 1023 / d
-                if big.any():
-                    eigh(s[big])
+            visit(lo, hi, t, _gram(g, n))
             h = g / math.sqrt(n)
 
     _run_blocks(run, nchains)
-    return out

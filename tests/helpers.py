@@ -4,6 +4,8 @@ Each checks the package against an independent computation: the Gaussian
 fourth-moment identities behind ``wishart_oracle``'s closed form, the
 first-order Taylor remainder of a spectral function, the plug-in estimate
 (the order-0 estimator) and the log-log slope of a bias against n.
+``collect_states`` keeps the chain states that ``chain_states`` hands
+over, which the package itself never does.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import numpy as np
 from covfn.errors import DimMismatch
 from covfn.estimators import EstimateReport, bias_reduced_estimate
 from covfn.functions import ScalarFunction
-from covfn.sampling import DataMatrix, RngStream
+from covfn.sampling import DataMatrix, RngStream, chain_states
 from covfn.symmat import (SymMat, apply_scalar_function, as_symmat, eigh,
                           frechet_derivative)
 
@@ -20,6 +22,25 @@ def plugin_estimate(x: DataMatrix, f: ScalarFunction, b,
                     alpha: float = 0.05) -> EstimateReport:
     """Plug-in estimate <f(sample covariance), B> with its CI: order 0."""
     return bias_reduced_estimate(x, f, b, 0, 0, RngStream(0), alpha)
+
+
+def collect_states(start, k: int, n: int, nchains: int, rng: RngStream,
+                   calls: list = None) -> np.ndarray:
+    """The stepped states S_1, ..., S_k of ``chain_states``' chains,
+    (nchains, k, d, d), each row written by the block that holds it.
+
+    Each call of ``visit`` appends (lo, hi, t) to ``calls``, if given.
+    """
+    d = eigh(start).source_dim
+    states = np.full((nchains, k, d, d), np.nan)
+
+    def visit(lo, hi, t, s):
+        states[lo:hi, t - 1] = s.entries
+        if calls is not None:
+            calls.append((lo, hi, t))
+
+    chain_states(start, k, n, nchains, rng, visit)
+    return states
 
 
 def taylor_remainder(a, h, f: ScalarFunction) -> SymMat:

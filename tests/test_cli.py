@@ -420,10 +420,10 @@ def test_overflowing_eigenvalue_is_a_data_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["estimate", "coverage", "bias_scaling"])
 def test_overflowing_matrix_is_a_data_error(tmp_path, capsys, command, fmt):
-    # near 3e153 the sample covariance is finite but chain states overflow;
+    # near 1e154 the sample covariance is finite but chain states overflow;
     # exp at Sigma's eigenvalue 800 overflows computing the true <f(Sigma), B>
     if command == "estimate":
-        rows = 3e153 * np.random.default_rng(7).standard_normal((5, 3))
+        rows = 1e154 * np.random.default_rng(7).standard_normal((5, 3))
         p = tmp_path / "huge.csv"
         p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
         argv = ["estimate", "--data", str(p), "--k", "3", "--chains", "200"]
@@ -459,7 +459,7 @@ def test_overflow_errors_name_their_stage(tmp_path, capsys):
     # overflow here; the one SymMat check reports each under its stage
     big = tmp_path / "big.csv"
     big.write_text("1e200,1\n2,3\n1,1\n")
-    rows = 3e153 * np.random.default_rng(7).standard_normal((5, 3))
+    rows = 1e154 * np.random.default_rng(7).standard_normal((5, 3))
     huge = tmp_path / "huge.csv"
     huge.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
     cfg = tmp_path / "cfg.txt"
@@ -478,7 +478,8 @@ def test_overflow_errors_name_their_stage(tmp_path, capsys):
     assert len(set(errs)) == 3
 
 
-_HUGE_SIGMA = {"diag": "1e308,0\n0,1e308\n", "full": "1e308,1e308\n1e308,1e308\n"}
+_HUGE_SIGMA = {"diag": "1.5e308,0\n0,1.5e308\n",
+               "full": "1e308,1e308\n1e308,1e308\n"}
 
 
 @pytest.mark.parametrize("command, sigma, line", [
@@ -505,7 +506,7 @@ def test_simulate_set_up_overflow_names_its_stage(tmp_path, capsys, command,
 def test_opnorm_of_a_sigma_whose_trace_overflows_matches_the_identity(tmp_path):
     # eff_rank and ratio are scale-free: at Sigma = 1e308 I they must read
     # as at Sigma = I, not inf and 0
-    (tmp_path / "sigma.csv").write_text(_HUGE_SIGMA["diag"])
+    (tmp_path / "sigma.csv").write_text("1e308,0\n0,1e308\n")
     rows = []
     for sigma in (f"file:{tmp_path / 'sigma.csv'}", "identity"):
         cfg = tmp_path / "cfg.txt"
@@ -551,7 +552,7 @@ def test_quadform_weights_beyond_floating_point_are_a_data_error(tmp_path,
 def test_overflowing_chain_state_is_one_line_in_any_number_of_blocks(
         tmp_path, capsys, monkeypatch, workers):
     monkeypatch.setattr(covfn.sampling, "_WORKERS", workers)
-    rows = 3e153 * np.random.default_rng(7).standard_normal((5, 3))
+    rows = 1e154 * np.random.default_rng(7).standard_normal((5, 3))
     p = tmp_path / "huge.csv"
     p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
     assert run_cli(["estimate", "--data", str(p), "--k", "3", "--chains", "200",

@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import covfn.estimators
 import covfn.sampling
 from covfn.errors import BadAlpha, DomainError, NumericOverflow
 from covfn.estimators import (
@@ -18,7 +21,6 @@ from covfn.functions import get_function
 from covfn.sampling import (
     DataMatrix,
     RngStream,
-    chain_states,
     gaussian_sample,
     psd_factor,
     sample_covariance,
@@ -28,11 +30,10 @@ from covfn.symmat import (
     check_domain,
     eigh,
     frechet_derivative,
-    from_eigenpairs,
     trace_inner_product,
 )
 from conftest import random_spd, random_sym
-from helpers import plugin_estimate
+from helpers import collect_states, plugin_estimate
 
 IDENTITY = get_function("identity")
 SQUARE = get_function("square")
@@ -215,21 +216,19 @@ class TestBiasReducedEstimate:
         k, nchains = 2, 8
         rng = RngStream(55)
         start = sample_covariance(x)
-        lam, u = chain_states(start, k, 30, nchains, rng)
+        chains = collect_states(start, k, 30, nchains, rng)
         for r in range(1, nchains + 1):
-            lam_r, u_r = chain_states(start, k, 30, r, rng)
-            np.testing.assert_array_equal(lam_r[r - 1], lam[r - 1])
-            np.testing.assert_array_equal(u_r[r - 1], u[r - 1])
-        lam3, u3 = chain_states(start, 3, 30, nchains, rng)
+            np.testing.assert_array_equal(
+                collect_states(start, k, 30, r, rng)[r - 1], chains[r - 1])
+        chains3 = collect_states(start, 3, 30, nchains, rng)
         for t in range(4):
-            lam_t, u_t = chain_states(start, t, 30, nchains, rng)
-            np.testing.assert_array_equal(lam3[:, :t + 1], lam_t)
-            np.testing.assert_array_equal(u3[:, :t + 1], u_t)
+            np.testing.assert_array_equal(
+                chains3[:, :t], collect_states(start, t, 30, nchains, rng))
         weights = hockey_stick_weights(k)
         d0 = frechet_derivative(eigh(start), SQUARE, b)
         ys = []
         for r in range(nchains):
-            states = from_eigenpairs(lam[r], u[r])
+            states = [start.entries, *chains[r]]
             vals = [trace_inner_product(apply_scalar_function(eigh(st), SQUARE), b)
                     for st in states]
             lin = [trace_inner_product(st - start.entries, d0) for st in states]
@@ -261,12 +260,12 @@ class TestBiasReducedEstimate:
         # chain r's draws do not depend on N, so neither may its verdict:
         # the count at N is the number of the first N chains that fail alone
         x = DataMatrix(np.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, 1e-4]]))
-        lam, _ = chain_states(eigh(sample_covariance(x)), 1, x.n, 200,
-                                  RngStream(7))
+        lam = eigh(collect_states(eigh(sample_covariance(x)), 1, x.n, 200,
+                                  RngStream(7))).eigenvalues
 
         def fails_alone(r):
             try:
-                check_domain(lam[r:r + 1, 1:], LOG, "chains")
+                check_domain(lam[r:r + 1], LOG, "chains")
             except DomainError:
                 return True
             return False
@@ -295,7 +294,7 @@ class TestBiasReducedEstimate:
                 decomposed.append(len(a))
             return eigh(a)
 
-        monkeypatch.setattr(covfn.sampling, "eigh", spy)
+        monkeypatch.setattr(covfn.estimators, "eigh", spy)
         f = get_function(name)
         x = DataMatrix(np_rng.standard_normal((n, d)) * np.linspace(1, 3, d))
         b = random_sym(np_rng, d)
@@ -367,3 +366,44 @@ class TestBiasReducedEstimate:
         r2 = bias_reduced_estimate(x, SQUARE, np.eye(2) / 2, 1, 30, RngStream(5))
         assert r1.functional_value == r2.functional_value
         assert r1.mc_stderr == r2.mc_stderr
+
+    @pytest.mark.parametrize("name", ["square", "log"])
+    def test_eight_threads_switching_fast_give_the_serial_report(
+            self, monkeypatch, name):
+        # each block's callback writes its own rows of the estimator's
+        # shared term arrays, interleaved as finely as the interpreter allows
+        x = DataMatrix(np.random.default_rng(2).standard_normal((30, 3)))
+        args = (x, get_function(name), np.eye(3) / 3, 3, 400, RngStream(13))
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 1)
+        serial = bias_reduced_estimate(*args)
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 8)
+        monkeypatch.setattr(covfn.sampling, "MIN_BLOCK", 1)
+        monkeypatch.setattr(covfn.sampling, "_pool", None)  # one of 8 threads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert bias_reduced_estimate(*args) == serial
+        finally:
+            sys.setswitchinterval(interval)
+            covfn.sampling._pool.shutdown()
+
+    def test_only_the_draws_grow_with_k(self, monkeypatch):
+        # every step's Bartlett factors, k N m d floats (m = min(n, d)), are
+        # held at once; each state is reduced to its terms in its block, so
+        # nothing else of size N d^2 is kept per step.  One block, so the
+        # block's own buffers are the same at both k
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 1)
+        d, n, nchains = 50, 200, 200
+        x = DataMatrix(np.random.default_rng(0).standard_normal((n, d)))
+        peaks = []
+        for k in (3, 10):
+            tracemalloc.start()
+            try:
+                bias_reduced_estimate(x, LOG, np.eye(d) / d, k, nchains,
+                                      RngStream(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        bartlett = (10 - 3) * nchains * min(n, d) * d * 8  # 26.7 MiB
+        assert peaks[1] - peaks[0] <= 1.25 * bartlett

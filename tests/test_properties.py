@@ -18,10 +18,10 @@ from covfn.cli import run_cli
 from covfn.errors import NotPSD
 from covfn.estimators import bias_reduced_estimate, sigma_f
 from covfn.functions import get_function
-from covfn.sampling import DataMatrix, RngStream, chain_states, psd_factor
+from covfn.sampling import DataMatrix, RngStream, psd_factor
 from covfn.symmat import effective_rank
 from conftest import random_orthogonal, random_sym
-from helpers import plugin_estimate
+from helpers import collect_states, plugin_estimate
 
 REL = 1e-9
 CHAINS = 8
@@ -153,7 +153,7 @@ def test_same_matrix_is_not_psd_everywhere():
     with pytest.raises(NotPSD):
         effective_rank(a)
     with pytest.raises(NotPSD):
-        chain_states(a, 1, 10, 2, RngStream(0))
+        collect_states(a, 1, 10, 2, RngStream(0))
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
@@ -177,3 +177,22 @@ def test_tiny_unit_csv_estimates_log_and_sqrt(tmp_path):
             assert run_cli(["estimate", "--data", str(p), "--fn", fn,
                             "--k", k, "--chains", "20",
                             "--out", str(tmp_path / "rep.json")]) == 0
+
+
+@pytest.mark.parametrize("name", ["identity", "log"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_gram_matrices_beyond_max_over_n_stay_finite(name, k):
+    # data scaled by 2^506 put S near 2^1012 I = 4.4e304 I, so X^T X and
+    # each chain step's G^T G (near n S, n = 5000) are beyond floating
+    # point, while S, the chain states and every answer are not
+    z = np.random.default_rng(5).standard_normal((5000, 2))
+    base, big = (bias_reduced_estimate(DataMatrix(c * z), get_function(name),
+                                       np.eye(2) / 2, k, 20, RngStream(3))
+                 for c in (1.0, 2.0 ** 506))
+    if name == "identity":
+        want, unit = base.functional_value * 2.0 ** 1012, 2.0 ** 1012
+    else:  # <log(c S), I/2> = <log S, I/2> + log c
+        want, unit = base.functional_value + 1012 * math.log(2.0), 1.0
+    assert big.functional_value == pytest.approx(want, rel=1e-12)
+    assert big.sigma_hat == pytest.approx(base.sigma_hat * unit, rel=1e-12)
+    assert all(map(math.isfinite, (big.mc_stderr, *big.ci)))

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import sys
@@ -8,18 +9,20 @@ import pytest
 
 import covfn.sampling
 from covfn.errors import NotPSD, NumericOverflow
+from covfn.estimators import bias_reduced_estimate
+from covfn.functions import get_function
 from covfn.sampling import (
     DataMatrix,
     RngStream,
+    _gram,
     _run_blocks,
-    chain_states,
     gaussian_sample,
     psd_factor,
     sample_covariance,
 )
-from covfn.symmat import SymMat, eigh, from_eigenpairs
+from covfn.symmat import SymMat, eigh
 from conftest import random_spd, random_sym
-from helpers import expected_sandwich, expected_trace_of_square
+from helpers import collect_states, expected_sandwich, expected_trace_of_square
 
 
 class TestPsdFactor:
@@ -96,6 +99,28 @@ class TestSampleCovariance:
                           + sigma**2) / 10**5)
         assert np.all(np.abs(shat - sigma) <= 5.0 * stderr)
 
+    def test_gram_beyond_max_over_n_is_scaled_back_exactly(self):
+        # at 2^506 Z (n = 5000) X^T X overflows but X^T X / n does not; the
+        # power-of-two scaling is exact, so S is 2^1012 times the unscaled
+        # one bit for bit, and a product that fits is formed as is
+        z = np.random.default_rng(5).standard_normal((5000, 2))
+        s = sample_covariance(DataMatrix(z)).entries
+        np.testing.assert_array_equal(s, SymMat(z.T @ z / 5000).entries)
+        np.testing.assert_array_equal(
+            sample_covariance(DataMatrix(2.0 ** 506 * z)).entries,
+            2.0 ** 1012 * s)
+
+    def test_each_gram_of_a_stack_takes_its_own_power_of_two(self):
+        # so a chain state does not depend on the block it is formed in
+        a = np.random.default_rng(6).standard_normal((3, 5000, 2))
+        a[1] *= 2.0 ** 506
+        s = _gram(a, 5000).entries
+        for i in range(3):
+            np.testing.assert_array_equal(s[i], _gram(a[i], 5000).entries)
+        np.testing.assert_array_equal(
+            s[1], 2.0 ** 1012 * _gram(a[1] / 2.0 ** 506, 5000).entries)
+        assert np.isfinite(s).all()
+
     def test_unbiased_over_many_datasets(self):
         sigma = np.diag([1.0, 2.0, 0.5])
         n, m = 20, 10**4
@@ -113,34 +138,32 @@ class TestSampleCovariance:
 
 
 def one_chain(start, k, n, rng):
-    """States (k+1, d, d) of one chain: the N=1 slice of the engine."""
-    return from_eigenpairs(*chain_states(start, k, n, 1, rng))[0]
+    """Stepped states (k, d, d) of one chain: the N=1 slice of the engine."""
+    return collect_states(start, k, n, 1, rng)[0]
 
 
 class TestBootstrapChain:
     def test_zero_steps_consumes_no_randomness(self):
         rng = RngStream(3, 4)
         states = one_chain(np.eye(3), 0, 10, rng)
-        assert states.shape == (1, 3, 3)
-        np.testing.assert_array_equal(states[0], np.eye(3))
+        assert states.shape == (0, 3, 3)
         # stream still at its origin: draws match a fresh stream
         np.testing.assert_array_equal(rng.standard_normal(4),
                                       RngStream(3, 4).standard_normal(4))
 
     def test_zero_start_is_absorbing(self):
         states = one_chain(np.zeros((2, 2)), 3, 5, RngStream(1))
-        np.testing.assert_array_equal(states, np.zeros((4, 2, 2)))
+        np.testing.assert_array_equal(states, np.zeros((3, 2, 2)))
 
     def test_concentration_at_large_n(self):
         states = one_chain(np.eye(5), 1, 10**5, RngStream(13))
-        assert np.abs(states[1] - np.eye(5)).max() <= 0.05
+        assert np.abs(states[0] - np.eye(5)).max() <= 0.05
 
     def test_reproducible_bit_identical(self):
         start = np.diag([1.0, 2.0])
-        s1 = chain_states(start, 3, 25, 4, RngStream(77, 5))
-        s2 = chain_states(start, 3, 25, 4, RngStream(77, 5))
-        for a, b in zip(s1, s2):
-            np.testing.assert_array_equal(a, b)
+        s1 = collect_states(start, 3, 25, 4, RngStream(77, 5))
+        s2 = collect_states(start, 3, 25, 4, RngStream(77, 5))
+        np.testing.assert_array_equal(s1, s2)
 
     def test_states_stay_psd(self, np_rng):
         for run in range(1000):
@@ -148,8 +171,8 @@ class TestBootstrapChain:
             n = d + 5
             k = int(np_rng.integers(0, 3))
             start = random_spd(np_rng, d, lo=0.2, hi=2.0)
-            lam, _ = chain_states(start, k, n, 1, RngStream(1000, run))
-            for eigs in lam[0]:
+            states = collect_states(start, k, n, 1, RngStream(1000, run))
+            for eigs in eigh(states[0]).eigenvalues:
                 assert eigs.min() >= -1e-10 * max(1.0, np.abs(eigs).max())
 
 
@@ -161,10 +184,10 @@ class TestBartlettStep:
         sigma = random_spd(np_rng, d)
         a = random_sym(np_rng, d)
         m = 20000
-        lam, u = chain_states(sigma, 3, n, m, RngStream(8, d))
-        s = from_eigenpairs(lam[:, 1], u[:, 1])
+        states = collect_states(sigma, 3, n, m, RngStream(8, d))
+        s = states[:, 0]
         for draws, exact in (
-            (from_eigenpairs(lam[:, 1:], u[:, 1:]), sigma),
+            (states, sigma),
             (s @ a @ s, expected_sandwich(sigma, a, n).entries),
             (np.sum(s * s, axis=(1, 2)), expected_trace_of_square(sigma, n)),
         ):
@@ -177,19 +200,18 @@ class TestBartlettStep:
                                                  monkeypatch):
         # steps 1 and 2 of every chain, taken by hand from the documented
         # draws as g_1 = R_1 psd_factor(start) and g_2 = R_2[:, :, :p] g_1 /
-        # sqrt(n) (p the rows of g_1), give the engine's eigenpairs, and
-        # its states when it keeps them as matrices, bit for bit, in one
-        # block of 4 chains and in two blocks of 129
+        # sqrt(n) (p the rows of g_1), give the states the engine hands
+        # over, bit for bit, in one block of 4 chains and in two blocks of
+        # 129
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
         m = min(n, d)
         start = random_spd(np_rng, d)
         rows, cols = np.triu_indices(m, 1, d)
         diag = np.arange(m)
         for nchains in (4, 129):
-            lam, u = chain_states(start, 2, n, nchains, RngStream(6))
-            states = chain_states(start, 2, n, nchains, RngStream(6),
-                                  decompose=False)
-            assert states.shape == (nchains, 2, d, d)
+            calls = []
+            states = collect_states(start, 2, n, nchains, RngStream(6), calls)
+            assert len(calls) == 2 * (1 if nchains < 128 else 2)
             h = psd_factor(start)
             for t in (1, 2):
                 bartlett = np.zeros((nchains, m, d))
@@ -201,9 +223,6 @@ class TestBartlettStep:
                 g = bartlett[:, :, :h.shape[-2]] @ h
                 s = SymMat(np.swapaxes(g, -1, -2) @ g / n)
                 np.testing.assert_array_equal(s.entries, states[:, t - 1])
-                step = eigh(s)
-                np.testing.assert_array_equal(step.eigenvalues, lam[:, t])
-                np.testing.assert_array_equal(step.eigenvectors, u[:, t])
                 h = g / np.sqrt(n)
             assert h.shape == (nchains, m, d)
 
@@ -215,9 +234,8 @@ class TestBartlettStep:
         # chi-squares can be read back: normals vs the chi-square stream,
         # vs the next step's normals, and vs the neighbouring chain's block.
         d, n, nchains = 3, 50, 3335
-        lam, u = chain_states(np.eye(d), 2, n, nchains, RngStream(4))
-        s1 = from_eigenpairs(lam[:, 1], u[:, 1])
-        s2 = from_eigenpairs(lam[:, 2], u[:, 2])
+        s1, s2 = np.moveaxis(
+            collect_states(np.eye(d), 2, n, nchains, RngStream(4)), 1, 0)
         rows, cols = np.triu_indices(d, 1)
         r1 = np.swapaxes(np.linalg.cholesky(n * s1), -1, -2)
         inv_r1 = np.linalg.inv(r1)
@@ -244,51 +262,43 @@ class TestBartlettStep:
 class TestBlocks:
     @staticmethod
     def block_sizes(monkeypatch, workers, min_block, *args):
-        """chain_states(*args) with ``workers`` CPUs and blocks of at
-        least ``min_block`` chains, and the stack sizes each step's eigh
-        saw, block by block."""
+        """The states of chain_states(*args) with ``workers`` CPUs and
+        blocks of at least ``min_block`` chains, and the sizes of the
+        stacks handed over, block by block and step by step."""
         monkeypatch.setattr(covfn.sampling, "_WORKERS", workers)
         monkeypatch.setattr(covfn.sampling, "MIN_BLOCK", min_block)
-        sizes = []
-
-        def spy(a):
-            if np.ndim(a) == 3:  # a stack of Gram matrices, not the start
-                sizes.append(len(a))
-            return eigh(a)
-
-        monkeypatch.setattr(covfn.sampling, "eigh", spy)
-        return chain_states(*args), sorted(sizes)
+        calls = []
+        states = collect_states(*args, calls)
+        return states, sorted(hi - lo for lo, hi, _ in calls)
 
     @pytest.mark.parametrize("nchains", [1, 63, 64, 65, 200, 201])
     def test_output_does_not_depend_on_the_blocks(self, np_rng, nchains,
                                                   monkeypatch):
         args = (random_spd(np_rng, 4), 3, 9, nchains, RngStream(12))
-        (lam, u), sizes = self.block_sizes(monkeypatch, 1, 64, *args)
+        states, sizes = self.block_sizes(monkeypatch, 1, 64, *args)
         assert sizes == [nchains] * 3
         for workers in (2, 3):
             for min_block in (1, 64):
                 nblocks = max(1, min(workers, nchains // min_block))
-                (lam_b, u_b), sizes = self.block_sizes(
+                states_b, sizes = self.block_sizes(
                     monkeypatch, workers, min_block, *args)
                 assert len(sizes) == 3 * nblocks and sum(sizes) == 3 * nchains
-                np.testing.assert_array_equal(lam_b, lam)
-                np.testing.assert_array_equal(u_b, u)
+                np.testing.assert_array_equal(states_b, states)
 
     def test_eight_threads_switching_fast_write_every_row(self, np_rng,
                                                          monkeypatch):
         # more threads than CPUs, interleaved as finely as the interpreter
         # allows, each writing its own rows of the shared output
         args = (random_spd(np_rng, 3), 3, 5, 400, RngStream(13))
-        (lam, u), _ = self.block_sizes(monkeypatch, 1, 64, *args)
+        states, _ = self.block_sizes(monkeypatch, 1, 64, *args)
         monkeypatch.setattr(covfn.sampling, "_pool", None)  # one of 8 threads
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                (lam_b, u_b), sizes = self.block_sizes(monkeypatch, 8, 1, *args)
+                states_b, sizes = self.block_sizes(monkeypatch, 8, 1, *args)
                 assert sizes == [50] * 24
-                np.testing.assert_array_equal(lam_b, lam)
-                np.testing.assert_array_equal(u_b, u)
+                np.testing.assert_array_equal(states_b, states)
         finally:
             sys.setswitchinterval(interval)
             covfn.sampling._pool.shutdown()
@@ -329,15 +339,15 @@ class TestBlocks:
         # the parent's pool threads do not exist in a child forked from it
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
         args = (np.eye(5), 2, 20, 200, RngStream(1))
-        lam, _ = chain_states(*args)  # the parent's pool now exists
+        states = collect_states(*args)  # the parent's pool now exists
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=lambda: send.send_bytes(
-            chain_states(*args)[0].tobytes()))
+            collect_states(*args).tobytes()))
         child.start()
         try:
             assert recv.poll(60), "the child's chain step hung"
-            assert recv.recv_bytes() == lam.tobytes()
+            assert recv.recv_bytes() == states.tobytes()
             child.join(60)
             assert child.exitcode == 0
         finally:
@@ -347,39 +357,53 @@ class TestBlocks:
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
         with pytest.raises(NotPSD, match=r"^minimum eigenvalue -2 below the "
                            r"PSD tolerance$"):
-            chain_states(np.diag([1.0, -2.0, 3.0]), 2, 5, 200, RngStream(0))
+            collect_states(np.diag([1.0, -2.0, 3.0]), 2, 5, 200, RngStream(0))
 
     @pytest.mark.parametrize("seed, outcome", [
         (0, None), (3, "an eigenvalue overflows"), (6, "a matrix overflows")])
     def test_states_overflow_where_their_eigenpairs_do(self, seed, outcome):
         # a rank-one start with eigenvalue 1e308 and n = 1: each state is
         # c S_0 with c ~ chi^2_1-like, so an entry (c > 3.6) or only the
-        # eigenvalue (c > 1.8) can leave floating point
-        start = 0.5e308 * np.ones((2, 2))
+        # eigenvalue (c > 1.8) can leave floating point.  The sampler raises
+        # for an entry and leaves an eigenvalue to the eigh of the states
+        # it hands over; an estimate of identity, whose states are never
+        # decomposed, stops at the same step with the same error as one
+        # whose f reads them off eigenpairs
+        x = DataMatrix(np.full((1, 2), np.sqrt(0.5e308)))
+        start = sample_covariance(x)  # 0.5e308 in every entry
+        identity = get_function("identity")
         with np.errstate(over="ignore", invalid="ignore"):
-            for decompose in (True, False):
-                args = (start, 2, 1, 4, RngStream(seed), decompose)
-                if outcome is None:
-                    chain_states(*args)
-                else:
-                    with pytest.raises(NumericOverflow, match=f"^{outcome}"):
-                        chain_states(*args)
+            if outcome is None:
+                eigh(collect_states(start, 2, 1, 4, RngStream(seed)))
+            else:
+                with pytest.raises(NumericOverflow, match=f"^{outcome}"):
+                    eigh(collect_states(start, 2, 1, 4, RngStream(seed)))
+            errors = []
+            for f in (identity, dataclasses.replace(identity, coefficients=None)):
+                with pytest.raises(NumericOverflow) as exc:
+                    bias_reduced_estimate(x, f, np.eye(2) / 2, 2, 4,
+                                          RngStream(seed))
+                errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("chain state: ") == (outcome is not None)
+        if outcome is not None:
+            assert errors[0].startswith(f"chain state: {outcome}")
 
     def test_only_a_stepped_start_needs_a_root(self, monkeypatch):
-        # at k = 0 a start that is not PSD gives its own eigenpairs; from
-        # k = 1 on its root is taken, and raises before anything is drawn
+        # at k = 0 a start that is not PSD steps nowhere and nothing is
+        # handed over; from k = 1 on its root is taken, and raises before
+        # anything is drawn
         def no_draws(self, child):
             raise AssertionError("a stream was spawned")
 
         monkeypatch.setattr(RngStream, "spawn", no_draws)
         start = np.diag([1.0, -2.0, 3.0])
-        lam, u = chain_states(start, 0, 5, 3, RngStream(0))
-        np.testing.assert_array_equal(lam, np.tile([-2.0, 1.0, 3.0], (3, 1, 1)))
-        np.testing.assert_array_equal(from_eigenpairs(lam, u)[:, 0],
-                                      np.tile(start, (3, 1, 1)))
+        calls = []
+        states = collect_states(start, 0, 5, 3, RngStream(0), calls)
+        assert states.shape == (3, 0, 3, 3) and calls == []
         for k in (1, 2):
             with pytest.raises(NotPSD):
-                chain_states(start, k, 5, 3, RngStream(0))
+                collect_states(start, k, 5, 3, RngStream(0))
 
 
 class TestRngStream:

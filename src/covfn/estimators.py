@@ -4,17 +4,21 @@ The estimator of order k averages, over N independent bootstrap chains
 S_0, ..., S_k started at the sample covariance S_0, the weighted
 combination sum_i c_{k,i} <f(S_i), B> with hockey-stick weights
 c_{k,i} = (-1)^i C(k+1, i+1); its conditional expectation removes the
-first k orders of plug-in bias.  A chain is a martingale (E S_i = S_0),
-so each state's linear term <S_i - S_0, D_0>, D_0 = Df(S_0; B), has mean
-exactly 0 and is subtracted as a control variate: the mean is unchanged
-and the chain noise that the linear term carries is gone.  The plug-in
-estimator <f(S_0), B> is the order-0 case: one chain that takes no step,
-with weight 1.  ``sampling.chain_states`` hands each block of states to
-the estimator, which keeps no state: <S_i, D_0> is sum S_i o D_0, for a
-polynomial f (``ScalarFunction.coefficients``) <f(S_i), B> is a trace
-of products too, and every other f keeps each state's eigenvalues and
-weights u_m^T B u_m; a chain state outside f's domain is an error, never
-dropped.  Confidence intervals use the asymptotic standard deviation
+first k orders of plug-in bias.  A chain is a martingale (E[S_t | S_{t-1}]
+= S_{t-1}), so each step's linear term l_t = <S_t - S_{t-1}, D_{t-1}>,
+D_{t-1} = Df(S_{t-1}; B), has mean exactly 0 and is subtracted with the
+weight sum_{i>=t} c_{k,i} = (-1)^t C(k, t) as a control variate: the mean
+is unchanged and the chain noise that the linear terms carry is gone.
+The plug-in estimator <f(S_0), B> is the order-0 case: one chain that
+takes no step, with weight 1.  ``sampling.chain_states`` hands each block
+of states to the estimator, which keeps no state beyond the carry from
+one step to the next: D_{t-1} scaled by a power of two, and l_t is
+sum (S_t - S_{t-1}) o D_{t-1}.  For a polynomial f
+(``ScalarFunction.coefficients``) <f(S_t), B> and D_t are sums of
+products of S_t and B; every other f keeps each state's eigenvalues and
+weights u_m^T B u_m, and takes D_t from its eigenpairs and Loewner matrix.
+A chain state outside f's domain is an error, never dropped.  Confidence
+intervals use the asymptotic standard deviation
 sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 """
 
@@ -40,6 +44,8 @@ from .symmat import (
     as_symmat,
     check_domain,
     eigh,
+    in_domain,
+    loewner_first_difference,
     psd_sqrt,
 )
 
@@ -127,9 +133,10 @@ def hockey_stick_weights(k: int) -> np.ndarray:
     return np.array(hockey_stick_weight_ints(k), dtype=float)
 
 
-def _weights(u, b) -> np.ndarray:
-    """u_m^T B u_m for each eigenvector u_m, the columns of each matrix of u."""
-    return np.sum(u * (b @ u), axis=-2)
+def _weights(u, bu) -> np.ndarray:
+    """u_m^T B u_m for each eigenvector u_m, the columns of each matrix of u,
+    given bu = B u."""
+    return np.sum(u * bu, axis=-2)
 
 
 def _binade_split(s):
@@ -155,6 +162,26 @@ def _polynomial_contraction(s_hat, e, coefficients, b) -> np.ndarray:
     return out
 
 
+def _polynomial_derivative(s_hat, e, coefficients, b):
+    """(D_hat, v) with Dp(S; B) = sum_j c_j sum_{a+b=j-1} S^a B S^b equal
+    to 2^v D_hat, for each symmetric S = 2^e S_hat.
+
+    No decomposition.  v = max(0, (deg p - 1) e) is the scale of the top
+    term, so every term is taken of S_hat at a power of two at or below 1
+    and D_hat is finite.
+    """
+    v = np.maximum((len(coefficients) - 2) * e, 0)
+    power = m = b  # S_hat^{j-1} B and sum_{a+b=j-1} S_hat^a B S_hat^b
+    out = np.zeros(s_hat.shape)
+    for j, c in enumerate(coefficients[1:], start=1):
+        if j > 1:
+            power = s_hat @ power
+            m = s_hat @ m + np.swapaxes(power, -1, -2)
+        if c:
+            out += c * np.ldexp(m, ((j - 1) * e - v)[..., None, None])
+    return out, v
+
+
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                           nchains: int, rng: RngStream,
                           alpha: float = 0.05) -> EstimateReport:
@@ -165,21 +192,24 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     and ``rng.spawn(2t)``, see ``chain_states``) and averages, over
     the chains,
 
-        sum_i c_i <f(S_i), B> - sum_{i>=1} c_i <S_i - S_0, D_0>,
+        sum_i c_i <f(S_i), B> - sum_{t>=1} (-1)^t C(k, t) l_t,
+        l_t = <S_t - S_{t-1}, Df(S_{t-1}; B)>;
 
-    with D_0 = Df(S_0; B); the second sum has mean 0 and takes the chain
-    noise of the linear term out.  At k = 0 this is the plug-in: one chain
+    each l_t has mean 0 given S_{t-1}, and the second sum takes the chain
+    noise of the linear terms out.  At k = 0 this is the plug-in: one chain
     that takes no step, draws nothing and is reported as zero chains.  The
-    terms of S_0 come from its eigenpairs, once.  A stepped state's terms
-    are taken in its block of the chain pass, from the state itself when
-    f is a polynomial (domain R, so there is no chain domain check), and
-    from its eigenpairs otherwise.  The CI half-width uses sigma_hat /
-    sqrt(n) only; Monte Carlo chain noise is reported separately as
-    ``mc_stderr``.  Raises DomainError, before any chain is drawn, when S_0
-    lies outside f's domain, and after the draws when a chain state leaves
-    it; and NumericOverflow, naming the stage, when the sample covariance,
-    a chain state, f of a state, the chain combination, its linear term,
-    ``mc_stderr`` or sigma_f overflows.
+    terms of S_0, and D_0, come from its eigenpairs, once.  A stepped
+    state's terms, and for every state but the last its D, are taken in
+    its block of the chain pass: from the state itself when f is a
+    polynomial (domain R, so there is no chain domain check), and from its
+    eigenpairs otherwise.  A chain's terms are summed at a power of two
+    where their weighted sum could overflow.  The CI half-width uses
+    sigma_hat / sqrt(n) only; Monte Carlo chain noise is reported
+    separately as ``mc_stderr``.  Raises DomainError, before any chain is
+    drawn, when S_0 lies outside f's domain, and after the draws when a
+    chain state leaves it; and NumericOverflow, naming the stage, when the
+    sample covariance, a chain state, f of a state, the chain combination,
+    its linear terms, ``mc_stderr`` or sigma_f overflows.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -194,24 +224,32 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     check_domain(start.eigenvalues, f, "eigenvalues of the sample covariance")
     nchains = nchains if k else 1
     vals = np.empty((nchains, k + 1))  # <f(S_i), B> per chain
-    vals[:, 0] = np.sum(f.eval(start.eigenvalues)
-                        * _weights(start.eigenvectors, b.entries), axis=-1)
+    vals[:, 0] = np.sum(f.eval(start.eigenvalues) * _weights(
+        start.eigenvectors, b.entries @ start.eigenvectors), axis=-1)
+    lin = np.empty((nchains, k))  # l_t = <S_t - S_{t-1}, D_{t-1}> per chain
     if k:
         u0 = start.eigenvectors
-        df_eig = _frechet_eig(start, f, b)  # D_0 in S_0's eigenbasis
-        unit = _binade(df_eig)
-        d0 = df_eig / unit  # exact; keeps <S_i, D_0> / unit finite
-        d0_mat = u0 @ d0 @ u0.T  # D_0 / unit
-        lin = np.empty((nchains, k))  # <S_i, D_0> / unit
+        d0, unit = _binade_split(_frechet_eig(start, f, b))  # D_0 / 2^unit
+        # a block's carry into step t is (D_hat, p, ep, u) with D_{t-1} =
+        # 2^u D_hat and <S_{t-1}, D_hat> = 2^ep p; step 1 reads the start's
+        first = (u0 @ d0 @ u0.T, start.eigenvalues @ np.diagonal(d0), 0, unit)
         lam, w = np.empty((2, nchains, k, x.d))  # eigenvalues and weights
         poly = f.coefficients
 
-        def visit(lo, hi, t, s):
+        def visit(lo, hi, t, s, carry):
             s_hat, e = _binade_split(s.entries)
+            # l_t / 2^u = <S_t, D_hat> - <S_{t-1}, D_hat>, both taken at
+            # 2^-top, so l_t is finite wherever its value is
+            d_hat, p, ep, u = first if carry is None else carry
+            top = np.maximum(e, ep)
+            lin[lo:hi, t - 1] = np.ldexp(
+                np.ldexp(np.sum(s_hat * d_hat, axis=(-2, -1)), e - top)
+                - np.ldexp(p, ep - top), top + u)
             if poly is None:
-                dec = eigh(s.entries)
+                dec = eigh(s)
+                bu = b.entries @ dec.eigenvectors
                 lam[lo:hi, t - 1] = dec.eigenvalues
-                w[lo:hi, t - 1] = _weights(dec.eigenvectors, b.entries)
+                w[lo:hi, t - 1] = _weights(dec.eigenvectors, bu)
             else:
                 # |eigenvalue| <= d max |entry| < 2^(e + 1 + bits(d)), so only
                 # these states can have one beyond floating point; eigh
@@ -221,8 +259,21 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                     eigh(s.entries[big])
                 vals[lo:hi, t] = _polynomial_contraction(s_hat, e, poly,
                                                          b.entries)
-            lin[lo:hi, t - 1] = _polynomial_contraction(s_hat, e, (0.0, 1.0),
-                                                        d0_mat)
+            if t == k:  # no step reads the last state's D
+                return None
+            if poly is None:  # D_t = U (L o U^T B U) U^T
+                v, vt = dec.eigenvectors, np.swapaxes(dec.eigenvectors, -1, -2)
+                # a state outside f's domain fails the check after the pass;
+                # till then its L is formed on the start's eigenvalues
+                inside = np.all(in_domain(dec.eigenvalues, f), axis=-1)
+                grid = np.where(inside[:, None], dec.eigenvalues,
+                                start.eigenvalues)
+                d_eig, u = _binade_split(loewner_first_difference(grid, f)
+                                         * (vt @ bu))
+                d_hat = v @ d_eig @ vt
+            else:
+                d_hat, u = _polynomial_derivative(s_hat, e, poly, b.entries)
+            return d_hat, np.sum(s_hat * d_hat, axis=(-2, -1)), e, u
 
         with overflow_stage("chain state"):
             chain_states(start, k, x.n, nchains, rng, visit)
@@ -230,13 +281,21 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
             check_domain(lam, f, "chains")
             vals[:, 1:] = np.sum(f.eval(lam) * w, axis=-1)
     finite(vals, f"'{f.name}' of a chain state")
+    # subtract sum_t l_t sum_{i>=t} c_i; these tail sums are (-1)^t C(k, t)
     c = hockey_stick_weights(k)
-    y = finite(vals @ c, f"the chain combination of '{f.name}'")
-    if k:  # subtract sum_{i>=1} c_i <S_i - S_0, D_0>
-        lin0 = start.eigenvalues @ np.diagonal(d0)  # <S_0, D_0> / unit
-        y = finite(y - ((lin - lin0) @ c[1:]) * unit,
-                   f"linear term: the chain combination of '{f.name}' less "
-                   "its linear term")
+    tails = np.array([(-1) ** t * math.comb(k, t) for t in range(1, k + 1)],
+                     dtype=float)
+    # sum |c_i| + sum |tails_t| < 2^(k+2), so a row whose terms are below
+    # 2^(1021 - k) cannot overflow; any other is summed at 2^-r and
+    # scaled back exactly, so it is finite wherever its value is
+    top = np.frexp(np.abs(np.concatenate([vals, lin], axis=1)).max(axis=1))[1]
+    r = np.maximum(top + k + 2 - 1023, 0)
+    part = np.ldexp(vals, -r[:, None]) @ c
+    y = np.ldexp(part - np.ldexp(lin, -r[:, None]) @ tails, r)
+    if not np.all(np.isfinite(y)):  # at k = 0, y is the finite <f(S_0), B>
+        finite(np.ldexp(part, r), f"the chain combination of '{f.name}'")
+        finite(y, f"linear term: the chain combination of '{f.name}' less "
+               "its linear term")
 
     scale = _binade(y)
     z = y / scale  # exact; keeps the squares in y.std inside floating point

@@ -12,9 +12,8 @@ chain carries, so only the start has a root and a step costs O(d^3)
 whatever n is.  All draws come first, in the calling thread, from
 streams keyed by step; then the chains run in contiguous blocks, one per
 CPU the process may use, on a thread pool, and each block hands its
-states to the caller.  numpy's matmul and ``eigh`` release the GIL and
-work matrix by matrix, so no number depends on the split nor on the
-number of chains.
+states to the caller.  numpy's matmul and ``eigh`` work matrix by
+matrix, so no number depends on the split nor on the number of chains.
 """
 
 from __future__ import annotations
@@ -254,15 +253,16 @@ def chain_states(start, k: int, n: int, nchains: int, rng: RngStream,
     chain; numpy fills both sequentially, so chain r's draws do not
     depend on ``nchains`` and a run's first t steps do not depend on k.
     After all draws, one ``_run_blocks`` pass runs each block of chains
-    lo..hi-1 through all k steps and calls ``visit(lo, hi, t, s)``, on
-    the block's thread and in step order, with their states S_t as one
-    SymMat stack (s.entries[r - lo] is chain r's); ``visit`` writes only
-    rows lo..hi-1 of what it fills, so no number depends on the number of
-    blocks.  At k = 0 nothing is drawn, no root is taken and ``visit`` is
-    not called.  ``start`` may be given as its SpectralDecomp.  Raises
-    NotPSD when k >= 1 and ``start`` is not PSD, NumericOverflow when an
-    entry of a state overflows, and what ``visit`` raises, as one serial
-    pass raises it.
+    lo..hi-1 through all k steps and calls ``carry = visit(lo, hi, t, s,
+    carry)``, on the block's thread and in step order, with their states
+    S_t as one SymMat stack (s.entries[r - lo] is chain r's) and what the
+    block's call at step t - 1 returned (None at t = 1, also when the
+    pass reruns serially); ``visit`` writes only rows lo..hi-1 of what it
+    fills, so no number depends on the number of blocks.  At k = 0 nothing
+    is drawn, no root is taken and ``visit`` is not called.  ``start`` may
+    be given as its SpectralDecomp.  Raises NotPSD when k >= 1 and
+    ``start`` is not PSD, NumericOverflow when an entry of a state
+    overflows, and what ``visit`` raises, as one serial pass raises it.
     """
     if k < 0 or n < 1 or nchains < 1:
         raise ValueError("need k >= 0, n >= 1 and nchains >= 1")
@@ -281,10 +281,10 @@ def chain_states(start, k: int, n: int, nchains: int, rng: RngStream,
             rng.spawn(2 * t).gen.chisquare(dofs)).reshape(nchains, m)
 
     def run(lo, hi):
-        h = root
+        h, carry = root, None
         for t, r in enumerate(bartlett[:, lo:hi], start=1):
             g = r[..., :h.shape[-2]] @ h
-            visit(lo, hi, t, _gram(g, n))
+            carry = visit(lo, hi, t, _gram(g, n), carry)
             h = g / math.sqrt(n)
 
     _run_blocks(run, nchains)

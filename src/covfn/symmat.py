@@ -33,6 +33,7 @@ __all__ = [
     "from_eigenpairs",
     "check_psd",
     "psd_sqrt",
+    "in_domain",
     "check_domain",
     "apply_scalar_function",
     "loewner_first_difference",
@@ -146,19 +147,24 @@ def psd_sqrt(eigs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(eigs, 0.0))
 
 
-def check_domain(eigs: np.ndarray, f: ScalarFunction, what: str) -> None:
-    """Raise DomainError counting the ``what`` (entries of the first axis:
-    chains of a stack, eigenvalues of one matrix) outside f's domain.
-
-    Each matrix's finite endpoints move inward by DOMAIN_MARGIN times its
-    own max |eigenvalue| (last axis), so a rank-deficient covariance, whose
-    zero eigenvalues come out near 1e-16 * scale, is outside.
-    """
+def in_domain(eigs: np.ndarray, f: ScalarFunction) -> np.ndarray:
+    """Whether each eigenvalue lies inside f's domain, held to its own
+    matrix's margin: the finite endpoints move inward by DOMAIN_MARGIN
+    times that matrix's max |eigenvalue| (last axis), so a rank-deficient
+    covariance, whose zero eigenvalues come out near 1e-16 * scale, is
+    outside."""
     lo, hi = f.domain
     margin = DOMAIN_MARGIN * np.abs(eigs).max(axis=-1, keepdims=True, initial=0.0)
-    inside = (eigs > lo + margin) & (eigs < hi - margin)
-    left = ~np.all(inside, axis=tuple(range(1, eigs.ndim)))
+    return (eigs > lo + margin) & (eigs < hi - margin)
+
+
+def check_domain(eigs: np.ndarray, f: ScalarFunction, what: str) -> None:
+    """Raise DomainError counting the ``what`` (entries of the first axis:
+    chains of a stack, eigenvalues of one matrix) outside f's domain, as
+    ``in_domain`` decides it."""
+    left = ~np.all(in_domain(eigs, f), axis=tuple(range(1, eigs.ndim)))
     if left.any():
+        lo, hi = f.domain
         raise DomainError(f"{left.sum()} of {len(eigs)} {what} left the domain "
                           f"({lo}, {hi}) of '{f.name}'")
 
@@ -170,26 +176,25 @@ def apply_scalar_function(d: SpectralDecomp, f: ScalarFunction) -> SymMat:
 
 
 def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:
-    """Matrix of first divided differences of f on an eigenvalue grid.
+    """Matrix of first divided differences of f on an eigenvalue grid, or
+    on each grid of a stack (last axis).
 
     Entry (i, j) is (f(l_i) - f(l_j)) / (l_i - l_j) when the gap exceeds
-    LOEWNER_GAP * max |eigs|, else f'((l_i + l_j) / 2); the diagonal is
-    f'(l_i).  On the zero grid only exact ties use f'.
+    LOEWNER_GAP times max |eigs| of its own grid, else f'((l_i + l_j) / 2);
+    the diagonal is f'(l_i).  On the zero grid only exact ties use f'.
     """
     eigs = np.asarray(eigs, dtype=float)
     check_domain(eigs, f, "eigenvalues")
-    tol = LOEWNER_GAP * np.abs(eigs).max(initial=0.0)
-    li = eigs[:, None]
-    lj = eigs[None, :]
-    gap = li - lj
-    close = np.abs(gap) <= tol
-    # avoid 0/0 on the (near-)diagonal before patching it with f'
-    safe_gap = np.where(close, 1.0, gap)
+    tol = LOEWNER_GAP * np.abs(eigs).max(axis=-1, keepdims=True, initial=0.0)
+    gap = eigs[..., :, None] - eigs[..., None, :]
+    close = np.abs(gap) <= tol[..., None]
     fv = f.eval(eigs)
-    quotients = (fv[:, None] - fv[None, :]) / safe_gap
-    mid_deriv = f.deriv((li + lj) / 2.0)
-    out = np.where(close, mid_deriv, quotients)
-    return (out + out.T) / 2.0
+    # each entry and its transpose come out equal, so the matrix is symmetric
+    out = np.empty(gap.shape)
+    np.divide(fv[..., :, None] - fv[..., None, :], gap, out=out, where=~close)
+    grid = np.broadcast_to(eigs[..., None], gap.shape)
+    out[close] = f.deriv((grid[close] + np.swapaxes(grid, -1, -2)[close]) / 2.0)
+    return out
 
 
 def frechet_derivative(d: SpectralDecomp, f: ScalarFunction, h) -> SymMat:

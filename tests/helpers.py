@@ -29,15 +29,17 @@ def collect_states(start, k: int, n: int, nchains: int, rng: RngStream,
     """The stepped states S_1, ..., S_k of ``chain_states``' chains,
     (nchains, k, d, d), each row written by the block that holds it.
 
-    Each call of ``visit`` appends (lo, hi, t) to ``calls``, if given.
+    Each call of ``visit`` appends (lo, hi, t, carry) to ``calls``, if
+    given, and returns t, the carry that the block's next call receives.
     """
     d = eigh(start).source_dim
     states = np.full((nchains, k, d, d), np.nan)
 
-    def visit(lo, hi, t, s):
+    def visit(lo, hi, t, s, carry):
         states[lo:hi, t - 1] = s.entries
         if calls is not None:
-            calls.append((lo, hi, t))
+            calls.append((lo, hi, t, carry))
+        return t
 
     chain_states(start, k, n, nchains, rng, visit)
     return states

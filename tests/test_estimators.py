@@ -17,7 +17,7 @@ from covfn.estimators import (
     hockey_stick_weights,
     sigma_f,
 )
-from covfn.functions import get_function
+from covfn.functions import get_function, parse_function_spec
 from covfn.sampling import (
     DataMatrix,
     RngStream,
@@ -30,6 +30,7 @@ from covfn.symmat import (
     check_domain,
     eigh,
     frechet_derivative,
+    loewner_first_difference,
     trace_inner_product,
 )
 from conftest import random_spd, random_sym
@@ -67,6 +68,13 @@ class TestHockeyStickWeights:
     def test_sums_to_one_exactly(self):
         for k in range(63):
             assert sum(hockey_stick_weight_ints(k)) == 1
+
+    def test_tail_sums_are_signed_binomials(self):
+        # the weight of step t's linear term is sum_{i>=t} c_{k,i}
+        for k in range(63):
+            ints = hockey_stick_weight_ints(k)
+            assert [sum(ints[t:]) for t in range(k + 1)] == [
+                (-1) ** t * math.comb(k, t) for t in range(k + 1)]
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
@@ -207,7 +215,8 @@ class TestBiasReducedEstimate:
         assert rep.functional_value == pytest.approx(target, rel=1e-12)
         assert rep.mc_stderr <= 1e-12 * abs(target)
 
-    def test_chains_are_batch_invariant(self, np_rng):
+    @pytest.mark.parametrize("f", [SQUARE, LOG], ids=["square", "log"])
+    def test_chains_are_batch_invariant(self, np_rng, f):
         # chain r of a batch equals chain r of a batch of r chains, the
         # first t steps of a chain do not depend on its length, and the
         # report is the weighted chain mean with its standard error
@@ -225,15 +234,18 @@ class TestBiasReducedEstimate:
             np.testing.assert_array_equal(
                 chains3[:, :t], collect_states(start, t, 30, nchains, rng))
         weights = hockey_stick_weights(k)
-        d0 = frechet_derivative(eigh(start), SQUARE, b)
         ys = []
         for r in range(nchains):
             states = [start.entries, *chains[r]]
-            vals = [trace_inner_product(apply_scalar_function(eigh(st), SQUARE), b)
+            vals = [trace_inner_product(apply_scalar_function(eigh(st), f), b)
                     for st in states]
-            lin = [trace_inner_product(st - start.entries, d0) for st in states]
-            ys.append(float(np.dot(weights, vals)) - float(np.dot(weights[1:], lin[1:])))
-        rep = bias_reduced_estimate(x, SQUARE, b, k, nchains, rng)
+            # l_t = <S_t - S_{t-1}, Df(S_{t-1}; B)>, weighted by sum_{i>=t} c_i
+            lin = [trace_inner_product(
+                st - prev, frechet_derivative(eigh(prev), f, b))
+                for prev, st in zip(states, states[1:])]
+            ys.append(float(np.dot(weights, vals)) - sum(
+                weights[t:].sum() * lin[t - 1] for t in range(1, k + 1)))
+        rep = bias_reduced_estimate(x, f, b, k, nchains, rng)
         assert rep.functional_value == pytest.approx(np.mean(ys), rel=1e-12)
         assert rep.mc_stderr == pytest.approx(
             np.std(ys, ddof=1) / np.sqrt(nchains), rel=1e-12)
@@ -255,6 +267,46 @@ class TestBiasReducedEstimate:
             pytest.approx(-4.0 * np.log(10.0)))
         with pytest.raises(DomainError, match="4 of 200 chains .* 'log'"):
             bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, 200, RngStream(7))
+
+    @pytest.mark.parametrize("name", ["log", "power:0.5", "power:-1"])
+    @pytest.mark.parametrize("k, left", [(2, 10), (3, 29)])
+    def test_a_chain_leaving_the_domain_before_its_last_step_raises(
+            self, name, k, left):
+        # the states before the last one also give the next step's D, whose
+        # Loewner matrix is formed only inside f's domain: no numpy warning
+        # (an error under this suite) comes before the one DomainError,
+        # which counts every chain that left at any step
+        x = DataMatrix(np.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, 1e-4]]))
+        lam = eigh(collect_states(eigh(sample_covariance(x)), k, x.n, 200,
+                                  RngStream(7))).eigenvalues
+        with pytest.raises(DomainError):  # a state before the last one left
+            check_domain(lam[:, :k - 1], LOG, "chains")
+        with pytest.raises(DomainError, match=f"^{left} of 200 chains"):
+            bias_reduced_estimate(x, parse_function_spec(name), np.eye(2) / 2,
+                                  k, 200, RngStream(7))
+
+    def test_each_linear_term_has_mean_zero(self):
+        # a chain is a martingale, so l_t = <S_t - S_{t-1}, Df(S_{t-1}; B)>
+        # has mean 0 given S_{t-1}: over 20000 chains each step's mean is
+        # within 5 standard errors of 0, while its spread is not 0
+        d, n, k, nchains = 8, 40, 3, 20000
+        sigma = np.diag(np.linspace(1.0, 3.0, d))
+        x = gaussian_sample(psd_factor(sigma), n, RngStream(8))
+        b = np.zeros((d, d))
+        b[0, 0] = 1.0
+        start = sample_covariance(x).entries
+        states = collect_states(start, k, n, nchains, RngStream(9))
+        prev = np.broadcast_to(start, states[:, 0].shape)
+        for t in range(k):
+            dec = eigh(prev)
+            u = dec.eigenvectors
+            ut = np.swapaxes(u, -1, -2)
+            dmat = u @ (loewner_first_difference(dec.eigenvalues, LOG)
+                        * (ut @ b @ u)) @ ut
+            lin = np.sum((states[:, t] - prev) * dmat, axis=(-2, -1))
+            se = lin.std(ddof=1) / np.sqrt(nchains)
+            assert se > 0 and abs(lin.mean()) <= 5.0 * se, (t, lin.mean(), se)
+            prev = states[:, t]
 
     def test_a_chains_verdict_does_not_depend_on_the_other_chains(self):
         # chain r's draws do not depend on N, so neither may its verdict:
@@ -284,14 +336,16 @@ class TestBiasReducedEstimate:
     def test_polynomial_and_eigenpair_contractions_agree(
             self, np_rng, monkeypatch, name, k, n, d, nchains):
         # the same f without its coefficients reads every term off
-        # eigenpairs; on the same draws both give the same report, and
+        # eigenpairs, and takes each step's linear term from the Loewner
+        # matrix of the state it left instead of from products of that
+        # state and B; on the same draws both give the same report, and
         # only the eigenpair run decomposes a chain state
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)  # 129: two blocks
         decomposed = []
 
         def spy(a):
-            if np.ndim(a) == 3:
-                decomposed.append(len(a))
+            if np.ndim(getattr(a, "entries", a)) == 3:
+                decomposed.append(len(getattr(a, "entries", a)))
             return eigh(a)
 
         monkeypatch.setattr(covfn.estimators, "eigh", spy)
@@ -311,14 +365,16 @@ class TestBiasReducedEstimate:
             eig.mc_stderr, rel=1e-12, abs=1e-12 * abs(eig.functional_value))
 
     @pytest.mark.parametrize("name, top, only_eig", [
-        ("identity", 308.2, 0), ("square", 154.1, 4), ("cube", 102.7, 2)])
+        ("identity", 308.2, 0), ("square", 154.1, 7), ("cube", 102.7, 4)])
     def test_polynomial_contraction_is_finite_where_eigenpairs_are(
             self, name, top, only_eig):
         # data scaled up to where f of a chain state leaves floating point.
         # The polynomial run raises only where the eigenpair run does, and
         # for identity raises the same error.  The eigenpair run of square
         # and cube also raises where f of the largest eigenvalue overflows
-        # but <f(S), B> does not (``only_eig`` of these 136 runs).
+        # but <f(S), B> does not (``only_eig`` of these 136 runs; 3 and 2
+        # of them at k = 2, where the chain combination is finite although
+        # its weighted sum of <f(S_i), B> is not).
         f = get_function(name)
         g = dataclasses.replace(f, coefficients=None)
         z = np.random.default_rng(1).standard_normal((4, 2))

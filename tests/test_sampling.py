@@ -16,6 +16,7 @@ from covfn.sampling import (
     RngStream,
     _gram,
     _run_blocks,
+    chain_states,
     gaussian_sample,
     psd_factor,
     sample_covariance,
@@ -269,7 +270,10 @@ class TestBlocks:
         monkeypatch.setattr(covfn.sampling, "MIN_BLOCK", min_block)
         calls = []
         states = collect_states(*args, calls)
-        return states, sorted(hi - lo for lo, hi, _ in calls)
+        # each block's carry is what its own previous step returned
+        assert [carry for *_, t, carry in calls] == [
+            t - 1 or None for *_, t, _ in calls]
+        return states, sorted(hi - lo for lo, hi, *_ in calls)
 
     @pytest.mark.parametrize("nchains", [1, 63, 64, 65, 200, 201])
     def test_output_does_not_depend_on_the_blocks(self, np_rng, nchains,
@@ -319,6 +323,25 @@ class TestBlocks:
         assert sorted(calls[:3]) == [(0, 66, False), (66, 133, False),
                                      (133, 200, False)]
         assert calls[3:] == [(0, 200, True)]
+
+    def test_the_serial_rerun_starts_its_carry_afresh(self, monkeypatch):
+        # the second block fails on the pool, so the whole stack reruns in
+        # this thread, with the carry None again at its first step
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
+        calls = []
+
+        def visit(lo, hi, t, s, carry):
+            calls.append((lo, hi, t, carry))
+            if lo and t == 2:
+                raise NumericOverflow("second block")
+            return lo, t
+
+        chain_states(np.eye(3), 3, 9, 128, RngStream(0), visit)
+        assert sorted(calls[:5]) == [(0, 64, 1, None), (0, 64, 2, (0, 1)),
+                                     (0, 64, 3, (0, 2)), (64, 128, 1, None),
+                                     (64, 128, 2, (64, 1))]
+        assert calls[5:] == [(0, 128, 1, None), (0, 128, 2, (0, 1)),
+                             (0, 128, 3, (0, 2))]
 
     def test_blocks_run_in_the_callers_error_state(self, monkeypatch):
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)

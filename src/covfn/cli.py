@@ -227,11 +227,16 @@ def _cmd_estimate(args) -> ResultTable:
     rng = RngStream(args.seed)
     rep = bias_reduced_estimate(data, f, b, args.k, args.chains, rng, args.alpha)
     sampling_se = rep.sigma_hat / math.sqrt(rep.n)
-    if rep.mc_stderr > 0.1 * sampling_se:
+    if sampling_se == 0 < rep.mc_stderr:  # no number of chains meets 10% of 0
+        sys.stderr.write("warning: the sampling stderr is 0, so the Monte Carlo "
+                         f"stderr {rep.mc_stderr:.3g} is the estimate's only error\n")
+    elif rep.mc_stderr > 0.1 * sampling_se:
+        ratio = rep.mc_stderr / sampling_se * 10.0  # N must grow by its square
+        need = rep.chains * ratio * ratio  # a product: ** raises on overflow
         sys.stderr.write(
             f"warning: Monte Carlo stderr {rep.mc_stderr:.3g} exceeds 10% of "
-            f"the sampling stderr {sampling_se:.3g}; increase --chains\n"
-        )
+            f"the sampling stderr {sampling_se:.3g}; by the 1/sqrt(N) law that "
+            f"takes --chains {math.ceil(need) if need < 1e15 else f'{need:.3g}'}\n")
     return report_to_table(rep, factor)
 
 

@@ -11,12 +11,12 @@ weight sum_{i>=t} c_{k,i} = (-1)^t C(k, t) as a control variate: the mean
 is unchanged and the chain noise that the linear terms carry is gone.
 The plug-in estimator <f(S_0), B> is the order-0 case: one chain that
 takes no step, with weight 1.  ``sampling.chain_states`` hands each block
-of states to the estimator, which keeps no state beyond the carry from
-one step to the next: D_{t-1} scaled by a power of two, and l_t is
-sum (S_t - S_{t-1}) o D_{t-1}.  For a polynomial f
-(``ScalarFunction.coefficients``) <f(S_t), B> and D_t are sums of
-products of S_t and B; every other f keeps each state's eigenvalues and
-weights u_m^T B u_m, and takes D_t from its eigenpairs and Loewner matrix.
+of states to the estimator, which reduces each state S_t there, in one
+sweep, to <f(S_t), B>, l_t = sum (S_t - S_{t-1}) o D_{t-1} and, for
+t < k, D_t scaled by a power of two, the carry to the next step.  For a
+polynomial f (``ScalarFunction.coefficients``) these are sums of
+products of S_t and B; every other f takes them from S_t's eigenpairs
+and Loewner matrix, and keeps only its eigenvalues, for the domain check.
 A chain state outside f's domain is an error, never dropped.  Confidence
 intervals use the asymptotic standard deviation
 sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
@@ -133,10 +133,10 @@ def hockey_stick_weights(k: int) -> np.ndarray:
     return np.array(hockey_stick_weight_ints(k), dtype=float)
 
 
-def _weights(u, bu) -> np.ndarray:
-    """u_m^T B u_m for each eigenvector u_m, the columns of each matrix of u,
-    given bu = B u."""
-    return np.sum(u * bu, axis=-2)
+def _contraction(fv, u, bu) -> np.ndarray:
+    """sum_m f(l_m) u_m^T B u_m, <f(A), B> for each A = U diag(l) U^T,
+    given fv = f(l), the eigenvectors u (columns) and bu = B u."""
+    return np.sum(fv * np.sum(u * bu, axis=-2), axis=-1)
 
 
 def _binade_split(s):
@@ -145,41 +145,32 @@ def _binade_split(s):
     return np.ldexp(s, -e[..., None, None]), e
 
 
-def _polynomial_contraction(s_hat, e, coefficients, b) -> np.ndarray:
-    """<p(S), B> for each symmetric S = 2^e S_hat, p = sum_j c_j x^j.
+def _polynomial_terms(s_hat, e, coefficients, b, derivative):
+    """<p(S), B> for each symmetric S = 2^e S_hat, p = sum_j c_j x^j, and,
+    when ``derivative``, (D_hat, v) with Dp(S; B) = sum_j c_j sum_{a+b=j-1}
+    S^a B S^b equal to 2^v D_hat (else None).
 
-    No decomposition: tr(S^j B) = sum S o (S^{j-1} B) for symmetric S.
-    Each term is taken of S_hat and scaled back exactly, so it is finite
-    wherever its value is.
+    One sweep, no decomposition: each S_hat^{j-1} B is formed once, and
+    tr(S^j B) = sum S o (S^{j-1} B) for symmetric S.  Each term is taken
+    of S_hat and scaled back exactly, so the value is finite wherever it
+    is; v = max(0, (deg p - 1) e) is the derivative's top scale, so D_hat
+    is a sum of terms taken at powers of two at or below 1, and finite.
     """
-    power = b  # S_hat^{j-1} B
-    out = np.full(e.shape, coefficients[0] * np.trace(b))
-    for j, c in enumerate(coefficients[1:], start=1):
-        if j > 1:
-            power = s_hat @ power
-        if c:
-            out += c * np.ldexp(np.sum(s_hat * power, axis=(-2, -1)), j * e)
-    return out
-
-
-def _polynomial_derivative(s_hat, e, coefficients, b):
-    """(D_hat, v) with Dp(S; B) = sum_j c_j sum_{a+b=j-1} S^a B S^b equal
-    to 2^v D_hat, for each symmetric S = 2^e S_hat.
-
-    No decomposition.  v = max(0, (deg p - 1) e) is the scale of the top
-    term, so every term is taken of S_hat at a power of two at or below 1
-    and D_hat is finite.
-    """
-    v = np.maximum((len(coefficients) - 2) * e, 0)
     power = m = b  # S_hat^{j-1} B and sum_{a+b=j-1} S_hat^a B S_hat^b
-    out = np.zeros(s_hat.shape)
+    val = np.full(e.shape, coefficients[0] * np.trace(b))
+    if derivative:
+        v = np.maximum((len(coefficients) - 2) * e, 0)
+        d_hat = np.zeros(s_hat.shape)
     for j, c in enumerate(coefficients[1:], start=1):
         if j > 1:
             power = s_hat @ power
-            m = s_hat @ m + np.swapaxes(power, -1, -2)
+            if derivative:
+                m = s_hat @ m + np.swapaxes(power, -1, -2)
         if c:
-            out += c * np.ldexp(m, ((j - 1) * e - v)[..., None, None])
-    return out, v
+            val += c * np.ldexp(np.sum(s_hat * power, axis=(-2, -1)), j * e)
+            if derivative:
+                d_hat += c * np.ldexp(m, ((j - 1) * e - v)[..., None, None])
+    return val, (d_hat, v) if derivative else None
 
 
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
@@ -200,10 +191,11 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     that takes no step, draws nothing and is reported as zero chains.  The
     terms of S_0, and D_0, come from its eigenpairs, once.  A stepped
     state's terms, and for every state but the last its D, are taken in
-    its block of the chain pass: from the state itself when f is a
-    polynomial (domain R, so there is no chain domain check), and from its
-    eigenpairs otherwise.  A chain's terms are summed at a power of two
-    where their weighted sum could overflow.  The CI half-width uses
+    one sweep in its block of the chain pass: from the state itself when
+    f is a polynomial (domain R, so there is no chain domain check), and
+    from its eigenpairs otherwise, whose eigenvalues are kept for the one
+    domain check after the pass.  A chain's terms are summed at a power
+    of two where their weighted sum could overflow.  The CI half-width uses
     sigma_hat / sqrt(n) only; Monte Carlo chain noise is reported
     separately as ``mc_stderr``.  Raises DomainError, before any chain is
     drawn, when S_0 lies outside f's domain, and after the draws when a
@@ -224,16 +216,15 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     check_domain(start.eigenvalues, f, "eigenvalues of the sample covariance")
     nchains = nchains if k else 1
     vals = np.empty((nchains, k + 1))  # <f(S_i), B> per chain
-    vals[:, 0] = np.sum(f.eval(start.eigenvalues) * _weights(
-        start.eigenvectors, b.entries @ start.eigenvectors), axis=-1)
+    u0 = start.eigenvectors
+    vals[:, 0] = _contraction(f.eval(start.eigenvalues), u0, b.entries @ u0)
     lin = np.empty((nchains, k))  # l_t = <S_t - S_{t-1}, D_{t-1}> per chain
     if k:
-        u0 = start.eigenvectors
         d0, unit = _binade_split(_frechet_eig(start, f, b))  # D_0 / 2^unit
         # a block's carry into step t is (D_hat, p, ep, u) with D_{t-1} =
         # 2^u D_hat and <S_{t-1}, D_hat> = 2^ep p; step 1 reads the start's
         first = (u0 @ d0 @ u0.T, start.eigenvalues @ np.diagonal(d0), 0, unit)
-        lam, w = np.empty((2, nchains, k, x.d))  # eigenvalues and weights
+        lam = np.empty((nchains, k, x.d))  # eigenvalues, for the domain check
         poly = f.coefficients
 
         def visit(lo, hi, t, s, carry):
@@ -247,39 +238,38 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                 - np.ldexp(p, ep - top), top + u)
             if poly is None:
                 dec = eigh(s)
-                bu = b.entries @ dec.eigenvectors
-                lam[lo:hi, t - 1] = dec.eigenvalues
-                w[lo:hi, t - 1] = _weights(dec.eigenvectors, bu)
-            else:
-                # |eigenvalue| <= d max |entry| < 2^(e + 1 + bits(d)), so only
-                # these states can have one beyond floating point; eigh
-                # raises for it
-                big = e >= 1023 - x.d.bit_length()
-                if big.any():
-                    eigh(s.entries[big])
-                vals[lo:hi, t] = _polynomial_contraction(s_hat, e, poly,
-                                                         b.entries)
-            if t == k:  # no step reads the last state's D
-                return None
-            if poly is None:  # D_t = U (L o U^T B U) U^T
                 v, vt = dec.eigenvectors, np.swapaxes(dec.eigenvectors, -1, -2)
+                bu = b.entries @ v
+                lam[lo:hi, t - 1] = dec.eigenvalues
                 # a state outside f's domain fails the check after the pass;
-                # till then its L is formed on the start's eigenvalues
+                # till then f and L are taken on the start's eigenvalues
                 inside = np.all(in_domain(dec.eigenvalues, f), axis=-1)
                 grid = np.where(inside[:, None], dec.eigenvalues,
                                 start.eigenvalues)
+                vals[lo:hi, t] = _contraction(f.eval(grid), v, bu)
+                if t == k:  # no step reads the last state's D
+                    return None
+                # D_t = U (L o U^T B U) U^T
                 d_eig, u = _binade_split(loewner_first_difference(grid, f)
                                          * (vt @ bu))
                 d_hat = v @ d_eig @ vt
             else:
-                d_hat, u = _polynomial_derivative(s_hat, e, poly, b.entries)
+                # |eigenvalue| <= d max |entry| < 2^(e + 1 + bits(d)), so only
+                # these states can have one past floating point: eigh raises
+                big = e >= 1023 - x.d.bit_length()
+                if big.any():
+                    eigh(s.entries[big])
+                vals[lo:hi, t], deriv = _polynomial_terms(
+                    s_hat, e, poly, b.entries, t < k)
+                if t == k:  # no step reads the last state's D
+                    return None
+                d_hat, u = deriv
             return d_hat, np.sum(s_hat * d_hat, axis=(-2, -1)), e, u
 
         with overflow_stage("chain state"):
             chain_states(start, k, x.n, nchains, rng, visit)
         if poly is None:
             check_domain(lam, f, "chains")
-            vals[:, 1:] = np.sum(f.eval(lam) * w, axis=-1)
     finite(vals, f"'{f.name}' of a chain state")
     # subtract sum_t l_t sum_{i>=t} c_i; these tail sums are (-1)^t C(k, t)
     c = hockey_stick_weights(k)

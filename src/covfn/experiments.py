@@ -246,8 +246,8 @@ def _cells(cfg: ExperimentConfig, *axes: str):
 
 
 def _estimate_cells(cfg: ExperimentConfig, f: ScalarFunction):
-    """The (d, n, k) grid as (d, sigma, B, <f(sigma), B>, cells) per d, set
-    up once per d.
+    """The (d, n, k) grid as (d, sigma, its SpectralDecomp, B, <f(sigma), B>,
+    cells) per d, set up once per d, with one decomposition of sigma.
 
     ``cells`` lazily yields ((n, k), estimates), the M order-k estimates of
     a cell: replicate m draws its data from ``cell.spawn(2m)`` and its
@@ -259,10 +259,11 @@ def _estimate_cells(cfg: ExperimentConfig, f: ScalarFunction):
             sigma = SymMat(build_matrix(cfg.sigma, d))
         b, _ = build_b(cfg.b, d)
         with overflow_stage("true Sigma"):
-            root = psd_factor(sigma)  # NotPSD before f is taken of sigma
+            dec = eigh(sigma)
+            root = psd_factor(dec)  # NotPSD before f is taken of sigma
         with overflow_stage("f at the true Sigma"):
-            truth = trace_inner_product(apply_scalar_function(eigh(sigma), f), b)
-        yield d, sigma, b, truth, (
+            truth = trace_inner_product(apply_scalar_function(dec, f), b)
+        yield d, sigma, dec, b, truth, (
             ((n, k), [
                 bias_reduced_estimate(gaussian_sample(root, n, cell.spawn(2 * m)),
                                       f, b, k, cfg.nchains, cell.spawn(2 * m + 1),
@@ -281,7 +282,7 @@ def run_bias_scaling(cfg: ExperimentConfig) -> ResultTable:
     """
     f = parse_function_spec(cfg.fn)
     rows = []
-    for _, sigma, b, truth, cells in _estimate_cells(cfg, f):
+    for _, sigma, _, b, truth, cells in _estimate_cells(cfg, f):
         for (n, k), ests in cells:
             vals = np.array([e.functional_value for e in ests])
             bias_mc = float(vals.mean() - truth)
@@ -309,8 +310,8 @@ def run_coverage(cfg: ExperimentConfig) -> ResultTable:
     """
     f = parse_function_spec(cfg.fn)
     rows = []
-    for d, sigma, b, truth, cells in _estimate_cells(cfg, f):
-        sig_true = sigma_f(sigma, f, b)
+    for d, _, dec, b, truth, cells in _estimate_cells(cfg, f):
+        sig_true = sigma_f(dec, f, b)
         if sig_true == 0:
             raise ZeroMatrix(
                 f"sigma_f(Sigma; B) is 0 at d = {d}, so the errors cannot be "
@@ -337,9 +338,10 @@ def run_opnorm(cfg: ExperimentConfig) -> ResultTable:
     for d, cells in _cells(cfg, "n"):
         with overflow_stage("true Sigma"):
             sigma = SymMat(build_matrix(cfg.sigma, d))
-            r_eff = effective_rank(sigma)
-            opnorm_sigma = schatten_norm(sigma, np.inf)
-            root = psd_factor(sigma)
+            dec = eigh(sigma)
+            r_eff = effective_rank(dec)
+            opnorm_sigma = float(np.abs(dec.eigenvalues).max())
+            root = psd_factor(dec)
         unit = _binade(opnorm_sigma)  # exact; errors and benchmark are in units of it
         for (n,), cell in cells:
             errs = np.empty(cfg.m)

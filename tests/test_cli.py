@@ -489,6 +489,31 @@ def test_estimate_wide_shape_needs_no_more_chains(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("seed, fn, err", [
+    # sigma_hat is exactly 0 on smoothstep's plateau: no number of chains
+    # can bring the Monte Carlo stderr under 10% of 0, so there is no advice
+    (3, "smoothstep:0.5,2,0.5", "warning: the sampling stderr is 0, so the "
+     "Monte Carlo stderr 0.0459 is the estimate's only error\n"),
+    # sigma_hat at the rounding level: the count shows it is out of reach
+    (26, "smoothstep:0.5,2,0.5", "warning: Monte Carlo stderr 0.0534 exceeds "
+     "10% of the sampling stderr 3.72e-18; by the 1/sqrt(N) law that takes "
+     "--chains 4.12e+36\n"),
+    # 5 chains give 0.191; 187 would give about 0.0313 by the 1/sqrt(N) law
+    (3, "log --B rank1:0 --k 3 --chains 5", "warning: Monte Carlo stderr "
+     "0.191 exceeds 10% of the sampling stderr 0.313; by the 1/sqrt(N) law "
+     "that takes --chains 187\n"),
+])
+def test_the_chains_warning_names_the_count_the_target_takes(
+        tmp_path, capsys, seed, fn, err):
+    p = tmp_path / "x.csv"
+    np.savetxt(p, np.random.default_rng(seed).standard_normal((20, 2)),
+               delimiter=",")
+    assert run_cli(["estimate", "--data", str(p), "--B", "identity", "--k",
+                    "2", "--chains", "200", "--fn", *fn.split(),
+                    "--out", str(tmp_path / "rep.json")]) == 0
+    assert capsys.readouterr().err == err
+
+
 def test_overflow_errors_name_their_stage(tmp_path, capsys):
     # the sample covariance, a chain state and f at the true Sigma each
     # overflow here; the one SymMat check reports each under its stage

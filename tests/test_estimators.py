@@ -269,21 +269,40 @@ class TestBiasReducedEstimate:
             bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, 200, RngStream(7))
 
     @pytest.mark.parametrize("name", ["log", "power:0.5", "power:-1"])
-    @pytest.mark.parametrize("k, left", [(2, 10), (3, 29)])
+    @pytest.mark.parametrize("k, left", [(1, 4), (2, 10), (3, 29)])
     def test_a_chain_leaving_the_domain_before_its_last_step_raises(
             self, name, k, left):
-        # the states before the last one also give the next step's D, whose
-        # Loewner matrix is formed only inside f's domain: no numpy warning
-        # (an error under this suite) comes before the one DomainError,
-        # which counts every chain that left at any step
+        # every state's <f(S_t), B>, and the states before the last one
+        # also give the next step's D: f and its Loewner matrix are taken
+        # only inside f's domain, so no numpy warning (an error under this
+        # suite) comes before the one DomainError, which counts every chain
+        # that left at any step, the last one included
         x = DataMatrix(np.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, 1e-4]]))
         lam = eigh(collect_states(eigh(sample_covariance(x)), k, x.n, 200,
                                   RngStream(7))).eigenvalues
-        with pytest.raises(DomainError):  # a state before the last one left
-            check_domain(lam[:, :k - 1], LOG, "chains")
+        if k >= 2:
+            with pytest.raises(DomainError):  # a state before the last left
+                check_domain(lam[:, :k - 1], LOG, "chains")
         with pytest.raises(DomainError, match=f"^{left} of 200 chains"):
             bias_reduced_estimate(x, parse_function_spec(name), np.eye(2) / 2,
                                   k, 200, RngStream(7))
+
+    @pytest.mark.parametrize("name", ["log", "power:0.5", "power:-1"])
+    def test_f_is_not_taken_of_a_last_state_outside_its_domain(self, name):
+        # Sigma_hat has eigenvalues 1 and 1e-11 in a rotated basis.  On
+        # RngStream(6), 62 of the 200 order-1 chains step out of the
+        # domain, and the eigenvalues of their states include a negative
+        # one and an exact 0, where each f warns (an error under this
+        # suite); the in-block <f(S_1), B> must not see them
+        c, s = np.cos(1.0), np.sin(1.0)
+        rows = np.sqrt(2.0) * np.array([[1.0, 0.0], [0.0, np.sqrt(1e-11)]])
+        x = DataMatrix(rows @ np.array([[c, s], [-s, c]]))
+        lam = eigh(collect_states(eigh(sample_covariance(x)), 1, x.n, 200,
+                                  RngStream(6))).eigenvalues
+        assert lam.min() < 0 and np.any(lam == 0)
+        with pytest.raises(DomainError, match="^62 of 200 chains"):
+            bias_reduced_estimate(x, parse_function_spec(name), np.eye(2) / 2,
+                                  1, 200, RngStream(6))
 
     def test_each_linear_term_has_mean_zero(self):
         # a chain is a martingale, so l_t = <S_t - S_{t-1}, Df(S_{t-1}; B)>

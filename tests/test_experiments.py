@@ -218,3 +218,24 @@ class TestQuadform:
 def test_run_experiment_dispatch():
     cfg = ExperimentConfig(experiment="opnorm", d=2, n=(50,), m=5, seed=12)
     assert run_experiment(cfg).columns[0] == "d"
+
+
+@pytest.mark.parametrize("experiment, ds", [
+    ("opnorm", (3, 4)), ("coverage", (3, 4)), ("bias_scaling", (3,))])
+def test_each_true_sigma_is_decomposed_once(monkeypatch, experiment, ds):
+    # its effective rank, operator norm, root, <f(Sigma), B> and sigma_f
+    # all read one eigh of Sigma per d
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    run_experiment(ExperimentConfig(experiment, d=ds, n=(20,), k=(1,),
+                                    fn="log", b="identity",
+                                    sigma="linspace:1,2", m=2, nchains=5))
+    sigmas = [build_matrix("linspace:1,2", d) for d in ds]
+    assert [sum(c.shape == s.shape and np.array_equal(c, s) for c in calls)
+            for s in sigmas] == [1] * len(ds)

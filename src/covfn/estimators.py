@@ -16,7 +16,8 @@ sweep, to <f(S_t), B>, l_t = sum (S_t - S_{t-1}) o D_{t-1} and, for
 t < k, D_t scaled by a power of two, the carry to the next step.  For a
 polynomial f (``ScalarFunction.coefficients``) these are sums of
 products of S_t and B; every other f takes them from S_t's eigenpairs
-and Loewner matrix, and keeps only its eigenvalues, for the domain check.
+and Loewner matrix (``symmat.spectral_terms``, which also serves S_0 and
+sigma_f), and keeps only its eigenvalues, for the domain check.
 A chain state outside f's domain is an error, never dropped.  Confidence
 intervals use the asymptotic standard deviation
 sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
@@ -40,13 +41,12 @@ from .sampling import (
 )
 from .symmat import (
     _binade,
-    _frechet_eig,
     as_symmat,
     check_domain,
     eigh,
     in_domain,
-    loewner_first_difference,
     psd_sqrt,
+    spectral_terms,
 )
 
 __all__ = [
@@ -106,14 +106,19 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
 
     Computed in the eigenbasis of Sigma, where both the square root
     (``symmat.psd_sqrt``, which raises NotPSD) and the Loewner-matrix
-    derivative are exact on eigenvalues.  ``sigma`` may be given as its
-    SpectralDecomp.  The norm is taken of entries scaled
+    derivative (``symmat.spectral_terms``) are exact on eigenvalues.
+    ``sigma`` may be given as its SpectralDecomp; a B of another size
+    raises DimMismatch.  The norm is taken of entries scaled
     by a power of two, so it is finite wherever its value is; a value
     beyond floating point raises NumericOverflow.
     """
     dec = eigh(sigma)
+    b = as_symmat(b)
+    if b.dim != len(dec.eigenvalues):
+        raise DimMismatch(f"B has dim {b.dim}, Sigma has {len(dec.eigenvalues)}")
     root = psd_sqrt(dec.eigenvalues)
-    sandwiched = root[:, None] * _frechet_eig(dec, f, b) * root[None, :]
+    _, deriv = spectral_terms(dec.eigenvalues, dec.eigenvectors, f, b.entries, True)
+    sandwiched = root[:, None] * deriv * root[None, :]
     scale = _binade(sandwiched)  # exact, so the norm cannot overflow
     out = math.sqrt(2.0) * float(np.linalg.norm(sandwiched / scale)) * scale
     return finite(out, f"sigma_f of '{f.name}'")
@@ -131,12 +136,6 @@ def hockey_stick_weight_ints(k: int) -> list:
 def hockey_stick_weights(k: int) -> np.ndarray:
     """Chain weights as floats; computed in integer arithmetic, sum is 1."""
     return np.array(hockey_stick_weight_ints(k), dtype=float)
-
-
-def _contraction(fv, u, bu) -> np.ndarray:
-    """sum_m f(l_m) u_m^T B u_m, <f(A), B> for each A = U diag(l) U^T,
-    given fv = f(l), the eigenvectors u (columns) and bu = B u."""
-    return np.sum(fv * np.sum(u * bu, axis=-2), axis=-1)
 
 
 def _binade_split(s):
@@ -217,10 +216,10 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     nchains = nchains if k else 1
     vals = np.empty((nchains, k + 1))  # <f(S_i), B> per chain
     u0 = start.eigenvectors
-    vals[:, 0] = _contraction(f.eval(start.eigenvalues), u0, b.entries @ u0)
+    vals[:, 0], d0 = spectral_terms(start.eigenvalues, u0, f, b.entries, k > 0)
     lin = np.empty((nchains, k))  # l_t = <S_t - S_{t-1}, D_{t-1}> per chain
     if k:
-        d0, unit = _binade_split(_frechet_eig(start, f, b))  # D_0 / 2^unit
+        d0, unit = _binade_split(d0)  # D_0 / 2^unit
         # a block's carry into step t is (D_hat, p, ep, u) with D_{t-1} =
         # 2^u D_hat and <S_{t-1}, D_hat> = 2^ep p; step 1 reads the start's
         first = (u0 @ d0 @ u0.T, start.eigenvalues @ np.diagonal(d0), 0, unit)
@@ -238,21 +237,19 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                 - np.ldexp(p, ep - top), top + u)
             if poly is None:
                 dec = eigh(s)
-                v, vt = dec.eigenvectors, np.swapaxes(dec.eigenvectors, -1, -2)
-                bu = b.entries @ v
+                v = dec.eigenvectors
                 lam[lo:hi, t - 1] = dec.eigenvalues
                 # a state outside f's domain fails the check after the pass;
                 # till then f and L are taken on the start's eigenvalues
                 inside = np.all(in_domain(dec.eigenvalues, f), axis=-1)
                 grid = np.where(inside[:, None], dec.eigenvalues,
                                 start.eigenvalues)
-                vals[lo:hi, t] = _contraction(f.eval(grid), v, bu)
+                vals[lo:hi, t], d_eig = spectral_terms(grid, v, f, b.entries, t < k)
                 if t == k:  # no step reads the last state's D
                     return None
                 # D_t = U (L o U^T B U) U^T
-                d_eig, u = _binade_split(loewner_first_difference(grid, f)
-                                         * (vt @ bu))
-                d_hat = v @ d_eig @ vt
+                d_eig, u = _binade_split(d_eig)
+                d_hat = v @ d_eig @ np.swapaxes(v, -1, -2)
             else:
                 # |eigenvalue| <= d max |entry| < 2^(e + 1 + bits(d)), so only
                 # these states can have one past floating point: eigh raises

@@ -29,11 +29,11 @@ from .sampling import (
 from .symmat import (
     SymMat,
     _binade,
-    apply_scalar_function,
+    check_domain,
     effective_rank,
     eigh,
     eigvalsh,
-    schatten_norm,
+    spectral_terms,
     trace_inner_product,
 )
 from .wishart_oracle import quad_wishart_oracle
@@ -181,7 +181,7 @@ def build_b(spec: str, d: int):
     b = build_matrix(spec, d)
     sym = SymMat(b)  # NumericOverflow for a non-finite entry
     try:
-        nuc = schatten_norm(sym, 1)
+        nuc = float(np.abs(eigh(sym).eigenvalues).sum())
     except NumericOverflow:  # finite entries, an eigenvalue beyond them
         nuc = np.inf
     if not np.isfinite(nuc):
@@ -262,7 +262,10 @@ def _estimate_cells(cfg: ExperimentConfig, f: ScalarFunction):
             dec = eigh(sigma)
             root = psd_factor(dec)  # NotPSD before f is taken of sigma
         with overflow_stage("f at the true Sigma"):
-            truth = trace_inner_product(apply_scalar_function(dec, f), b)
+            check_domain(dec.eigenvalues, f, "eigenvalues")
+            truth, _ = spectral_terms(dec.eigenvalues, dec.eigenvectors, f,
+                                      b.entries, False)
+            truth = float(finite(truth, "a matrix"))  # the matrix f(Sigma)
         yield d, sigma, dec, b, truth, (
             ((n, k), [
                 bias_reduced_estimate(gaussian_sample(root, n, cell.spawn(2 * m)),

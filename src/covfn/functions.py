@@ -51,12 +51,15 @@ def _mollifier(t):
 
 
 def _mollifier_deriv(t):
+    """exp(-1/t) / t^2 for t > 0, 0 otherwise; 0 also where exp(-1/t)
+    underflows, which t^2 can too (for t below about 1e-154)."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0
     with np.errstate(divide="ignore", over="ignore"):
         tp = t[pos]
-        out[pos] = np.exp(-1.0 / tp) / tp**2
+        num = np.exp(-1.0 / tp)
+        out[pos] = np.divide(num, tp**2, out=np.zeros_like(tp), where=num > 0)
     return out
 
 

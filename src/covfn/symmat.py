@@ -1,5 +1,5 @@
-"""Dense symmetric matrices: eigendecomposition, spectral functions,
-Loewner-matrix directional derivatives, Schatten norms and effective rank.
+"""Dense symmetric matrices: eigendecomposition, the spectral terms
+<f(A), B> and Loewner-matrix directional derivatives, and effective rank.
 
 All matrices here are real symmetric and carried by :class:`SymMat`, an
 immutable wrapper around one ``numpy`` matrix or a stack of them; only
@@ -35,11 +35,9 @@ __all__ = [
     "psd_sqrt",
     "in_domain",
     "check_domain",
-    "apply_scalar_function",
     "loewner_first_difference",
-    "frechet_derivative",
+    "spectral_terms",
     "effective_rank",
-    "schatten_norm",
     "trace_inner_product",
 ]
 
@@ -78,10 +76,6 @@ class SpectralDecomp:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def source_dim(self) -> int:
-        return self.eigenvalues.shape[-1]
 
 
 def eigh(a) -> SpectralDecomp:
@@ -169,12 +163,6 @@ def check_domain(eigs: np.ndarray, f: ScalarFunction, what: str) -> None:
                           f"({lo}, {hi}) of '{f.name}'")
 
 
-def apply_scalar_function(d: SpectralDecomp, f: ScalarFunction) -> SymMat:
-    """Spectral matrix function f(A) = U f(Lambda) U^T."""
-    check_domain(d.eigenvalues, f, "eigenvalues")
-    return SymMat(from_eigenpairs(f.eval(d.eigenvalues), d.eigenvectors))
-
-
 def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:
     """Matrix of first divided differences of f on an eigenvalue grid, or
     on each grid of a stack (last axis).
@@ -197,24 +185,21 @@ def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:
     return out
 
 
-def frechet_derivative(d: SpectralDecomp, f: ScalarFunction, h) -> SymMat:
-    """Directional derivative Df(A; H) via the Loewner-matrix Schur product.
+def spectral_terms(lam, u, f: ScalarFunction, b, derivative: bool):
+    """(<f(A), B>, L o (U^T B U)) for each A = U diag(lam) U^T of a stack
+    (or one A), with L the Loewner matrix of f on lam; the second entry,
+    Df(A; B) in A's eigenbasis, is None unless ``derivative``.
 
-    In A's eigenbasis, Df(A; H) = L o (U^T H U) with L the matrix of first
-    divided differences of f; linear in H and invariant under the basis
-    choice inside degenerate eigenspaces.
+    <f(A), B> is sum_m f(l_m) u_m^T B u_m, so f(A) itself is never formed.
+    Each matrix of a stack gets the same products, in the same order, as
+    it would alone.  ``b`` is a d-by-d array; the derivative raises
+    DomainError, through ``loewner_first_difference``, for an eigenvalue
+    outside f's domain, before f is taken of it.
     """
-    u = d.eigenvectors
-    return SymMat(u @ _frechet_eig(d, f, h) @ u.T)
-
-
-def _frechet_eig(d: SpectralDecomp, f: ScalarFunction, h) -> np.ndarray:
-    """Df(A; H) in A's eigenbasis, L o (U^T H U), for A decomposed as ``d``."""
-    h = as_symmat(h)
-    if h.dim != d.source_dim:
-        raise DimMismatch(f"H has dim {h.dim}, decomposition has {d.source_dim}")
-    u = d.eigenvectors
-    return loewner_first_difference(d.eigenvalues, f) * (u.T @ h.entries @ u)
+    bu = b @ u
+    deriv = (loewner_first_difference(lam, f) * (np.swapaxes(u, -1, -2) @ bu)
+             if derivative else None)
+    return np.sum(f.eval(lam) * np.sum(u * bu, axis=-2), axis=-1), deriv
 
 
 def _binade(a: np.ndarray) -> float:
@@ -237,19 +222,6 @@ def effective_rank(a) -> float:
     check_psd(lam)
     scale = _binade(lam)  # exact; keeps tr(A) / scale finite
     return float((lam / scale).sum()) / (opnorm / scale)
-
-
-def schatten_norm(a, p) -> float:
-    """Schatten norm: p=1 nuclear, p=2 Hilbert-Schmidt, p=inf operator."""
-    a = as_symmat(a)
-    lam = eigh(a).eigenvalues
-    if p == 1:
-        return float(np.abs(lam).sum())
-    if p == 2:
-        return float(np.sqrt((lam**2).sum()))
-    if p in (np.inf, float("inf"), "inf"):
-        return float(np.abs(lam).max()) if lam.size else 0.0
-    raise ValueError(f"unsupported Schatten order {p!r}; use 1, 2 or inf")
 
 
 def trace_inner_product(a, b) -> float:

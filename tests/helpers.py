@@ -2,8 +2,11 @@
 
 Each checks the package against an independent computation: the Gaussian
 fourth-moment identities behind ``wishart_oracle``'s closed form, the
-first-order Taylor remainder of a spectral function, the plug-in estimate
-(the order-0 estimator) and the log-log slope of a bias against n.
+spectral matrix function f(A) formed as a matrix, the first-order Taylor
+remainder of a spectral function, the plug-in estimate (the order-0
+estimator) and the log-log slope of a bias against n.
+``frechet_derivative`` rebuilds Df(A; H) from ``symmat.spectral_terms``,
+the routine the chains and sigma_f run, so that checks of it check them.
 ``collect_states`` keeps the chain states that ``chain_states`` hands
 over, which the package itself never does.
 """
@@ -14,8 +17,8 @@ from covfn.errors import DimMismatch
 from covfn.estimators import EstimateReport, bias_reduced_estimate
 from covfn.functions import ScalarFunction
 from covfn.sampling import DataMatrix, RngStream, chain_states
-from covfn.symmat import (SymMat, apply_scalar_function, as_symmat, eigh,
-                          frechet_derivative)
+from covfn.symmat import (SpectralDecomp, SymMat, as_symmat, check_domain, eigh,
+                          from_eigenpairs, spectral_terms)
 
 
 def plugin_estimate(x: DataMatrix, f: ScalarFunction, b,
@@ -32,7 +35,7 @@ def collect_states(start, k: int, n: int, nchains: int, rng: RngStream,
     Each call of ``visit`` appends (lo, hi, t, carry) to ``calls``, if
     given, and returns t, the carry that the block's next call receives.
     """
-    d = eigh(start).source_dim
+    d = eigh(start).eigenvalues.shape[-1]
     states = np.full((nchains, k, d, d), np.nan)
 
     def visit(lo, hi, t, s, carry):
@@ -43,6 +46,20 @@ def collect_states(start, k: int, n: int, nchains: int, rng: RngStream,
 
     chain_states(start, k, n, nchains, rng, visit)
     return states
+
+
+def apply_scalar_function(d: SpectralDecomp, f: ScalarFunction) -> SymMat:
+    """Spectral matrix function f(A) = U f(Lambda) U^T."""
+    check_domain(d.eigenvalues, f, "eigenvalues")
+    return SymMat(from_eigenpairs(f.eval(d.eigenvalues), d.eigenvectors))
+
+
+def frechet_derivative(d: SpectralDecomp, f: ScalarFunction, h) -> SymMat:
+    """Directional derivative Df(A; H) = U (L o U^T H U) U^T, for A
+    decomposed as ``d``."""
+    u = d.eigenvectors
+    _, deriv = spectral_terms(d.eigenvalues, u, f, as_symmat(h).entries, True)
+    return SymMat(u @ deriv @ u.T)
 
 
 def taylor_remainder(a, h, f: ScalarFunction) -> SymMat:

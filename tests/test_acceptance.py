@@ -20,11 +20,12 @@ from covfn.experiments import (
 )
 from covfn.functions import get_function
 from covfn.sampling import RngStream, gaussian_sample, psd_factor
-from covfn.symmat import apply_scalar_function, as_symmat, eigh, frechet_derivative
+from covfn.symmat import as_symmat, eigh
 from covfn.wishart_oracle import quad_wishart_oracle
 from test_estimators import brute_force_weights
 from conftest import random_orthogonal, random_sym
-from helpers import fit_loglog_slope, plugin_estimate
+from helpers import (apply_scalar_function, fit_loglog_slope, frechet_derivative,
+                     plugin_estimate)
 
 
 def _report(criterion, ok, detail):

@@ -733,6 +733,25 @@ def test_data_whose_second_moments_overflow_gives_finite_output(tmp_path, capsys
     assert "RuntimeWarning" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_smoothstep_at_a_tiny_scale_is_zero(tmp_path, capsys, k):
+    # S near 1e-300: every eigenvalue lies where smoothstep and its
+    # derivative are exactly 0, so sigma_f, each linear term and the estimate
+    # are 0, not 0/0
+    rows = 1e-150 * np.random.default_rng(5).standard_normal((30, 3))
+    p = tmp_path / "tiny.csv"
+    p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    out = tmp_path / "rep.json"
+    assert run_cli(["estimate", "--data", str(p), "--fn", "smoothstep:0.5,2,0.5",
+                    "--k", str(k), "--chains", "20", "--out", str(out)]) == 0
+    import json
+    obj = json.loads(out.read_text())
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    for key in ("functional_value", "mc_stderr", "sigma_hat", "ci_lo", "ci_hi"):
+        assert row[key] == 0.0, key
+    assert capsys.readouterr().err == ""
+
+
 def test_linear_term_beyond_floating_point_still_gives_a_finite_estimate(
         tmp_path, capsys):
     # cube at eigenvalues near 4.1e102 with B = I/4: <f(S_i), B>, about

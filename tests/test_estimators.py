@@ -26,15 +26,14 @@ from covfn.sampling import (
     sample_covariance,
 )
 from covfn.symmat import (
-    apply_scalar_function,
     check_domain,
     eigh,
-    frechet_derivative,
     loewner_first_difference,
     trace_inner_product,
 )
 from conftest import random_spd, random_sym
-from helpers import collect_states, plugin_estimate
+from helpers import (apply_scalar_function, collect_states, frechet_derivative,
+                     plugin_estimate)
 
 IDENTITY = get_function("identity")
 SQUARE = get_function("square")

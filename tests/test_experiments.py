@@ -15,7 +15,6 @@ from covfn.experiments import (
     run_quadform,
     two_sample_ks,
 )
-from covfn.symmat import schatten_norm
 from helpers import fit_loglog_slope
 
 
@@ -24,7 +23,7 @@ class TestSpecs:
         b, factor = build_b("identity", 4)
         np.testing.assert_allclose(b.entries, np.eye(4) / 4)
         assert factor == pytest.approx(0.25)
-        assert schatten_norm(b, 1) <= 1.0 + 1e-12
+        assert np.abs(np.linalg.eigvalsh(b.entries)).sum() <= 1.0 + 1e-12
 
     def test_build_b_rank_one(self):
         b, factor = build_b("rank1:2", 4)
@@ -33,7 +32,13 @@ class TestSpecs:
 
     def test_build_b_rank_one_vector(self):
         b, _ = build_b("rank1vec:3,4", 2)
-        assert schatten_norm(b, 1) == pytest.approx(1.0)
+        assert np.abs(np.linalg.eigvalsh(b.entries)).sum() == pytest.approx(1.0)
+
+    def test_build_b_scales_by_the_nuclear_norm(self):
+        # a negative eigenvalue counts by its absolute value
+        b, factor = build_b("diag:1,-2", 2)
+        assert factor == pytest.approx(1.0 / 3.0)
+        np.testing.assert_allclose(b.entries, np.diag([1.0, -2.0]) / 3.0)
 
     def test_build_b_errors(self):
         with pytest.raises(UsageError):

@@ -5,7 +5,8 @@ from covfn.errors import DomainError
 from covfn.estimators import bias_reduced_estimate
 from covfn.functions import get_function, parse_function_spec
 from covfn.sampling import DataMatrix, RngStream
-from covfn.symmat import apply_scalar_function, eigh
+from covfn.symmat import eigh
+from helpers import apply_scalar_function
 
 # interior grids on which each member's analytic derivative is checked
 # against central finite differences
@@ -60,6 +61,14 @@ def test_smoothstep_plateau_and_support():
     rise = f.eval(np.linspace(0.5, 1.0, 50))
     assert np.all(np.diff(rise) >= 0)
     assert 0.0 < f.eval(np.array([0.75]))[0] < 1.0
+
+
+def test_smoothstep_derivative_is_zero_where_the_mollifier_underflows():
+    # exp(-1/t) and t^2 both underflow below t of about 1e-154; the
+    # derivative there is 0, not 0/0 (the suite turns the warning into an error)
+    f = get_function("smoothstep", 0.5, 2.0, 0.5)
+    assert f.deriv(np.array([1e-170, 1e-300, 0.0, -1e-170])).tolist() == [0, 0, 0, 0]
+    assert f.deriv(np.array([0.25]))[0] > 0
 
 
 def test_smoothstep_parameter_validation():

@@ -8,23 +8,22 @@ from covfn.errors import (
     NumericOverflow,
     ZeroMatrix,
 )
+from covfn.estimators import sigma_f
 from covfn.functions import get_function
 from covfn.symmat import (
     SymMat,
-    apply_scalar_function,
     as_symmat,
     check_domain,
     effective_rank,
     eigh,
     eigvalsh,
-    frechet_derivative,
     from_eigenpairs,
     loewner_first_difference,
-    schatten_norm,
+    spectral_terms,
     trace_inner_product,
 )
 from conftest import random_spd, random_sym
-from helpers import taylor_remainder
+from helpers import apply_scalar_function, frechet_derivative, taylor_remainder
 
 SQUARE = get_function("square")
 CUBE = get_function("cube")
@@ -69,7 +68,8 @@ class TestStacks:
     def test_eigh_of_a_stack_is_one_call_per_matrix(self, np_rng, d):
         stack = np.array([random_sym(np_rng, d) for _ in range(6)])
         dec = eigh(stack)
-        assert dec.source_dim == d
+        assert dec.eigenvalues.shape == (6, d)
+        assert dec.eigenvectors.shape == (6, d, d)
         for i, a in enumerate(stack):
             one = eigh(a)
             np.testing.assert_array_equal(dec.eigenvalues[i], one.eigenvalues)
@@ -258,7 +258,58 @@ class TestFrechetDerivative:
 
     def test_dim_mismatch(self, np_rng):
         with pytest.raises(DimMismatch):
-            frechet_derivative(eigh(np.eye(3)), SQUARE, np.eye(2))
+            sigma_f(eigh(np.eye(3)), SQUARE, np.eye(2))
+
+
+SPECTRAL_FS = (SQUARE, LOG, EXP, get_function("power", 0.5),
+               get_function("smoothstep", 1.0, 2.0, 0.5))
+
+
+class TestSpectralTerms:
+    def test_a_stack_gives_each_matrix_its_own_bits(self, np_rng):
+        # the chains reduce their states in blocks of any split, and no
+        # number may depend on it
+        dec = eigh(np.array([random_spd(np_rng, 6) for _ in range(5)]))
+        b = random_sym(np_rng, 6)
+        for f in SPECTRAL_FS:
+            vals, deriv = spectral_terms(dec.eigenvalues, dec.eigenvectors, f, b,
+                                         True)
+            for i in range(5):
+                val, one = spectral_terms(dec.eigenvalues[i], dec.eigenvectors[i],
+                                          f, b, True)
+                assert vals[i] == val
+                np.testing.assert_array_equal(deriv[i], one)
+
+    def test_value_is_the_inner_product_with_f_of_a(self, np_rng):
+        a = random_spd(np_rng, 6)
+        b = random_sym(np_rng, 6)
+        d = eigh(a)
+        for f in SPECTRAL_FS:
+            val, _ = spectral_terms(d.eigenvalues, d.eigenvectors, f, b, False)
+            ref = trace_inner_product(apply_scalar_function(d, f), b)
+            assert val == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+    def test_derivative_matches_central_differences(self, np_rng):
+        a = random_spd(np_rng, 6)
+        b = as_symmat(random_sym(np_rng, 6)).entries
+        d = eigh(a)
+        u = d.eigenvectors
+        for f in SPECTRAL_FS:
+            _, deriv = spectral_terms(d.eigenvalues, u, f, b, True)
+            fd = u.T @ _central_difference(a, b, f, 1e-5) @ u
+            assert np.abs(deriv - fd).max() <= 1e-8 * (1.0 + np.abs(deriv).max())
+
+    def test_no_derivative_unless_asked(self, np_rng):
+        d = eigh(random_spd(np_rng, 4))
+        val, deriv = spectral_terms(d.eigenvalues, d.eigenvectors, LOG, np.eye(4),
+                                    False)
+        assert deriv is None
+        assert val == pytest.approx(np.log(d.eigenvalues).sum(), rel=1e-13)
+
+    def test_derivative_checks_the_domain_before_f_is_taken(self):
+        d = eigh(np.diag([1.0, -1.0]))
+        with pytest.raises(DomainError):
+            spectral_terms(d.eigenvalues, d.eigenvectors, LOG, np.eye(2), True)
 
 
 def _central_difference(a, h, f, step):
@@ -313,24 +364,6 @@ class TestEffectiveRank:
             effective_rank(np.zeros((3, 3)))
         with pytest.raises(NotPSD):
             effective_rank(np.diag([1.0, -0.5]))
-
-
-class TestSchattenNorm:
-    def test_diag_values(self):
-        a = np.diag([1.0, -2.0])
-        assert schatten_norm(a, 1) == pytest.approx(3.0)
-        assert schatten_norm(a, 2) == pytest.approx(np.sqrt(5.0))
-        assert schatten_norm(a, np.inf) == pytest.approx(2.0)
-
-    def test_zero_matrix(self):
-        for p in (1, 2, np.inf):
-            assert schatten_norm(np.zeros((4, 4)), p) == 0.0
-
-    def test_norm_ordering(self, np_rng):
-        for _ in range(10):
-            a = random_sym(np_rng, 6)
-            assert (schatten_norm(a, np.inf) <= schatten_norm(a, 2) + 1e-12
-                    <= schatten_norm(a, 1) + 2e-12)
 
 
 class TestTraceInnerProduct:

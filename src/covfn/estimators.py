@@ -9,13 +9,22 @@ first k orders of plug-in bias.  A chain is a martingale (E[S_t | S_{t-1}]
 D_{t-1} = Df(S_{t-1}; B), has mean exactly 0 and is subtracted with the
 weight sum_{i>=t} c_{k,i} = (-1)^t C(k, t) as a control variate: the mean
 is unchanged and the chain noise that the linear terms carry is gone.
+Step 1 also subtracts, with the same weight -k, its second-order term
+q_1 - E[q_1 | S_0], q_1 = 1/2 <D^2 f(S_0)[S_1 - S_0, S_1 - S_0], B>.  In
+S_0's eigenbasis, with Dt = U^T S_1 U - diag(lam), Bt = U^T B U and F
+f's second divided differences on lam, q_1 = sum_ijl F_ijl Dt_ij Dt_jl
+Bt_li, and a Wishart step's second moments give its mean exactly:
+E[q_1 | S_0] = (sum_i F_iii Bt_ii lam_i^2 + sum_ij F_iji Bt_ii lam_i
+lam_j) / n.  That holds for any fixed F, so the difference has mean 0
+however F is rounded; every chain starts at S_0, so F is formed once,
+and l_1 = sum Dt o (L o Bt) is taken in the same contraction.
 The plug-in estimator <f(S_0), B> is the order-0 case: one chain that
 takes no step, with weight 1.  ``sampling.chain_states`` hands each block
 of states to the estimator, which reduces each state S_t there, in one
-sweep, to <f(S_t), B>, l_t = sum (S_t - S_{t-1}) o D_{t-1} and, for
-t < k, D_t scaled by a power of two, the carry to the next step.  For a
-polynomial f (``ScalarFunction.coefficients``) these are sums of
-products of S_t and B; every other f takes them from S_t's eigenpairs
+sweep, to <f(S_t), B>, for t >= 2 l_t = sum (S_t - S_{t-1}) o D_{t-1}
+and, for t < k, D_t scaled by a power of two, the carry to the next
+step.  For a polynomial f (``ScalarFunction.coefficients``) these are
+sums of products of S_t and B; every other f takes them from S_t's eigenpairs
 and Loewner matrix (``symmat.spectral_terms``, which also serves S_0 and
 sigma_f), and keeps only its eigenvalues, for the domain check.
 A chain state outside f's domain is an error, never dropped.  Confidence
@@ -45,6 +54,7 @@ from .symmat import (
     check_domain,
     eigh,
     in_domain,
+    loewner_second_difference,
     psd_sqrt,
     spectral_terms,
 )
@@ -118,6 +128,12 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
         raise DimMismatch(f"B has dim {b.dim}, Sigma has {len(dec.eigenvalues)}")
     root = psd_sqrt(dec.eigenvalues)
     _, deriv = spectral_terms(dec.eigenvalues, dec.eigenvectors, f, b.entries, True)
+    return _sigma_f(root, deriv, f)
+
+
+def _sigma_f(root, deriv, f: ScalarFunction) -> float:
+    """sigma_f from the roots of Sigma's eigenvalues and Df(Sigma; B) in
+    its eigenbasis."""
     sandwiched = root[:, None] * deriv * root[None, :]
     scale = _binade(sandwiched)  # exact, so the norm cannot overflow
     out = math.sqrt(2.0) * float(np.linalg.norm(sandwiched / scale)) * scale
@@ -172,6 +188,50 @@ def _polynomial_terms(s_hat, e, coefficients, b, derivative):
     return val, (d_hat, v) if derivative else None
 
 
+def _first_step(lam, u, d0, f: ScalarFunction, b, n: int):
+    """Step 1's control variates l_1 + q_1 - E[q_1 | S_0] (see the module
+    docstring) of S_0 = U diag(lam) U^T, as ``term(s)``: their sum for
+    each state S_1 of a stack, both taken in S_0's eigenbasis, where
+    l_1 = sum Dt o D0 with D0 = Df(S_0; B) in that basis.
+
+    F o Bt and D0 are formed once.  Dt is taken at 2^-e, with 2^e at or
+    below max |lam|, and F o Bt and D0 at powers of two that bring both
+    terms to one scale, so each value is a finite sum times a power of
+    two.  An entry of F o Bt beyond floating point is taken as 0, which
+    costs variance and no bias.  For f of degree h, F(lam) = 2^(e (h - 2))
+    F(lam / 2^e) is formed from the right side, so it is in floating
+    point, with the same bits, at every scale.
+    """
+    e = np.frexp(np.abs(lam).max())[1] - 1
+    lam_hat = np.ldexp(lam, -e)
+    grid, shift = (lam, 0.0) if f.degree is None else (lam_hat, e * (f.degree - 2.0))
+    whole = math.floor(shift)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # m[j] = (F_ijl Bt_li)_il, so q_1 = sum_j Dt[j] m[j] Dt[j]^T for
+        # symmetric Dt
+        m = np.swapaxes(loewner_second_difference(grid, f) * 2.0 ** (shift - whole)
+                        * (u.T @ b @ u)[:, None, :], 0, 1)
+    m = np.where(np.isfinite(m), m, 0.0)
+    # with Dt_hat = Dt / 2^e, l_1 = 2^e sum Dt_hat o D0 and q_1 = 2^(2e +
+    # whole) sum_j Dt_hat[j] m[j] Dt_hat[j]^T; both are taken at 2^top, the
+    # larger of their scales, so each sum is finite
+    em, ed = (np.frexp(np.abs(a).max())[1] for a in (m, d0))
+    top = max(e + ed, 2 * e + whole + em)
+    d0 = np.ldexp(d0, e - top)
+    m = np.ascontiguousarray(np.ldexp(m, 2 * e + whole - top))
+    diag = np.diagonal(m, axis1=1, axis2=2)  # (F_iji Bt_ii)_ji
+    mean = (np.diagonal(diag) @ lam_hat**2 + lam_hat @ diag @ lam_hat) / n
+    diag_hat = np.diag(lam_hat)
+
+    def term(s):
+        # each chain's products are its own: no number depends on the block
+        dt = u.T @ np.ldexp(s, -e) @ u - diag_hat
+        y = (dt[..., None, :] @ m)[..., 0, :] + d0
+        return np.ldexp(np.sum(y * dt, axis=(-2, -1)) - mean, top)
+
+    return term
+
+
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                           nchains: int, rng: RngStream,
                           alpha: float = 0.05) -> EstimateReport:
@@ -182,13 +242,17 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     and ``rng.spawn(2t)``, see ``chain_states``) and averages, over
     the chains,
 
-        sum_i c_i <f(S_i), B> - sum_{t>=1} (-1)^t C(k, t) l_t,
+        sum_i c_i <f(S_i), B> - sum_{t>=1} (-1)^t C(k, t) l_t
+                           + k (q_1 - E[q_1 | S_0]),
         l_t = <S_t - S_{t-1}, Df(S_{t-1}; B)>;
 
     each l_t has mean 0 given S_{t-1}, and the second sum takes the chain
-    noise of the linear terms out.  At k = 0 this is the plug-in: one chain
+    noise of the linear terms out; the last term, the first step's
+    second-order term less its exact mean (``_first_step``), takes
+    out most of what step 1 leaves.  At k = 0 this is the plug-in: one chain
     that takes no step, draws nothing and is reported as zero chains.  The
-    terms of S_0, and D_0, come from its eigenpairs, once.  A stepped
+    terms of S_0, and D_0, which sigma_f reads too, come from its
+    eigenpairs, once.  A stepped
     state's terms, and for every state but the last its D, are taken in
     one sweep in its block of the chain pass: from the state itself when
     f is a polynomial (domain R, so there is no chain domain check), and
@@ -215,26 +279,29 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     check_domain(start.eigenvalues, f, "eigenvalues of the sample covariance")
     nchains = nchains if k else 1
     vals = np.empty((nchains, k + 1))  # <f(S_i), B> per chain
-    u0 = start.eigenvectors
-    vals[:, 0], d0 = spectral_terms(start.eigenvalues, u0, f, b.entries, k > 0)
-    lin = np.empty((nchains, k))  # l_t = <S_t - S_{t-1}, D_{t-1}> per chain
+    lam0, u0 = start.eigenvalues, start.eigenvectors
+    # D_0 = Df(S_0; B) in S_0's eigenbasis serves sigma_f and the chains
+    vals[:, 0], d0 = spectral_terms(lam0, u0, f, b.entries, True)
+    lin = np.empty((nchains, k))  # l_t per chain; at t = 1, q_1 - E[q_1] too
     if k:
-        d0, unit = _binade_split(d0)  # D_0 / 2^unit
-        # a block's carry into step t is (D_hat, p, ep, u) with D_{t-1} =
-        # 2^u D_hat and <S_{t-1}, D_hat> = 2^ep p; step 1 reads the start's
-        first = (u0 @ d0 @ u0.T, start.eigenvalues @ np.diagonal(d0), 0, unit)
+        first_step = _first_step(lam0, u0, d0, f, b.entries, x.n)
         lam = np.empty((nchains, k, x.d))  # eigenvalues, for the domain check
         poly = f.coefficients
 
         def visit(lo, hi, t, s, carry):
             s_hat, e = _binade_split(s.entries)
-            # l_t / 2^u = <S_t, D_hat> - <S_{t-1}, D_hat>, both taken at
-            # 2^-top, so l_t is finite wherever its value is
-            d_hat, p, ep, u = first if carry is None else carry
-            top = np.maximum(e, ep)
-            lin[lo:hi, t - 1] = np.ldexp(
-                np.ldexp(np.sum(s_hat * d_hat, axis=(-2, -1)), e - top)
-                - np.ldexp(p, ep - top), top + u)
+            if t == 1:
+                lin[lo:hi, 0] = first_step(s.entries)
+            else:
+                # a block's carry into step t is (D_hat, p, ep, u) with
+                # D_{t-1} = 2^u D_hat and <S_{t-1}, D_hat> = 2^ep p; l_t / 2^u
+                # = <S_t, D_hat> - <S_{t-1}, D_hat>, both taken at 2^-top, so
+                # l_t is finite wherever its value is
+                d_hat, p, ep, u = carry
+                top = np.maximum(e, ep)
+                lin[lo:hi, t - 1] = np.ldexp(
+                    np.ldexp(np.sum(s_hat * d_hat, axis=(-2, -1)), e - top)
+                    - np.ldexp(p, ep - top), top + u)
             if poly is None:
                 dec = eigh(s)
                 v = dec.eigenvectors
@@ -242,8 +309,7 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                 # a state outside f's domain fails the check after the pass;
                 # till then f and L are taken on the start's eigenvalues
                 inside = np.all(in_domain(dec.eigenvalues, f), axis=-1)
-                grid = np.where(inside[:, None], dec.eigenvalues,
-                                start.eigenvalues)
+                grid = np.where(inside[:, None], dec.eigenvalues, lam0)
                 vals[lo:hi, t], d_eig = spectral_terms(grid, v, f, b.entries, t < k)
                 if t == k:  # no step reads the last state's D
                     return None
@@ -289,7 +355,7 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     value = float(z.mean()) * scale
     mc_stderr = float(z.std(ddof=1) / math.sqrt(z.size)) * scale if z.size > 1 else 0.0
     finite(mc_stderr, "the Monte Carlo stderr")
-    shat = sigma_f(start, f, b)
+    shat = _sigma_f(psd_sqrt(lam0), d0, f)
     ci = confidence_interval(value, shat, x.n, alpha)
     return EstimateReport(
         functional_value=value, estimator_kind="bias_reduced" if k else "plugin",

@@ -1,5 +1,6 @@
 """Dense symmetric matrices: eigendecomposition, the spectral terms
-<f(A), B> and Loewner-matrix directional derivatives, and effective rank.
+<f(A), B> and Loewner-matrix directional derivatives, second divided
+differences, and effective rank.
 
 All matrices here are real symmetric and carried by :class:`SymMat`, an
 immutable wrapper around one ``numpy`` matrix or a stack of them; only
@@ -36,6 +37,7 @@ __all__ = [
     "in_domain",
     "check_domain",
     "loewner_first_difference",
+    "loewner_second_difference",
     "spectral_terms",
     "effective_rank",
     "trace_inner_product",
@@ -182,6 +184,37 @@ def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:
     np.divide(fv[..., :, None] - fv[..., None, :], gap, out=out, where=~close)
     grid = np.broadcast_to(eigs[..., None], gap.shape)
     out[close] = f.deriv((grid[close] + np.swapaxes(grid, -1, -2)[close]) / 2.0)
+    return out
+
+
+def loewner_second_difference(eigs, f: ScalarFunction) -> np.ndarray:
+    """Tensor of second divided differences F_ijl = f[l_i, l_j, l_l] of f
+    on one eigenvalue grid.
+
+    Each entry is (f[a, b] - f[b, c]) / (a - c) for the first pair (a, c)
+    of (l_i, l_l), (l_i, l_j), (l_j, l_l) whose gap exceeds LOEWNER_GAP
+    times max |eigs|, with b the third point and the first differences
+    from ``loewner_first_difference`` (so a tied pair among a, b, c goes
+    through f'); where all three are tied it is f''(mean) / 2.
+    """
+    eigs = np.asarray(eigs, dtype=float)
+    first = loewner_first_difference(eigs, f)
+    tol = LOEWNER_GAP * np.abs(eigs).max(initial=0.0)
+    gap = eigs[:, None] - eigs[None, :]
+    apart = np.abs(gap) > tol
+    out = np.empty((eigs.size,) * 3)
+    np.divide(first[:, :, None] - first, gap[:, None, :], out=out,
+              where=apart[:, None, :])
+    # the tied pairs (l_i, l_l), each against every l_j
+    i, l = np.nonzero(~apart)
+    tied = np.empty((i.size, eigs.size))
+    ij = apart[i]
+    np.divide(first[i, l][:, None] - first[:, l].T, gap[i], out=tied, where=ij)
+    jl = apart[:, l].T & ~ij
+    np.divide(first[i] - first[i, l][:, None], gap[:, l].T, out=tied, where=jl)
+    rest = ~(ij | jl)
+    tied[rest] = f.deriv2(((eigs[i, None] + eigs + eigs[l, None]) / 3.0)[rest]) / 2.0
+    out[i, :, l] = tied
     return out
 
 

@@ -498,10 +498,10 @@ def test_estimate_wide_shape_needs_no_more_chains(tmp_path, capsys):
     (26, "smoothstep:0.5,2,0.5", "warning: Monte Carlo stderr 0.0534 exceeds "
      "10% of the sampling stderr 3.72e-18; by the 1/sqrt(N) law that takes "
      "--chains 4.12e+36\n"),
-    # 5 chains give 0.191; 187 would give about 0.0313 by the 1/sqrt(N) law
+    # 5 chains give 0.143; 105 would give about 0.0313 by the 1/sqrt(N) law
     (3, "log --B rank1:0 --k 3 --chains 5", "warning: Monte Carlo stderr "
-     "0.191 exceeds 10% of the sampling stderr 0.313; by the 1/sqrt(N) law "
-     "that takes --chains 187\n"),
+     "0.143 exceeds 10% of the sampling stderr 0.313; by the 1/sqrt(N) law "
+     "that takes --chains 105\n"),
 ])
 def test_the_chains_warning_names_the_count_the_target_takes(
         tmp_path, capsys, seed, fn, err):
@@ -795,8 +795,12 @@ def test_linear_term_beyond_floating_point_still_gives_a_finite_cube(
     cube = got["cube"]
     assert 6e307 < cube["functional_value"] < 8e307
     assert np.isfinite(cube["ci_lo"]) and np.isfinite(cube["ci_hi"])
+    # the two paths round each chain's terms differently, so their
+    # mc_stderr, now near 5e-6 of the value, agree to rounding of the value
     for key in ("functional_value", "mc_stderr"):
-        assert cube[key] == pytest.approx(got["power:3"][key], rel=1e-12), key
+        assert cube[key] == pytest.approx(
+            got["power:3"][key], rel=1e-12,
+            abs=1e-15 * cube["functional_value"]), key
 
 
 @pytest.mark.parametrize("k, stage", [("0", "sigma_f of 'power'"),

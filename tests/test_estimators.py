@@ -9,6 +9,7 @@ import pytest
 
 import covfn.estimators
 import covfn.sampling
+import covfn.symmat
 from covfn.errors import BadAlpha, DomainError, NumericOverflow
 from covfn.estimators import (
     bias_reduced_estimate,
@@ -29,8 +30,10 @@ from covfn.symmat import (
     check_domain,
     eigh,
     loewner_first_difference,
+    loewner_second_difference,
     trace_inner_product,
 )
+from covfn.wishart_oracle import quad_wishart_oracle
 from conftest import random_spd, random_sym
 from helpers import (apply_scalar_function, collect_states, frechet_derivative,
                      plugin_estimate)
@@ -188,6 +191,21 @@ class TestPluginEstimate:
             plugin_estimate(x, LOG, np.eye(4) / 4)
 
 
+def second_order_term(start, f, b, n, s1):
+    """(q_1, E[q_1 | S_0]) for each state S_1 of a stack, from S_0's
+    eigenpairs ``start``: q_1 = sum_ijl F_ijl Dt_ij Dt_jl Bt_li with
+    Dt = U^T S_1 U - diag(lam) and Bt = U^T B U."""
+    lam, u = start.eigenvalues, start.eigenvectors
+    tensor = loewner_second_difference(lam, f)
+    bt = u.T @ b @ u
+    dt = u.T @ s1 @ u - np.diag(lam)
+    q = np.einsum("...ij,ijl,...jl,li->...", dt, tensor, dt, bt)
+    i = np.arange(len(lam))
+    mean = (np.sum(tensor[i, i, i] * np.diag(bt) * lam**2)
+            + np.einsum("iji,i,i,j->", tensor, np.diag(bt), lam, lam)) / n
+    return q, mean
+
+
 class TestBiasReducedEstimate:
     def test_k0_equals_plugin_exactly(self, np_rng):
         for case in range(100):
@@ -233,6 +251,7 @@ class TestBiasReducedEstimate:
             np.testing.assert_array_equal(
                 chains3[:, :t], collect_states(start, t, 30, nchains, rng))
         weights = hockey_stick_weights(k)
+        dec = eigh(start)
         ys = []
         for r in range(nchains):
             states = [start.entries, *chains[r]]
@@ -242,6 +261,8 @@ class TestBiasReducedEstimate:
             lin = [trace_inner_product(
                 st - prev, frechet_derivative(eigh(prev), f, b))
                 for prev, st in zip(states, states[1:])]
+            q, mean = second_order_term(dec, f, b, 30, states[1])
+            lin[0] += q - mean  # also weighted by sum_{i>=1} c_i
             ys.append(float(np.dot(weights, vals)) - sum(
                 weights[t:].sum() * lin[t - 1] for t in range(1, k + 1)))
         rep = bias_reduced_estimate(x, f, b, k, nchains, rng)
@@ -325,6 +346,57 @@ class TestBiasReducedEstimate:
             se = lin.std(ddof=1) / np.sqrt(nchains)
             assert se > 0 and abs(lin.mean()) <= 5.0 * se, (t, lin.mean(), se)
             prev = states[:, t]
+
+    @pytest.mark.parametrize("name", ["log", "exp"])
+    def test_the_second_order_term_has_mean_zero(self, np_rng, name):
+        # a Wishart step's second moments are known, so q_1 - E[q_1 | S_0]
+        # has mean 0: over 20000 chains its mean is within 5 standard errors
+        # of 0, while q_1's own mean is not
+        d, n, nchains = 4, 20, 20000
+        f = get_function(name)
+        x = gaussian_sample(psd_factor(np.diag([0.5, 1.0, 1.5, 2.0])), n,
+                            RngStream(8))
+        b = random_sym(np_rng, d)  # not diagonal
+        start = eigh(sample_covariance(x))
+        states = collect_states(start, 1, n, nchains, RngStream(9))
+        q, mean = second_order_term(start, f, b, n, states[:, 0])
+        se = q.std(ddof=1) / np.sqrt(nchains)
+        assert se > 0 and abs(q.mean() - mean) <= 5.0 * se, (q.mean(), mean, se)
+        assert abs(q.mean()) > 5.0 * se
+
+    def test_order_one_square_is_the_plugin_less_its_exact_bias(self, np_rng):
+        # for square, q_1 is the whole remainder <S_1^2 - S_0^2, B> - l_1, so
+        # each chain gives <S_0^2, B> - E[q_1 | S_0], and E[q_1 | S_0] is the
+        # order-0 bias of quad_wishart_oracle at Sigma = S_0
+        d, n = 5, 60
+        x = gaussian_sample(psd_factor(random_spd(np_rng, d)), n, RngStream(3))
+        b = random_spd(np_rng, d)
+        rep = bias_reduced_estimate(x, SQUARE, b, 1, 200, RngStream(4))
+        s = sample_covariance(x).entries
+        want = (trace_inner_product(s @ s, b)
+                - trace_inner_product(quad_wishart_oracle(s, n, 0), b))
+        assert rep.functional_value == pytest.approx(want, rel=1e-12)
+        assert rep.mc_stderr <= 1e-12 * abs(rep.functional_value)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_the_start_has_one_loewner_product(self, monkeypatch, k):
+        # D_0 in S_0's eigenbasis serves both the chains and sigma_f, so the
+        # start's Loewner matrix goes into one Loewner product, and at
+        # k >= 1 into its second-difference tensor; the chains' grids are
+        # stacks
+        callers = []
+        first = covfn.symmat.loewner_first_difference
+
+        def spy(eigs, f):
+            if np.ndim(eigs) == 1:
+                callers.append(sys._getframe(1).f_code.co_name)
+            return first(eigs, f)
+
+        monkeypatch.setattr(covfn.symmat, "loewner_first_difference", spy)
+        x = DataMatrix(np.random.default_rng(1).standard_normal((30, 4)))
+        bias_reduced_estimate(x, LOG, np.eye(4) / 4, k, 20, RngStream(2))
+        assert callers == ["spectral_terms",
+                           *["loewner_second_difference"] * (k > 0)]
 
     def test_a_chains_verdict_does_not_depend_on_the_other_chains(self):
         # chain r's draws do not depend on N, so neither may its verdict:

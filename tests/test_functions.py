@@ -8,7 +8,7 @@ from covfn.sampling import DataMatrix, RngStream
 from covfn.symmat import eigh
 from helpers import apply_scalar_function
 
-# interior grids on which each member's analytic derivative is checked
+# interior grids on which each member's analytic derivatives are checked
 # against central finite differences
 GRIDS = {
     ("identity",): np.linspace(-4, 4, 100),
@@ -30,6 +30,30 @@ def test_analytic_derivative_matches_finite_differences(spec):
     fd = (f.eval(x + h) - f.eval(x - h)) / (2 * h)
     an = f.deriv(x)
     assert np.all(np.abs(fd - an) <= 1e-6 * (1.0 + np.abs(an)))
+
+
+@pytest.mark.parametrize("spec", list(GRIDS), ids=lambda s: str(s))
+def test_analytic_second_derivative_matches_finite_differences(spec):
+    f = get_function(*spec)
+    x = GRIDS[spec]
+    h = 1e-5
+    fd = (f.deriv(x + h) - f.deriv(x - h)) / (2 * h)
+    an = f.deriv2(x)
+    assert np.all(np.abs(fd - an) <= 1e-6 * (1.0 + np.abs(an)))
+
+
+@pytest.mark.parametrize("spec", list(GRIDS), ids=lambda s: str(s))
+def test_degree_scales_the_derivatives(spec):
+    # f^(j)(c x) = c^(h - j) f^(j)(x) for f of degree h; the rest have none
+    f = get_function(*spec)
+    if spec[0] in ("exp", "smoothstep"):
+        assert f.degree is None
+        return
+    x = GRIDS[spec]
+    for c in (2.0**-40, 3.0, 2.0**40):
+        for j, fn in ((1, f.deriv), (2, f.deriv2)):
+            np.testing.assert_allclose(fn(c * x), c ** (f.degree - j) * fn(x),
+                                       rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("spec", list(GRIDS), ids=lambda s: str(s))

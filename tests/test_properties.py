@@ -100,7 +100,9 @@ def test_power_scales_by_c_to_the_2p(seed, d, c, p):
 @given(seed=seeds, d=dims)
 def test_square_scales_by_c_to_the_4_at_1e50(seed, d):
     # sigma_f and mc_stderr are near c^4 = 1e200, but the squares of the
-    # entries they are taken over are near c^8 and overflow
+    # entries they are taken over are near c^8 and overflow; at order 1
+    # every chain of square gives <S^2, B> less its exact Wishart bias, so
+    # mc_stderr is rounding of those terms and is compared at their size
     _, x, b = _case(seed, d)
     square, c = get_function("square"), 1e50
     factor = c**4
@@ -111,7 +113,8 @@ def test_square_scales_by_c_to_the_4_at_1e50(seed, d):
         assert _close(scaled.functional_value / factor, base.functional_value,
                       _bound(x, square, b))
         assert _close(scaled.sigma_hat / factor, base.sigma_hat)
-        assert _close(scaled.mc_stderr / factor, base.mc_stderr)
+        assert _close(scaled.mc_stderr / factor, base.mc_stderr,
+                      _bound(x, square, b))
 
 
 @PROPERTY

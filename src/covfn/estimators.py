@@ -17,7 +17,10 @@ Bt_li, and a Wishart step's second moments give its mean exactly:
 E[q_1 | S_0] = (sum_i F_iii Bt_ii lam_i^2 + sum_ij F_iji Bt_ii lam_i
 lam_j) / n.  That holds for any fixed F, so the difference has mean 0
 however F is rounded; every chain starts at S_0, so F is formed once,
-and l_1 = sum Dt o (L o Bt) is taken in the same contraction.
+and l_1 = sum Dt o (L o Bt) is taken in the same contraction.  A
+polynomial f (``ScalarFunction.coefficients``) takes l_1, q_1 and the
+mean instead from products of S_1 - S_0 and S_0 in the original basis
+(``_polynomial_first_step``), with no decomposition and no tensor.
 The plug-in estimator <f(S_0), B> is the order-0 case: one chain that
 takes no step, with weight 1.  ``sampling.chain_states`` hands each block
 of states to the estimator, which reduces each state S_t there, in one
@@ -190,9 +193,10 @@ def _polynomial_terms(s_hat, e, coefficients, b, derivative):
 
 def _first_step(lam, u, d0, f: ScalarFunction, b, n: int):
     """Step 1's control variates l_1 + q_1 - E[q_1 | S_0] (see the module
-    docstring) of S_0 = U diag(lam) U^T, as ``term(s)``: their sum for
-    each state S_1 of a stack, both taken in S_0's eigenbasis, where
-    l_1 = sum Dt o D0 with D0 = Df(S_0; B) in that basis.
+    docstring) of S_0 = U diag(lam) U^T, for an f that is not a
+    polynomial, as ``term(s)``: their sum for each state S_1 of a stack,
+    both taken in S_0's eigenbasis, where l_1 = sum Dt o D0 with D0 =
+    Df(S_0; B) in that basis.
 
     F o Bt and D0 are formed once.  Dt is taken at 2^-e, with 2^e at or
     below max |lam|, and F o Bt and D0 at powers of two that bring both
@@ -232,6 +236,47 @@ def _first_step(lam, u, d0, f: ScalarFunction, b, n: int):
     return term
 
 
+def _polynomial_first_step(s0, coefficients, b, n: int):
+    """Step 1's control variates l_1 + q_1 - E[q_1 | S_0] (see the module
+    docstring) of a polynomial p = sum_j c_j x^j, as ``term(s)``: their
+    sum for each state S_1 of a stack, from products of Dl = S_1 - S_0 in
+    the original basis, with no decomposition.
+
+    With M_r = sum_{a+c=r} S_0^a B S_0^c and W_i = sum_j c_j M_{j-2-i},
+    l_1 = <Dl, W_-1> (W_-1 = Dp(S_0; B)) and q_1 = sum_{i>=0} tr(Dl S_0^i
+    Dl W_i); a Wishart step has E[Dl X Dl | S_0] = (S_0 X S_0 + tr(X S_0)
+    S_0) / n for symmetric X, so E[q_1 | S_0] = sum_{i>=0} (tr(S_0^(i+2)
+    W_i) + tr(S_0^(i+1)) tr(S_0 W_i)) / n.  Each chain takes one product
+    per W_i, i >= 0, and one per S_0^i, i >= 1, its own.  With S_0 = 2^e
+    S_hat, Dl is taken at 2^-e and c_j M_r, of scale 2^(e j), at powers
+    of two that bring every term to one scale 2^top, so each value is a
+    finite sum times a power of two.
+    """
+    s_hat, e = _binade_split(s0)
+    deg = len(coefficients) - 1
+    power, m = [np.eye(len(b)), s_hat], [b]  # S_hat^i and M_r of S_hat
+    for r in range(1, deg):
+        m.append(s_hat @ m[-1] + b @ power[r])
+        power.append(s_hat @ power[r])
+    parts = [[(e * j, c * m[j - 2 - i]) for j, c in enumerate(coefficients)
+              if c and j >= i + 2] for i in range(-1, deg - 1)]
+    top = max(x + np.frexp(np.abs(a).max())[1] for p in parts for x, a in p)
+    # W_-1, ..., W_(deg-2), divided by 2^top
+    w = [sum(np.ldexp(a, x - top) for x, a in p) for p in parts]
+    mean = sum(np.sum(power[i + 2] * wi) + np.trace(power[i + 1])
+               * np.sum(s_hat * wi) for i, wi in enumerate(w[1:])) / n
+
+    def term(s):
+        # each chain's products are its own: no number depends on the block
+        dl = np.ldexp(s, -e) - s_hat
+        y = np.sum(dl * (w[0] + w[1] @ dl if deg > 1 else w[0]), axis=(-2, -1))
+        for i in range(1, deg - 1):
+            y += np.sum((dl @ power[i]) * (w[i + 1] @ dl), axis=(-2, -1))
+        return np.ldexp(y - mean, top)
+
+    return term
+
+
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                           nchains: int, rng: RngStream,
                           alpha: float = 0.05) -> EstimateReport:
@@ -248,8 +293,9 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
 
     each l_t has mean 0 given S_{t-1}, and the second sum takes the chain
     noise of the linear terms out; the last term, the first step's
-    second-order term less its exact mean (``_first_step``), takes
-    out most of what step 1 leaves.  At k = 0 this is the plug-in: one chain
+    second-order term less its exact mean (``_first_step``, or
+    ``_polynomial_first_step`` for a polynomial f), takes out most of
+    what step 1 leaves.  At k = 0 this is the plug-in: one chain
     that takes no step, draws nothing and is reported as zero chains.  The
     terms of S_0, and D_0, which sigma_f reads too, come from its
     eigenpairs, once.  A stepped
@@ -284,9 +330,11 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     vals[:, 0], d0 = spectral_terms(lam0, u0, f, b.entries, True)
     lin = np.empty((nchains, k))  # l_t per chain; at t = 1, q_1 - E[q_1] too
     if k:
-        first_step = _first_step(lam0, u0, d0, f, b.entries, x.n)
-        lam = np.empty((nchains, k, x.d))  # eigenvalues, for the domain check
         poly = f.coefficients
+        first_step = (_first_step(lam0, u0, d0, f, b.entries, x.n) if poly is None
+                      else _polynomial_first_step(sigma_hat_mat.entries, poly,
+                                                  b.entries, x.n))
+        lam = np.empty((nchains, k, x.d))  # eigenvalues, for the domain check
 
         def visit(lo, hi, t, s, carry):
             s_hat, e = _binade_split(s.entries)

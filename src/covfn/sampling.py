@@ -10,10 +10,11 @@ generator (``Generator.standard_normal``), fixed for this build.
 Each step is one Wishart draw in Bartlett form applied to a factor the
 chain carries, so only the start has a root and a step costs O(d^3)
 whatever n is.  All draws come first, in the calling thread, from
-streams keyed by step; then the chains run in contiguous blocks, one per
-CPU the process may use, on a thread pool, and each block hands its
-states to the caller.  numpy's matmul and ``eigh`` work matrix by
-matrix, so no number depends on the split nor on the number of chains.
+streams keyed by step; then the chains run in contiguous blocks, at
+most one per CPU the process may use and no more than their work pays
+for, on a thread pool, and each block hands its states to the caller.
+numpy's matmul and ``eigh`` work matrix by matrix, so no number depends
+on the split nor on the number of chains.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# A chain step runs in at most _WORKERS blocks (the CPUs this process may
-# use) of at least MIN_BLOCK chains each; a smaller stack runs as one
-# block in the calling thread, where no hand-off to the pool is paid.
-MIN_BLOCK = 64
+# A chain pass runs in at most _WORKERS blocks (the CPUs this process may
+# use), each holding at least BLOCK_WORK of its chains' k d^3 work; a
+# smaller pass runs as one block in the calling thread, where no hand-off
+# to the pool is paid.  Fitted to bias_reduced_estimate at N = 200, k = 1:
+# one block is faster up to d = 10, two are from d = 14 on.
+BLOCK_WORK = 2**18
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool = None  # created on first use: concurrent.futures imports logging
@@ -211,8 +214,10 @@ def _gram(a: np.ndarray, n: int) -> SymMat:
     return SymMat(np.swapaxes(a, -1, -2) @ a / n)
 
 
-def _run_blocks(task, nchains: int) -> None:
-    """Run ``task(lo, hi)`` over contiguous blocks covering range(nchains).
+def _run_blocks(task, nchains: int, k: int, d: int) -> None:
+    """Run ``task(lo, hi)`` over contiguous blocks covering range(nchains),
+    chains of k steps on d-by-d states: min(_WORKERS, nchains, nchains k
+    d^3 // BLOCK_WORK) blocks, at least one.
 
     Each block runs on the pool in a copy of the caller's context, so
     ``np.errstate`` reaches it.  With one block, or when any block
@@ -221,7 +226,7 @@ def _run_blocks(task, nchains: int) -> None:
     failed.
     """
     global _pool
-    nblocks = max(1, min(_WORKERS, nchains // MIN_BLOCK))
+    nblocks = max(1, min(_WORKERS, nchains, nchains * k * d**3 // BLOCK_WORK))
     if nblocks > 1:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
@@ -287,4 +292,4 @@ def chain_states(start, k: int, n: int, nchains: int, rng: RngStream,
             carry = visit(lo, hi, t, _gram(g, n), carry)
             h = g / math.sqrt(n)
 
-    _run_blocks(run, nchains)
+    _run_blocks(run, nchains, k, d)

@@ -612,6 +612,7 @@ def test_quadform_weights_beyond_floating_point_are_a_data_error(tmp_path,
 def test_overflowing_chain_state_is_one_line_in_any_number_of_blocks(
         tmp_path, capsys, monkeypatch, workers):
     monkeypatch.setattr(covfn.sampling, "_WORKERS", workers)
+    monkeypatch.setattr(covfn.sampling, "BLOCK_WORK", 1)  # 200 chains, d = 3
     rows = 1e154 * np.random.default_rng(7).standard_normal((5, 3))
     p = tmp_path / "huge.csv"
     p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))

@@ -12,6 +12,7 @@ import covfn.sampling
 import covfn.symmat
 from covfn.errors import BadAlpha, DomainError, NumericOverflow
 from covfn.estimators import (
+    _polynomial_first_step,
     bias_reduced_estimate,
     confidence_interval,
     hockey_stick_weight_ints,
@@ -347,11 +348,13 @@ class TestBiasReducedEstimate:
             assert se > 0 and abs(lin.mean()) <= 5.0 * se, (t, lin.mean(), se)
             prev = states[:, t]
 
-    @pytest.mark.parametrize("name", ["log", "exp"])
+    @pytest.mark.parametrize("name", ["log", "exp", "square", "cube"])
     def test_the_second_order_term_has_mean_zero(self, np_rng, name):
         # a Wishart step's second moments are known, so q_1 - E[q_1 | S_0]
         # has mean 0: over 20000 chains its mean is within 5 standard errors
-        # of 0, while q_1's own mean is not
+        # of 0, while q_1's own mean is not.  square and cube take both
+        # from products of S_1 - S_0 in the original basis, and give the
+        # tensor's values to rounding
         d, n, nchains = 4, 20, 20000
         f = get_function(name)
         x = gaussian_sample(psd_factor(np.diag([0.5, 1.0, 1.5, 2.0])), n,
@@ -363,6 +366,49 @@ class TestBiasReducedEstimate:
         se = q.std(ddof=1) / np.sqrt(nchains)
         assert se > 0 and abs(q.mean() - mean) <= 5.0 * se, (q.mean(), mean, se)
         assert abs(q.mean()) > 5.0 * se
+        if f.coefficients is not None:
+            s0 = sample_covariance(x).entries
+            term = _polynomial_first_step(s0, f.coefficients, b, n)
+            lin = np.sum((states[:, 0] - s0)
+                         * frechet_derivative(start, f, b).entries, axis=(1, 2))
+            np.testing.assert_allclose(term(states[:, 0]) - lin, q - mean,
+                                       rtol=0, atol=1e-12 * np.abs(q).max())
+
+    def test_identity_has_no_second_order_term(self, np_rng):
+        # identity's second differences are 0, so step 1's terms are its
+        # linear term <S_1 - S_0, B> alone, to the last bit
+        d, n = 5, 12
+        x = DataMatrix(np_rng.standard_normal((n, d)))
+        b = random_sym(np_rng, d)
+        s0 = sample_covariance(x).entries
+        s1 = collect_states(s0, 1, n, 50, RngStream(3))[:, 0]
+        term = _polynomial_first_step(s0, IDENTITY.coefficients, b, n)
+        np.testing.assert_array_equal(term(s1),
+                                      np.sum((s1 - s0) * b, axis=(1, 2)))
+
+    @pytest.mark.parametrize("name", ["square", "cube"])
+    @pytest.mark.parametrize("n, d", [(30, 5), (6, 10)])
+    @pytest.mark.parametrize("sign", [0, 1, -1])
+    def test_order_one_products_give_the_tensors_estimate(
+            self, np_rng, name, n, d, sign):
+        # square and cube take step 1's terms from products of S_1 - S_0;
+        # without their coefficients (as power:2 and power:3, but defined
+        # where n < d too) they take them from the second-difference tensor
+        # in S_0's eigenbasis.  On the same draws both give the same
+        # report, also with <f(S), B> scaled by about 2^500 and 2^-500
+        f = get_function(name)
+        c = 2.0 ** (sign * (500 // (2 * f.degree)))
+        x = DataMatrix(c * np_rng.standard_normal((n, d)) * np.linspace(1, 3, d))
+        b = random_sym(np_rng, d)  # not diagonal
+        poly = bias_reduced_estimate(x, f, b, 1, 200, RngStream(5))
+        tensor = bias_reduced_estimate(
+            x, dataclasses.replace(f, coefficients=None), b, 1, 200, RngStream(5))
+        assert poly.functional_value == pytest.approx(tensor.functional_value,
+                                                      rel=1e-12)
+        # square's mc_stderr is rounding of its terms, so it is compared at
+        # their size
+        assert poly.mc_stderr == pytest.approx(
+            tensor.mc_stderr, rel=1e-12, abs=1e-12 * abs(poly.functional_value))
 
     def test_order_one_square_is_the_plugin_less_its_exact_bias(self, np_rng):
         # for square, q_1 is the whole remainder <S_1^2 - S_0^2, B> - l_1, so
@@ -431,6 +477,7 @@ class TestBiasReducedEstimate:
         # state and B; on the same draws both give the same report, and
         # only the eigenpair run decomposes a chain state
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)  # 129: two blocks
+        monkeypatch.setattr(covfn.sampling, "BLOCK_WORK", 1)
         decomposed = []
 
         def spy(a):
@@ -523,7 +570,7 @@ class TestBiasReducedEstimate:
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 1)
         serial = bias_reduced_estimate(*args)
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 8)
-        monkeypatch.setattr(covfn.sampling, "MIN_BLOCK", 1)
+        monkeypatch.setattr(covfn.sampling, "BLOCK_WORK", 1)
         monkeypatch.setattr(covfn.sampling, "_pool", None)  # one of 8 threads
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

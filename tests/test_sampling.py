@@ -203,8 +203,9 @@ class TestBartlettStep:
         # draws as g_1 = R_1 psd_factor(start) and g_2 = R_2[:, :, :p] g_1 /
         # sqrt(n) (p the rows of g_1), give the states the engine hands
         # over, bit for bit, in one block of 4 chains and in two blocks of
-        # 129
+        # 129 (2 d^3 work per chain, so 129 chains hold two blocks' worth)
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
+        monkeypatch.setattr(covfn.sampling, "BLOCK_WORK", 2**13)
         m = min(n, d)
         start = random_spd(np_rng, d)
         rows, cols = np.triu_indices(m, 1, d)
@@ -212,7 +213,8 @@ class TestBartlettStep:
         for nchains in (4, 129):
             calls = []
             states = collect_states(start, 2, n, nchains, RngStream(6), calls)
-            assert len(calls) == 2 * (1 if nchains < 128 else 2)
+            assert len(calls) == 2 * max(1, min(2, nchains,
+                                                nchains * 2 * d**3 // 2**13))
             h = psd_factor(start)
             for t in (1, 2):
                 bartlett = np.zeros((nchains, m, d))
@@ -262,12 +264,12 @@ class TestBartlettStep:
 
 class TestBlocks:
     @staticmethod
-    def block_sizes(monkeypatch, workers, min_block, *args):
+    def block_sizes(monkeypatch, workers, block_work, *args):
         """The states of chain_states(*args) with ``workers`` CPUs and
-        blocks of at least ``min_block`` chains, and the sizes of the
+        blocks of at least ``block_work`` work, and the sizes of the
         stacks handed over, block by block and step by step."""
         monkeypatch.setattr(covfn.sampling, "_WORKERS", workers)
-        monkeypatch.setattr(covfn.sampling, "MIN_BLOCK", min_block)
+        monkeypatch.setattr(covfn.sampling, "BLOCK_WORK", block_work)
         calls = []
         states = collect_states(*args, calls)
         # each block's carry is what its own previous step returned
@@ -278,23 +280,38 @@ class TestBlocks:
     @pytest.mark.parametrize("nchains", [1, 63, 64, 65, 200, 201])
     def test_output_does_not_depend_on_the_blocks(self, np_rng, nchains,
                                                   monkeypatch):
+        # each chain's work is k d^3 = 192
         args = (random_spd(np_rng, 4), 3, 9, nchains, RngStream(12))
-        states, sizes = self.block_sizes(monkeypatch, 1, 64, *args)
+        states, sizes = self.block_sizes(monkeypatch, 1, 1, *args)
         assert sizes == [nchains] * 3
         for workers in (2, 3):
-            for min_block in (1, 64):
-                nblocks = max(1, min(workers, nchains // min_block))
+            for block_work in (1, 2**14, covfn.sampling.BLOCK_WORK):
+                nblocks = max(1, min(workers, nchains,
+                                     nchains * 192 // block_work))
                 states_b, sizes = self.block_sizes(
-                    monkeypatch, workers, min_block, *args)
+                    monkeypatch, workers, block_work, *args)
                 assert len(sizes) == 3 * nblocks and sum(sizes) == 3 * nchains
                 np.testing.assert_array_equal(states_b, states)
+
+    @pytest.mark.parametrize("d, k, nblocks", [
+        (5, 1, 1), (10, 1, 1), (14, 1, 2), (20, 1, 2), (50, 3, 2)])
+    def test_blocks_are_sized_by_work(self, monkeypatch, d, k, nblocks):
+        # 200 chains on two CPUs: up to d = 10 at k = 1 the hand-off to the
+        # pool costs more than a second block saves, from d = 14 on it
+        # costs less, and the d = 50, k = 3 chains of estimate-wide keep
+        # both blocks
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
+        calls = []
+        collect_states(np.eye(d), k, 2, 200, RngStream(0), calls)
+        assert sorted(hi - lo for lo, hi, t, _ in calls if t == 1) == (
+            [200 // nblocks] * nblocks)
 
     def test_eight_threads_switching_fast_write_every_row(self, np_rng,
                                                          monkeypatch):
         # more threads than CPUs, interleaved as finely as the interpreter
         # allows, each writing its own rows of the shared output
         args = (random_spd(np_rng, 3), 3, 5, 400, RngStream(13))
-        states, _ = self.block_sizes(monkeypatch, 1, 64, *args)
+        states, _ = self.block_sizes(monkeypatch, 1, 1, *args)
         monkeypatch.setattr(covfn.sampling, "_pool", None)  # one of 8 threads
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -319,7 +336,7 @@ class TestBlocks:
                 raise NumericOverflow(f"chains {lo} to {hi}")
 
         with pytest.raises(NumericOverflow, match="^chains 0 to 200$"):
-            _run_blocks(task, 200)
+            _run_blocks(task, 200, 3, 50)
         assert sorted(calls[:3]) == [(0, 66, False), (66, 133, False),
                                      (133, 200, False)]
         assert calls[3:] == [(0, 200, True)]
@@ -328,6 +345,7 @@ class TestBlocks:
         # the second block fails on the pool, so the whole stack reruns in
         # this thread, with the carry None again at its first step
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
+        monkeypatch.setattr(covfn.sampling, "BLOCK_WORK", 1)
         calls = []
 
         def visit(lo, hi, t, s, carry):
@@ -353,7 +371,7 @@ class TestBlocks:
                          is threading.main_thread()))
 
         with np.errstate(over="ignore", invalid="raise"):
-            _run_blocks(task, 200)
+            _run_blocks(task, 200, 3, 50)
         assert seen == [("ignore", "raise", False)] * 2
 
     @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
@@ -361,6 +379,7 @@ class TestBlocks:
     def test_a_forked_child_makes_its_own_pool(self, monkeypatch):
         # the parent's pool threads do not exist in a child forked from it
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
+        monkeypatch.setattr(covfn.sampling, "BLOCK_WORK", 1)
         args = (np.eye(5), 2, 20, 200, RngStream(1))
         states = collect_states(*args)  # the parent's pool now exists
         ctx = multiprocessing.get_context("fork")

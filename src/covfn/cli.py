@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CovfnError, IoError, UsageError
-from .estimators import MAX_K, EstimateReport, bias_reduced_estimate
+from .estimators import MAX_K, EstimateReport, bias_reduced_estimate, valid_alpha
 from .experiments import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -219,8 +219,8 @@ def _cmd_estimate(args) -> ResultTable:
         raise UsageError(f"--k must be in [0, {MAX_K}], got {args.k}")
     if args.k > 0 and args.chains < 1:
         raise UsageError(f"--chains must be >= 1 when --k >= 1, got {args.chains}")
-    if not 0 < args.alpha < 1:
-        raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
+    if not valid_alpha(args.alpha):
+        raise UsageError(f"--alpha must be in (2^-53, 1), got {args.alpha}")
     data = load_data_csv(args.data, args.has_header)
     f = parse_function_spec(args.fn)
     b, factor = build_b(args.b, data.d)

@@ -50,7 +50,7 @@ def overflow_stage(stage: str):
 
 
 class BadAlpha(CovfnError):
-    """Confidence level outside (0, 1)."""
+    """Confidence level outside (2^-53, 1)."""
 
 
 class ParseError(CovfnError):

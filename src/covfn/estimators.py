@@ -6,37 +6,44 @@ combination sum_i c_{k,i} <f(S_i), B> with hockey-stick weights
 c_{k,i} = (-1)^i C(k+1, i+1); its conditional expectation removes the
 first k orders of plug-in bias.  A chain is a martingale (E[S_t | S_{t-1}]
 = S_{t-1}), so each step's linear term l_t = <S_t - S_{t-1}, D_{t-1}>,
-D_{t-1} = Df(S_{t-1}; B), has mean exactly 0 and is subtracted with the
-weight sum_{i>=t} c_{k,i} = (-1)^t C(k, t) as a control variate: the mean
-is unchanged and the chain noise that the linear terms carry is gone.
-Step 1 also subtracts, with the same weight -k, its second-order term
-q_1 - E[q_1 | S_0], q_1 = 1/2 <D^2 f(S_0)[S_1 - S_0, S_1 - S_0], B>.  In
-S_0's eigenbasis, with Dt = U^T S_1 U - diag(lam), Bt = U^T B U and F
-f's second divided differences on lam, q_1 = sum_ijl F_ijl Dt_ij Dt_jl
-Bt_li, and a Wishart step's second moments give its mean exactly:
-E[q_1 | S_0] = (sum_i F_iii Bt_ii lam_i^2 + sum_ij F_iji Bt_ii lam_i
-lam_j) / n.  That holds for any fixed F, so the difference has mean 0
-however F is rounded; every chain starts at S_0, so F is formed once,
-and l_1 = sum Dt o (L o Bt) is taken in the same contraction.  A
-polynomial f (``ScalarFunction.coefficients``) takes l_1, q_1 and the
-mean instead from products of S_1 - S_0 and S_0 in the original basis
-(``_polynomial_first_step``), with no decomposition and no tensor.
-The plug-in estimator <f(S_0), B> is the order-0 case: one chain that
-takes no step, with weight 1.  ``sampling.chain_states`` hands each block
-of states to the estimator, which reduces each state S_t there, in one
-sweep, to <f(S_t), B>, for t >= 2 l_t = sum (S_t - S_{t-1}) o D_{t-1}
-and, for t < k, D_t scaled by a power of two, the carry to the next
-step.  For a polynomial f (``ScalarFunction.coefficients``) these are
-sums of products of S_t and B; every other f takes them from S_t's eigenpairs
-and Loewner matrix (``symmat.spectral_terms``, which also serves S_0 and
-sigma_f), and keeps only its eigenvalues, for the domain check.
-A chain state outside f's domain is an error, never dropped.  Confidence
-intervals use the asymptotic standard deviation
+D_{t-1} = Df(S_{t-1}; B), has mean exactly 0, and its second-order term
+q_t = 1/2 <D^2 f(S_{t-1})[S_t - S_{t-1}, S_t - S_{t-1}], B> has a mean
+that a Wishart step's second moments give exactly.  Each step subtracts
+l_t + q_t - E[q_t | S_{t-1}] with the weight sum_{i>=t} c_{k,i} =
+(-1)^t C(k, t) as a control variate: the mean is unchanged, and the
+chain noise of the first two orders of every step is gone.
+
+In S_{t-1}'s eigenbasis, with Dt = U^T S_t U - diag(lam), Bt = U^T B U
+and F f's second divided differences on lam, q_t = sum_ijl F_ijl Dt_ij
+Dt_jl Bt_li and E[q_t | S_{t-1}] = (sum_i F_iii Bt_ii lam_i^2 + sum_ij
+F_iji Bt_ii lam_i lam_j) / n.  For i != l, F_ijl = (L_ij - L_jl) R_il,
+with L the Loewner matrix and R_il = 1 / (lam_i - lam_l), so with P =
+(L o Dt) Dt, one product per state, q_t = sum_{i != l} Bt_li (P -
+P^T)_il R_il + sum_ij F_iji Bt_ii Dt_ij^2 (``_eig_step``); the d^3 tensor
+F is never formed.  A tied pair i != l (a gap within LOEWNER_GAP) takes
+R_il = 0 and drops out of q_t; the mean never reads such a pair, so the
+difference keeps mean 0, as it does however F is rounded.  A polynomial
+f (``ScalarFunction.coefficients``) takes l_t, q_t and the mean instead
+from products of S_t - S_{t-1} and S_{t-1} in the original basis
+(``_polynomial_step``), with no decomposition.  The plug-in estimator
+<f(S_0), B> is the order-0 case: one chain that takes no step, with
+weight 1.
+
+``sampling.chain_states`` hands each block of states to the estimator,
+which reduces each state S_t there, in one sweep, to <f(S_t), B>, the
+terms of the step that reached it, and, for t < k, what the next step's
+terms read: the state itself for a polynomial f, whose terms are sums of
+products of S_t and B, and otherwise its eigenpairs and Bt
+(``symmat.spectral_terms``, which also serves S_0, sigma_f and
+``simulate``'s truth), whose eigenvalues are also kept for the domain
+check.  A chain state outside f's domain is an error, never dropped.
+Confidence intervals use the asymptotic standard deviation
 sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -57,7 +64,8 @@ from .symmat import (
     check_domain,
     eigh,
     in_domain,
-    loewner_second_difference,
+    loewner_differences,
+    loewner_first_difference,
     psd_sqrt,
     spectral_terms,
 )
@@ -69,6 +77,7 @@ __all__ = [
     "hockey_stick_weight_ints",
     "bias_reduced_estimate",
     "confidence_interval",
+    "valid_alpha",
     "MAX_K",
 ]
 
@@ -95,6 +104,12 @@ class EstimateReport:
     stream_id: int
 
 
+def valid_alpha(alpha: float) -> bool:
+    """Whether alpha is a usable level: in (2^-53, 1).  At and below
+    2^-53, 1 - alpha / 2 rounds to 1, whose normal quantile is infinite."""
+    return 2.0**-53 < alpha < 1.0
+
+
 def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) -> tuple:
     """Symmetric interval point +/- z_{1-alpha/2} * sigma_hat / sqrt(n).
 
@@ -102,8 +117,8 @@ def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) ->
     half-width is finite wherever its value is; an interval beyond
     floating point raises NumericOverflow.
     """
-    if not (0.0 < alpha < 1.0):
-        raise BadAlpha(f"alpha must be in (0, 1), got {alpha}")
+    if not valid_alpha(alpha):
+        raise BadAlpha(f"alpha must be in (2^-53, 1), got {alpha}")
     if sigma_hat < 0:
         raise ValueError("sigma_hat must be >= 0")
     if n < 1:
@@ -119,7 +134,8 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
 
     Computed in the eigenbasis of Sigma, where both the square root
     (``symmat.psd_sqrt``, which raises NotPSD) and the Loewner-matrix
-    derivative (``symmat.spectral_terms``) are exact on eigenvalues.
+    derivative (``symmat.loewner_first_difference`` times B in that basis,
+    from ``symmat.spectral_terms``) are exact on eigenvalues.
     ``sigma`` may be given as its SpectralDecomp; a B of another size
     raises DimMismatch.  The norm is taken of entries scaled
     by a power of two, so it is finite wherever its value is; a value
@@ -130,8 +146,10 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
     if b.dim != len(dec.eigenvalues):
         raise DimMismatch(f"B has dim {b.dim}, Sigma has {len(dec.eigenvalues)}")
     root = psd_sqrt(dec.eigenvalues)
-    _, deriv = spectral_terms(dec.eigenvalues, dec.eigenvectors, f, b.entries, True)
-    return _sigma_f(root, deriv, f)
+    lam = dec.eigenvalues
+    deriv = loewner_first_difference(lam, f)  # DomainError before f is taken
+    _, bt = spectral_terms(lam, dec.eigenvectors, f, b.entries, True)
+    return _sigma_f(root, deriv * bt, f)
 
 
 def _sigma_f(root, deriv, f: ScalarFunction) -> float:
@@ -157,100 +175,135 @@ def hockey_stick_weights(k: int) -> np.ndarray:
     return np.array(hockey_stick_weight_ints(k), dtype=float)
 
 
+def _scaled(m, x, out=None):
+    """m 2^x for a matrix, or each matrix of a stack with its own integer
+    x, with ``np.ldexp``'s values: a product with 2^x, which is exact,
+    wherever that power is a normal float."""
+    x = np.asarray(x)[..., None, None]
+    if np.all(np.abs(x) <= 1022):
+        return np.multiply(m, np.ldexp(1.0, x), out=out)
+    return np.ldexp(m, x, out=out)
+
+
+def _dot(a, b):
+    """sum a o b for each pair of matrices of two stacks (or a stack and
+    one matrix), a dot product per pair that forms no a o b."""
+    d2 = a.shape[-1] * a.shape[-2]
+    return np.vecdot(a.reshape(a.shape[:-2] + (d2,)), b.reshape(b.shape[:-2] + (d2,)))
+
+
+def _exponent(m):
+    """frexp's exponent of max |entry| of a matrix, or of each matrix of a
+    stack, found with no |m| formed."""
+    return np.frexp(np.maximum(m.max(axis=(-2, -1)), -m.min(axis=(-2, -1))))[1]
+
+
+def _zero_nonfinite(m):
+    """m with its entries beyond floating point set to 0, in place."""
+    if not np.isfinite(m).all():
+        np.copyto(m, 0.0, where=~np.isfinite(m))
+    return m
+
+
 def _binade_split(s):
     """(S_hat, e), S = 2^e S_hat, 2^e at or below max |entry| of each S."""
     e = np.frexp(np.abs(s).max(axis=(-2, -1)))[1] - 1
     return np.ldexp(s, -e[..., None, None]), e
 
 
-def _polynomial_terms(s_hat, e, coefficients, b, derivative):
-    """<p(S), B> for each symmetric S = 2^e S_hat, p = sum_j c_j x^j, and,
-    when ``derivative``, (D_hat, v) with Dp(S; B) = sum_j c_j sum_{a+b=j-1}
-    S^a B S^b equal to 2^v D_hat (else None).
+def _polynomial_terms(s_hat, e, coefficients, b):
+    """<p(S), B> for each symmetric S = 2^e S_hat, p = sum_j c_j x^j.
 
     One sweep, no decomposition: each S_hat^{j-1} B is formed once, and
     tr(S^j B) = sum S o (S^{j-1} B) for symmetric S.  Each term is taken
     of S_hat and scaled back exactly, so the value is finite wherever it
-    is; v = max(0, (deg p - 1) e) is the derivative's top scale, so D_hat
-    is a sum of terms taken at powers of two at or below 1, and finite.
+    is.
     """
-    power = m = b  # S_hat^{j-1} B and sum_{a+b=j-1} S_hat^a B S_hat^b
+    power = b  # S_hat^{j-1} B
     val = np.full(e.shape, coefficients[0] * np.trace(b))
-    if derivative:
-        v = np.maximum((len(coefficients) - 2) * e, 0)
-        d_hat = np.zeros(s_hat.shape)
     for j, c in enumerate(coefficients[1:], start=1):
         if j > 1:
             power = s_hat @ power
-            if derivative:
-                m = s_hat @ m + np.swapaxes(power, -1, -2)
         if c:
             val += c * np.ldexp(np.sum(s_hat * power, axis=(-2, -1)), j * e)
-            if derivative:
-                d_hat += c * np.ldexp(m, ((j - 1) * e - v)[..., None, None])
-    return val, (d_hat, v) if derivative else None
+    return val
 
 
-def _first_step(lam, u, d0, f: ScalarFunction, b, n: int):
-    """Step 1's control variates l_1 + q_1 - E[q_1 | S_0] (see the module
-    docstring) of S_0 = U diag(lam) U^T, for an f that is not a
-    polynomial, as ``term(s)``: their sum for each state S_1 of a stack,
-    both taken in S_0's eigenbasis, where l_1 = sum Dt o D0 with D0 =
-    Df(S_0; B) in that basis.
+def _eig_step(lam, u, bt, f: ScalarFunction, n: int, s):
+    """A step's control variates l_t + q_t - E[q_t | S_{t-1}] (see the
+    module docstring) for each state S_t of a stack, for an f that is not
+    a polynomial, from the eigenpairs (lam, U) of the state S_{t-1} it
+    stepped from and Bt = U^T B U: of one S_{t-1} that every state left,
+    or of a stack of them, one per state.
 
-    F o Bt and D0 are formed once.  Dt is taken at 2^-e, with 2^e at or
-    below max |lam|, and F o Bt and D0 at powers of two that bring both
-    terms to one scale, so each value is a finite sum times a power of
-    two.  An entry of F o Bt beyond floating point is taken as 0, which
-    costs variance and no bias.  For f of degree h, F(lam) = 2^(e (h - 2))
-    F(lam / 2^e) is formed from the right side, so it is in floating
-    point, with the same bits, at every scale.
+    In S_{t-1}'s eigenbasis, with Dt = U^T S_t U - diag(lam) and L, R and
+    G from ``symmat.loewner_differences``, each state takes one product,
+    (L o Dt) Dt, and
+
+        l_t + q_t = sum (L o Dt) o (Bt + 2 (Bt o R) Dt) + sum G o Bt_ii Dt^2,
+        E[q_t | S_{t-1}] = sum_ij G_ij Bt_ii lam_i (lam_j + [i = j] lam_i) / n.
+
+    Dt is taken at 2^-e, with 2^e at or below max |lam|, and L, Bt o R
+    and G o Bt_ii are each divided by a power of two near their largest
+    entry; each term is taken at a power of two that puts every term at
+    one scale, so each value is a finite sum times a power of two.  An
+    entry of Bt o R or G o Bt_ii beyond floating point is taken as 0,
+    which costs variance and no bias.  For f of degree h, L, R and G are
+    formed on lam / 2^e and scaled back by 2^(e (h - 1)), 2^-e and
+    2^(e (h - 2)), so they have the same bits at every scale.  Each
+    state's products are its own, so no number depends on the block.
     """
-    e = np.frexp(np.abs(lam).max())[1] - 1
-    lam_hat = np.ldexp(lam, -e)
-    grid, shift = (lam, 0.0) if f.degree is None else (lam_hat, e * (f.degree - 2.0))
-    whole = math.floor(shift)
+    e = np.frexp(np.abs(lam).max(axis=-1))[1] - 1
+    lam_hat = np.ldexp(lam, -e[..., None])
+    dt = np.swapaxes(u, -1, -2) @ s @ u
+    _scaled(dt, -e, dt)  # Dt / 2^e
+    i = np.arange(dt.shape[-1])
+    dt[..., i, i] -= lam_hat
+    grid, g, shift = ((lam, 0, 0.0) if f.degree is None
+                      else (lam_hat, e, e * (f.degree - 2.0)))
+    whole = np.floor(shift).astype(int)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # m[j] = (F_ijl Bt_li)_il, so q_1 = sum_j Dt[j] m[j] Dt[j]^T for
-        # symmetric Dt
-        m = np.swapaxes(loewner_second_difference(grid, f) * 2.0 ** (shift - whole)
-                        * (u.T @ b @ u)[:, None, :], 0, 1)
-    m = np.where(np.isfinite(m), m, 0.0)
-    # with Dt_hat = Dt / 2^e, l_1 = 2^e sum Dt_hat o D0 and q_1 = 2^(2e +
-    # whole) sum_j Dt_hat[j] m[j] Dt_hat[j]^T; both are taken at 2^top, the
-    # larger of their scales, so each sum is finite
-    em, ed = (np.frexp(np.abs(a).max())[1] for a in (m, d0))
-    top = max(e + ed, 2 * e + whole + em)
-    d0 = np.ldexp(d0, e - top)
-    m = np.ascontiguousarray(np.ldexp(m, 2 * e + whole - top))
-    diag = np.diagonal(m, axis1=1, axis2=2)  # (F_iji Bt_ii)_ji
-    mean = (np.diagonal(diag) @ lam_hat**2 + lam_hat @ diag @ lam_hat) / n
-    diag_hat = np.diag(lam_hat)
+        first, cross, diag = loewner_differences(grid, f)
+        cross *= bt  # Bt o R
+        diag *= np.diagonal(bt, axis1=-2, axis2=-1)[..., :, None]  # G o Bt_ii
+    a, c, h = (_exponent(m) for m in (first, _zero_nonfinite(cross),
+                                      _zero_nonfinite(diag)))
+    # l_t, the cross term (with its factor 2) and the G term are sums of
+    # products of Dt / 2^e with L / 2^a, (Bt o R) / 2^c and (G o Bt_ii) /
+    # 2^h at 2^xl, 2^xc and 2^xd, in units of 2^(shift - whole); each is
+    # taken at 2^top, the largest of them
+    xl, xc, xd = e + g + whole + a, 2 * e + whole + a + c + 1, 2 * e + whole + h
+    top = np.maximum(np.maximum(xl, xc), xd)
+    _scaled(first, -a, first)
+    _scaled(cross, xc - c - top, cross)
+    _scaled(diag, xd - h - top, diag)
+    mean = (np.sum(lam_hat * (diag @ lam_hat[..., None])[..., 0], axis=-1)
+            + np.sum(np.diagonal(diag, axis1=-2, axis2=-1) * lam_hat**2,
+                     axis=-1)) / n
+    y = _dot(diag * dt, dt) - mean
+    del diag  # one (N, d, d) array fewer while the cross term is formed
+    w = cross @ dt
+    dt *= first  # (L o Dt) / 2^(a + e)
+    y += _dot(dt, w) + np.ldexp(_dot(dt, bt), xl - top)
+    return np.ldexp(y * 2.0 ** (shift - whole), top)
 
-    def term(s):
-        # each chain's products are its own: no number depends on the block
-        dt = u.T @ np.ldexp(s, -e) @ u - diag_hat
-        y = (dt[..., None, :] @ m)[..., 0, :] + d0
-        return np.ldexp(np.sum(y * dt, axis=(-2, -1)) - mean, top)
 
-    return term
+def _polynomial_step(s0, coefficients, b, n: int, s):
+    """A step's control variates l_t + q_t - E[q_t | S_{t-1}] (see the
+    module docstring) of a polynomial p = sum_j c_j x^j for each state S_t
+    of a stack, from products of Dl = S_t - S_{t-1} in the original basis,
+    with no decomposition: of one S_{t-1} that every state left, or of a
+    stack of them, one per state.
 
-
-def _polynomial_first_step(s0, coefficients, b, n: int):
-    """Step 1's control variates l_1 + q_1 - E[q_1 | S_0] (see the module
-    docstring) of a polynomial p = sum_j c_j x^j, as ``term(s)``: their
-    sum for each state S_1 of a stack, from products of Dl = S_1 - S_0 in
-    the original basis, with no decomposition.
-
-    With M_r = sum_{a+c=r} S_0^a B S_0^c and W_i = sum_j c_j M_{j-2-i},
-    l_1 = <Dl, W_-1> (W_-1 = Dp(S_0; B)) and q_1 = sum_{i>=0} tr(Dl S_0^i
-    Dl W_i); a Wishart step has E[Dl X Dl | S_0] = (S_0 X S_0 + tr(X S_0)
-    S_0) / n for symmetric X, so E[q_1 | S_0] = sum_{i>=0} (tr(S_0^(i+2)
-    W_i) + tr(S_0^(i+1)) tr(S_0 W_i)) / n.  Each chain takes one product
-    per W_i, i >= 0, and one per S_0^i, i >= 1, its own.  With S_0 = 2^e
-    S_hat, Dl is taken at 2^-e and c_j M_r, of scale 2^(e j), at powers
-    of two that bring every term to one scale 2^top, so each value is a
-    finite sum times a power of two.
+    With M_r = sum_{a+c=r} S^a B S^c and W_i = sum_j c_j M_{j-2-i} of S =
+    S_{t-1}, l_t = <Dl, W_-1> (W_-1 = Dp(S; B)) and q_t = sum_{i>=0}
+    tr(Dl S^i Dl W_i); a Wishart step has E[Dl X Dl | S] = (S X S + tr(X
+    S) S) / n for symmetric X, so E[q_t | S] = sum_{i>=0} (tr(S^(i+2) W_i)
+    + tr(S^(i+1)) tr(S W_i)) / n.  Each state takes one product per W_i,
+    i >= 0, and one per S^i, i >= 1, its own.  With S = 2^e S_hat, Dl is
+    taken at 2^-e and c_j M_r, of scale 2^(e j), at powers of two that
+    bring every term to one scale 2^top, so each value is a finite sum
+    times a power of two.
     """
     s_hat, e = _binade_split(s0)
     deg = len(coefficients) - 1
@@ -260,21 +313,20 @@ def _polynomial_first_step(s0, coefficients, b, n: int):
         power.append(s_hat @ power[r])
     parts = [[(e * j, c * m[j - 2 - i]) for j, c in enumerate(coefficients)
               if c and j >= i + 2] for i in range(-1, deg - 1)]
-    top = max(x + np.frexp(np.abs(a).max())[1] for p in parts for x, a in p)
+    top = functools.reduce(np.maximum, (
+        x + np.frexp(np.abs(a).max(axis=(-2, -1)))[1] for p in parts for x, a in p))
     # W_-1, ..., W_(deg-2), divided by 2^top
-    w = [sum(np.ldexp(a, x - top) for x, a in p) for p in parts]
-    mean = sum(np.sum(power[i + 2] * wi) + np.trace(power[i + 1])
-               * np.sum(s_hat * wi) for i, wi in enumerate(w[1:])) / n
-
-    def term(s):
-        # each chain's products are its own: no number depends on the block
-        dl = np.ldexp(s, -e) - s_hat
-        y = np.sum(dl * (w[0] + w[1] @ dl if deg > 1 else w[0]), axis=(-2, -1))
-        for i in range(1, deg - 1):
-            y += np.sum((dl @ power[i]) * (w[i + 1] @ dl), axis=(-2, -1))
-        return np.ldexp(y - mean, top)
-
-    return term
+    w = [sum(np.ldexp(a, (x - top)[..., None, None]) for x, a in p)
+         for p in parts]
+    mean = sum(np.sum(power[i + 2] * wi, axis=(-2, -1))
+               + np.trace(power[i + 1], axis1=-2, axis2=-1)
+               * np.sum(s_hat * wi, axis=(-2, -1))
+               for i, wi in enumerate(w[1:])) / n
+    dl = np.ldexp(s, -e[..., None, None]) - s_hat
+    y = np.sum(dl * (w[0] + w[1] @ dl if deg > 1 else w[0]), axis=(-2, -1))
+    for i in range(1, deg - 1):
+        y += np.sum((dl @ power[i]) * (w[i + 1] @ dl), axis=(-2, -1))
+    return np.ldexp(y - mean, top)
 
 
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
@@ -287,23 +339,25 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     and ``rng.spawn(2t)``, see ``chain_states``) and averages, over
     the chains,
 
-        sum_i c_i <f(S_i), B> - sum_{t>=1} (-1)^t C(k, t) l_t
-                           + k (q_1 - E[q_1 | S_0]),
-        l_t = <S_t - S_{t-1}, Df(S_{t-1}; B)>;
+        sum_i c_i <f(S_i), B>
+            - sum_{t>=1} (-1)^t C(k, t) (l_t + q_t - E[q_t | S_{t-1}]),
+        l_t = <S_t - S_{t-1}, Df(S_{t-1}; B)>,
+        q_t = 1/2 <D^2 f(S_{t-1})[S_t - S_{t-1}, S_t - S_{t-1}], B>;
 
-    each l_t has mean 0 given S_{t-1}, and the second sum takes the chain
-    noise of the linear terms out; the last term, the first step's
-    second-order term less its exact mean (``_first_step``, or
-    ``_polynomial_first_step`` for a polynomial f), takes out most of
-    what step 1 leaves.  At k = 0 this is the plug-in: one chain
-    that takes no step, draws nothing and is reported as zero chains.  The
-    terms of S_0, and D_0, which sigma_f reads too, come from its
-    eigenpairs, once.  A stepped
-    state's terms, and for every state but the last its D, are taken in
-    one sweep in its block of the chain pass: from the state itself when
-    f is a polynomial (domain R, so there is no chain domain check), and
-    from its eigenpairs otherwise, whose eigenvalues are kept for the one
-    domain check after the pass.  A chain's terms are summed at a power
+    given S_{t-1}, l_t has mean 0 and E[q_t | S_{t-1}] is q_t's exact
+    mean, so each step's terms take its first- and second-order chain
+    noise out and leave the mean as it is.  Each step's terms come from
+    the state it left, in one call per block: ``_eig_step`` from that
+    state's eigenpairs, or ``_polynomial_step`` from the state itself for
+    a polynomial f.  At k = 0 this is the plug-in: one chain that takes
+    no step, draws nothing and is reported as zero chains.  The terms of
+    S_0, and D_0, which sigma_f reads, come from its eigenpairs, once.
+    Each stepped state is reduced in one sweep in its block of the chain
+    pass, to <f(S_t), B> and, for every state but the last, what the next
+    step's terms read: the state itself when f is a polynomial (domain R,
+    so there is no chain domain check), and otherwise its eigenpairs and
+    B in their basis, whose eigenvalues are also kept for the one domain
+    check after the pass.  A chain's terms are summed at a power
     of two where their weighted sum could overflow.  The CI half-width uses
     sigma_hat / sqrt(n) only; Monte Carlo chain noise is reported
     separately as ``mc_stderr``.  Raises DomainError, before any chain is
@@ -326,31 +380,23 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     nchains = nchains if k else 1
     vals = np.empty((nchains, k + 1))  # <f(S_i), B> per chain
     lam0, u0 = start.eigenvalues, start.eigenvectors
-    # D_0 = Df(S_0; B) in S_0's eigenbasis serves sigma_f and the chains
-    vals[:, 0], d0 = spectral_terms(lam0, u0, f, b.entries, True)
-    lin = np.empty((nchains, k))  # l_t per chain; at t = 1, q_1 - E[q_1] too
+    # B in S_0's eigenbasis gives D_0 = Df(S_0; B) there, which sigma_f
+    # reads, and step 1's terms
+    vals[:, 0], bt0 = spectral_terms(lam0, u0, f, b.entries, True)
+    d0 = loewner_first_difference(lam0, f) * bt0
+    lin = np.empty((nchains, k))  # l_t + q_t - E[q_t | S_{t-1}] per chain
     if k:
         poly = f.coefficients
-        first_step = (_first_step(lam0, u0, d0, f, b.entries, x.n) if poly is None
-                      else _polynomial_first_step(sigma_hat_mat.entries, poly,
-                                                  b.entries, x.n))
         lam = np.empty((nchains, k, x.d))  # eigenvalues, for the domain check
 
         def visit(lo, hi, t, s, carry):
-            s_hat, e = _binade_split(s.entries)
-            if t == 1:
-                lin[lo:hi, 0] = first_step(s.entries)
-            else:
-                # a block's carry into step t is (D_hat, p, ep, u) with
-                # D_{t-1} = 2^u D_hat and <S_{t-1}, D_hat> = 2^ep p; l_t / 2^u
-                # = <S_t, D_hat> - <S_{t-1}, D_hat>, both taken at 2^-top, so
-                # l_t is finite wherever its value is
-                d_hat, p, ep, u = carry
-                top = np.maximum(e, ep)
-                lin[lo:hi, t - 1] = np.ldexp(
-                    np.ldexp(np.sum(s_hat * d_hat, axis=(-2, -1)), e - top)
-                    - np.ldexp(p, ep - top), top + u)
+            # a block's carry into step t is what step t - 1 left of each of
+            # its states: the eigenvalues (on the start's grid if outside
+            # f's domain), eigenvectors and B in that eigenbasis, or for a
+            # polynomial the state itself; every chain leaves S_0 at t = 1
             if poly is None:
+                lin[lo:hi, t - 1] = _eig_step(*(carry or (lam0, u0, bt0)), f,
+                                              x.n, s.entries)
                 dec = eigh(s)
                 v = dec.eigenvectors
                 lam[lo:hi, t - 1] = dec.eigenvalues
@@ -358,24 +404,19 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                 # till then f and L are taken on the start's eigenvalues
                 inside = np.all(in_domain(dec.eigenvalues, f), axis=-1)
                 grid = np.where(inside[:, None], dec.eigenvalues, lam0)
-                vals[lo:hi, t], d_eig = spectral_terms(grid, v, f, b.entries, t < k)
-                if t == k:  # no step reads the last state's D
-                    return None
-                # D_t = U (L o U^T B U) U^T
-                d_eig, u = _binade_split(d_eig)
-                d_hat = v @ d_eig @ np.swapaxes(v, -1, -2)
-            else:
-                # |eigenvalue| <= d max |entry| < 2^(e + 1 + bits(d)), so only
-                # these states can have one past floating point: eigh raises
-                big = e >= 1023 - x.d.bit_length()
-                if big.any():
-                    eigh(s.entries[big])
-                vals[lo:hi, t], deriv = _polynomial_terms(
-                    s_hat, e, poly, b.entries, t < k)
-                if t == k:  # no step reads the last state's D
-                    return None
-                d_hat, u = deriv
-            return d_hat, np.sum(s_hat * d_hat, axis=(-2, -1)), e, u
+                vals[lo:hi, t], bt = spectral_terms(grid, v, f, b.entries, t < k)
+                return grid, v, bt  # bt is None at t = k: no step reads it
+            lin[lo:hi, t - 1] = _polynomial_step(
+                sigma_hat_mat.entries if carry is None else carry, poly,
+                b.entries, x.n, s.entries)
+            s_hat, e = _binade_split(s.entries)
+            # |eigenvalue| <= d max |entry| < 2^(e + 1 + bits(d)), so only
+            # these states can have one past floating point: eigh raises
+            big = e >= 1023 - x.d.bit_length()
+            if big.any():
+                eigh(s.entries[big])
+            vals[lo:hi, t] = _polynomial_terms(s_hat, e, poly, b.entries)
+            return s.entries
 
         with overflow_stage("chain state"):
             chain_states(start, k, x.n, nchains, rng, visit)

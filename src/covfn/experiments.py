@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericOverflow, UsageError, ZeroMatrix, finite, overflow_stage
-from .estimators import MAX_K, bias_reduced_estimate, sigma_f
+from .estimators import MAX_K, bias_reduced_estimate, sigma_f, valid_alpha
 from .functions import ScalarFunction, parse_function_spec
 from .sampling import (
     RngStream,
@@ -94,8 +94,8 @@ class ExperimentConfig:
             raise UsageError("M, N, d and n must be >= 1")
         if not all(0 <= k <= MAX_K for k in self.k):
             raise UsageError(f"k must be in [0, {MAX_K}], got {self.k}")
-        if not 0 < self.alpha < 1:
-            raise UsageError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not valid_alpha(self.alpha):
+            raise UsageError(f"alpha must be in (2^-53, 1), got {self.alpha}")
         if self.experiment in ("bias_scaling", "quadform") and len(self.d) != 1:
             raise UsageError(f"{self.experiment} takes a single d, got {self.d}")
 

@@ -1,6 +1,6 @@
 """Dense symmetric matrices: eigendecomposition, the spectral terms
-<f(A), B> and Loewner-matrix directional derivatives, second divided
-differences, and effective rank.
+<f(A), B> and B in A's eigenbasis, Loewner matrices, inverse gaps and
+second divided differences, and effective rank.
 
 All matrices here are real symmetric and carried by :class:`SymMat`, an
 immutable wrapper around one ``numpy`` matrix or a stack of them; only
@@ -37,7 +37,7 @@ __all__ = [
     "in_domain",
     "check_domain",
     "loewner_first_difference",
-    "loewner_second_difference",
+    "loewner_differences",
     "spectral_terms",
     "effective_rank",
     "trace_inner_product",
@@ -187,52 +187,61 @@ def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:
     return out
 
 
-def loewner_second_difference(eigs, f: ScalarFunction) -> np.ndarray:
-    """Tensor of second divided differences F_ijl = f[l_i, l_j, l_l] of f
-    on one eigenvalue grid.
+def loewner_differences(eigs, f: ScalarFunction):
+    """(L, R, G) on an eigenvalue grid, or on each grid of a stack (last
+    axis), for a second-order term: L the Loewner matrix, R_ij = 1 /
+    (l_i - l_j) the inverse gaps, and G_ij = f[l_i, l_j, l_i] the second
+    divided differences with a repeated point.
 
-    Each entry is (f[a, b] - f[b, c]) / (a - c) for the first pair (a, c)
-    of (l_i, l_l), (l_i, l_j), (l_j, l_l) whose gap exceeds LOEWNER_GAP
-    times max |eigs|, with b the third point and the first differences
-    from ``loewner_first_difference`` (so a tied pair among a, b, c goes
-    through f'); where all three are tied it is f''(mean) / 2.
+    A pair i != j whose gap exceeds LOEWNER_GAP times max |eigs| of its
+    own grid takes L_ij = (f(l_i) - f(l_j)) R_ij and G_ij = (L_ii - L_ij)
+    R_ij.  Every other pair, the diagonal included, is tied: R_ij = 0,
+    L_ij = f'((l_i + l_j) / 2) as in ``loewner_first_difference``, and
+    G_ij = f''((l_i + l_j + l_i) / 3) / 2.  Each inverse gap is formed
+    once and serves both L and G.
     """
     eigs = np.asarray(eigs, dtype=float)
-    first = loewner_first_difference(eigs, f)
-    tol = LOEWNER_GAP * np.abs(eigs).max(initial=0.0)
-    gap = eigs[:, None] - eigs[None, :]
-    apart = np.abs(gap) > tol
-    out = np.empty((eigs.size,) * 3)
-    np.divide(first[:, :, None] - first, gap[:, None, :], out=out,
-              where=apart[:, None, :])
-    # the tied pairs (l_i, l_l), each against every l_j
-    i, l = np.nonzero(~apart)
-    tied = np.empty((i.size, eigs.size))
-    ij = apart[i]
-    np.divide(first[i, l][:, None] - first[:, l].T, gap[i], out=tied, where=ij)
-    jl = apart[:, l].T & ~ij
-    np.divide(first[i] - first[i, l][:, None], gap[:, l].T, out=tied, where=jl)
-    rest = ~(ij | jl)
-    tied[rest] = f.deriv2(((eigs[i, None] + eigs + eigs[l, None]) / 3.0)[rest]) / 2.0
-    out[i, :, l] = tied
-    return out
+    check_domain(eigs, f, "eigenvalues")
+    tol = LOEWNER_GAP * np.abs(eigs).max(axis=-1, initial=0.0)[..., None, None]
+    gap = eigs[..., :, None] - eigs[..., None, :]
+    i = np.arange(eigs.shape[-1])
+    off = (gap <= tol) & (gap >= -tol)
+    off[..., i, i] = False  # the tied pairs i != j
+    tied = off.any()
+    with np.errstate(divide="ignore"):
+        inv = np.reciprocal(gap, out=gap)
+    inv[..., i, i] = 0.0
+    if tied:
+        inv[off] = 0.0
+    fv = f.eval(eigs)
+    first = np.subtract(fv[..., :, None], fv[..., None, :])
+    first *= inv
+    first[..., i, i] = f.deriv(eigs)
+    second = np.subtract(np.diagonal(first, axis1=-2, axis2=-1)[..., :, None], first)
+    second *= inv
+    second[..., i, i] = f.deriv2((eigs + eigs + eigs) / 3.0) / 2.0
+    if tied:
+        a = np.broadcast_to(eigs[..., None], off.shape)[off]
+        b = np.broadcast_to(eigs[..., None, :], off.shape)[off]
+        first[off] = f.deriv((a + b) / 2.0)
+        second[off] = f.deriv2((a + b + a) / 3.0) / 2.0
+    return first, inv, second
 
 
-def spectral_terms(lam, u, f: ScalarFunction, b, derivative: bool):
-    """(<f(A), B>, L o (U^T B U)) for each A = U diag(lam) U^T of a stack
-    (or one A), with L the Loewner matrix of f on lam; the second entry,
-    Df(A; B) in A's eigenbasis, is None unless ``derivative``.
+def spectral_terms(lam, u, f: ScalarFunction, b, project: bool):
+    """(<f(A), B>, U^T B U) for each A = U diag(lam) U^T of a stack (or
+    one A); the second entry, B in A's eigenbasis, is None unless
+    ``project``.  ``loewner_first_difference(lam, f) * U^T B U`` is
+    Df(A; B) in that basis.
 
     <f(A), B> is sum_m f(l_m) u_m^T B u_m, so f(A) itself is never formed.
     Each matrix of a stack gets the same products, in the same order, as
-    it would alone.  ``b`` is a d-by-d array; the derivative raises
-    DomainError, through ``loewner_first_difference``, for an eigenvalue
-    outside f's domain, before f is taken of it.
+    it would alone.  ``b`` is a d-by-d array, and every eigenvalue must
+    lie inside f's domain.
     """
     bu = b @ u
-    deriv = (loewner_first_difference(lam, f) * (np.swapaxes(u, -1, -2) @ bu)
-             if derivative else None)
-    return np.sum(f.eval(lam) * np.sum(u * bu, axis=-2), axis=-1), deriv
+    bt = np.swapaxes(u, -1, -2) @ bu if project else None
+    return np.sum(f.eval(lam) * np.sum(u * bu, axis=-2), axis=-1), bt
 
 
 def _binade(a: np.ndarray) -> float:

@@ -279,6 +279,32 @@ def test_estimate_argument_exit_codes(data_csv, tmp_path, extra, code):
     assert run_cli(argv + extra) == code
 
 
+@pytest.mark.parametrize("alpha", ["1e-16", "1.1102230246251565e-16", "1e-300",
+                                   "5e-324"])
+def test_an_alpha_whose_quantile_is_infinite_is_a_usage_error(
+        data_csv, tmp_path, capsys, alpha):
+    # at and below 2^-53 (1.1102230246251565e-16), 1 - alpha/2 rounds to 1,
+    # whose normal quantile is infinite: exit 1 with the usage error that
+    # an alpha outside (0, 1) gets, and no traceback
+    argv = ["estimate", "--data", data_csv, "--alpha", alpha,
+            "--out", str(tmp_path / "rep.json")]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: --alpha must be in (2^-53, 1), got {float(alpha)}"
+    assert len(err) == 2 and err[1].startswith("usage: covfn"), err
+
+
+def test_the_smallest_usable_alpha_gives_a_finite_interval(data_csv, tmp_path):
+    out = tmp_path / "rep.json"
+    alpha = repr(float(np.nextafter(2.0**-53, 1.0)))
+    assert run_cli(["estimate", "--data", data_csv, "--alpha", alpha,
+                    "--out", str(out)]) == 0
+    import json
+    obj = json.loads(out.read_text())
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    assert np.isfinite(row["ci_lo"]) and np.isfinite(row["ci_hi"])
+
+
 @pytest.mark.parametrize("k", ["0", "1"])
 def test_all_zero_data_has_zero_identity_functional(tmp_path, k):
     p = tmp_path / "zeros.csv"
@@ -319,6 +345,7 @@ _COVERAGE_CFG = ("experiment=coverage\nd=3\nn=60\nk=1\nfn=square\nM=3\nN=5\n"
     "alpha=1.5",
     "alpha=0",
     "alpha=nan",
+    "alpha=1e-300",  # 1 - alpha/2 rounds to 1: an infinite quantile
     "experiment=opnorm\nalpha=-1",
 ])
 def test_simulate_bad_config_is_usage_error(tmp_path, line):
@@ -326,6 +353,16 @@ def test_simulate_bad_config_is_usage_error(tmp_path, line):
     cfg.write_text(_COVERAGE_CFG + line + "\n")
     assert run_cli(["simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "t.csv")]) == 1
+
+
+def test_simulate_with_an_infinite_quantile_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_COVERAGE_CFG + "alpha=1e-300\n")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: alpha must be in (2^-53, 1), got 1e-300"
+    assert len(err) == 2 and err[1].startswith("usage: covfn"), err
 
 
 def test_simulate_b_from_file(tmp_path):
@@ -493,15 +530,15 @@ def test_estimate_wide_shape_needs_no_more_chains(tmp_path, capsys):
     # sigma_hat is exactly 0 on smoothstep's plateau: no number of chains
     # can bring the Monte Carlo stderr under 10% of 0, so there is no advice
     (3, "smoothstep:0.5,2,0.5", "warning: the sampling stderr is 0, so the "
-     "Monte Carlo stderr 0.0459 is the estimate's only error\n"),
+     "Monte Carlo stderr 0.235 is the estimate's only error\n"),
     # sigma_hat at the rounding level: the count shows it is out of reach
-    (26, "smoothstep:0.5,2,0.5", "warning: Monte Carlo stderr 0.0534 exceeds "
+    (26, "smoothstep:0.5,2,0.5", "warning: Monte Carlo stderr 0.169 exceeds "
      "10% of the sampling stderr 3.72e-18; by the 1/sqrt(N) law that takes "
-     "--chains 4.12e+36\n"),
-    # 5 chains give 0.143; 105 would give about 0.0313 by the 1/sqrt(N) law
+     "--chains 4.15e+37\n"),
+    # 5 chains give 0.047; 12 would give about 0.0313 by the 1/sqrt(N) law
     (3, "log --B rank1:0 --k 3 --chains 5", "warning: Monte Carlo stderr "
-     "0.143 exceeds 10% of the sampling stderr 0.313; by the 1/sqrt(N) law "
-     "that takes --chains 105\n"),
+     "0.047 exceeds 10% of the sampling stderr 0.313; by the 1/sqrt(N) law "
+     "that takes --chains 12\n"),
 ])
 def test_the_chains_warning_names_the_count_the_target_takes(
         tmp_path, capsys, seed, fn, err):
@@ -804,12 +841,12 @@ def test_linear_term_beyond_floating_point_still_gives_a_finite_cube(
             abs=1e-15 * cube["functional_value"]), key
 
 
-@pytest.mark.parametrize("k, stage", [("0", "sigma_f of 'power'"),
-                                      ("1", "linear term:")])
-def test_derivative_beyond_floating_point_is_a_data_error(tmp_path, capsys,
-                                                         k, stage):
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_derivative_beyond_floating_point_is_a_data_error(tmp_path, capsys, k):
     # power:-1 at eigenvalues near 1e-160 is finite, but its derivative,
-    # about -1e320, and so D_0 and sigma_f are not
+    # about -1e320, and so D_0 and sigma_f are not.  A chain step's terms
+    # are taken on the eigenvalues divided by a power of two, so they are
+    # finite, and at k = 1 too sigma_f is what fails
     rows = 1e-80 * np.random.default_rng(3).standard_normal((200, 2))
     p = tmp_path / "tiny.csv"
     p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
@@ -817,7 +854,7 @@ def test_derivative_beyond_floating_point_is_a_data_error(tmp_path, capsys,
                     "--chains", "20", "--out", str(tmp_path / "rep.json")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
-    assert err[0].startswith(f"error: NumericOverflow: {stage}"), err
+    assert err[0].startswith("error: NumericOverflow: sigma_f of 'power'"), err
 
 
 def test_sigma_hat_beyond_floating_point_is_a_data_error(tmp_path, capsys):

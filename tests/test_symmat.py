@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from covfn.errors import (
 from covfn.estimators import sigma_f
 from covfn.functions import get_function
 from covfn.symmat import (
+    LOEWNER_GAP,
     SymMat,
     as_symmat,
     check_domain,
@@ -20,13 +19,14 @@ from covfn.symmat import (
     eigh,
     eigvalsh,
     from_eigenpairs,
+    loewner_differences,
     loewner_first_difference,
-    loewner_second_difference,
     spectral_terms,
     trace_inner_product,
 )
 from conftest import random_spd, random_sym
-from helpers import apply_scalar_function, frechet_derivative, taylor_remainder
+from helpers import (apply_scalar_function, frechet_derivative,
+                     loewner_second_difference, taylor_remainder)
 
 SQUARE = get_function("square")
 CUBE = get_function("cube")
@@ -187,60 +187,42 @@ class TestLoewner:
         np.testing.assert_allclose(l, l.T)
 
 
-def nested_difference(f, *points):
-    """f[a, b, c] from nested first divided differences, with a tied pair
-    or triple through f' and f''/2."""
-    a, b, c = sorted(points, key=points.count, reverse=True)  # a tie first
-    if a == b == c:
-        return float(f.deriv2(a)) / 2.0
-    if a == b:
-        return (float(f.deriv(a)) - (f.eval(a) - f.eval(c)) / (a - c)) / (a - c)
-    first = [(f.eval(p) - f.eval(q)) / (p - q) for p, q in ((a, b), (b, c))]
-    return (first[0] - first[1]) / (a - c)
-
-
-class TestLoewnerSecondDifference:
+class TestLoewnerDifferences:
+    # the second-order term of a chain step reads L, the inverse gaps R
+    # and G_ij = f[l_i, l_j, l_i]; the d^3 tensor of the test helpers is
+    # their oracle
     @pytest.mark.parametrize("f", [LOG, EXP, CUBE], ids=["log", "exp", "cube"])
-    def test_distinct_eigenvalues_match_nested_differences(self, f):
-        lam = np.array([0.5, 1.25, 2.0, 3.5])
+    @pytest.mark.parametrize("lam", [[0.5, 1.25, 2.0, 3.5], [1.5, 1.5, 2.5],
+                                     [1.5, 1.5 + 1e-12, 2.5],
+                                     [1.0, 1.0 + 1e-6, 2.0]],
+                             ids=["distinct", "tied", "within-gap", "near-tied"])
+    def test_match_the_first_difference_and_the_tensor(self, f, lam):
+        lam = np.array(lam)
+        first, inv, second = loewner_differences(lam, f)
+        np.testing.assert_allclose(first, loewner_first_difference(lam, f),
+                                   rtol=1e-14)
         tensor = loewner_second_difference(lam, f)
-        for i, j, l in np.ndindex(tensor.shape):
-            want = nested_difference(f, lam[i], lam[j], lam[l])
-            assert tensor[i, j, l] == pytest.approx(want, rel=1e-12, abs=1e-14)
+        i = np.arange(lam.size)
+        # a divided pair's G rounds like the tensor's entry, and a gap g
+        # costs up to eps |L| / g of it
+        tol = 4e-16 * np.abs(first).max() * np.abs(inv) + 1e-14 * np.abs(second)
+        assert np.all(np.abs(second - tensor[i, :, i]) <= tol)
+        gap = lam[:, None] - lam
+        tied = np.abs(gap) <= LOEWNER_GAP * np.abs(lam).max()
+        assert np.all(inv[tied] == 0.0)
+        np.testing.assert_array_equal(inv[~tied], 1.0 / gap[~tied])
 
-    @pytest.mark.parametrize("f", [LOG, EXP], ids=["log", "exp"])
-    def test_tied_eigenvalues_use_the_derivatives(self, f):
-        # a repeated eigenvalue, and one split from it by far less than
-        # LOEWNER_GAP, give the confluent differences: f[x, x, y] through
-        # f'(x), and f''(x) / 2 where all three are tied; keyed by how many
-        # of the three points are at 2.5
-        want = {n: nested_difference(f, *[2.5] * n, *[1.5] * (3 - n))
-                for n in range(4)}
-        for gap in (0.0, 1e-12):
-            lam = np.array([1.5, 1.5 + gap, 2.5])
-            tensor = loewner_second_difference(lam, f)
-            for idx in itertools.product(range(3), repeat=3):
-                assert tensor[idx] == pytest.approx(want[idx.count(2)],
-                                                    rel=1e-9), (gap, idx)
-
-    def test_near_tied_eigenvalues_just_past_the_gap(self):
-        # a gap of 1e-6, above LOEWNER_GAP, is divided, and gives nearly the
-        # confluent value, as the second differences of a smooth f are
-        # continuous
-        lam = np.array([1.0, 1.0 + 1e-6, 2.0])
-        tensor = loewner_second_difference(lam, LOG)
-        assert tensor[0, 1, 2] == pytest.approx(
-            nested_difference(LOG, 1.0, 1.0, 2.0), rel=1e-5)
-        assert tensor[0, 1, 0] == pytest.approx(-0.5, rel=1e-5)
-
-    def test_square_is_one_everywhere(self, np_rng):
-        lam = np.sort(np_rng.uniform(-3.0, 3.0, 6))
-        np.testing.assert_allclose(loewner_second_difference(lam, SQUARE), 1.0,
-                                   rtol=1e-12)
+    def test_a_stack_gives_each_grid_its_own_bits(self, np_rng):
+        lam = np.sort(np_rng.uniform(0.5, 3.0, (5, 6)), axis=1)
+        lam[2, 1] = lam[2, 0]
+        stack = loewner_differences(lam, LOG)
+        for r in range(5):
+            for whole, one in zip(stack, loewner_differences(lam[r], LOG)):
+                np.testing.assert_array_equal(whole[r], one)
 
     def test_outside_the_domain_raises(self):
         with pytest.raises(DomainError):
-            loewner_second_difference(np.array([-1.0, 1.0]), LOG)
+            loewner_differences(np.array([-1.0, 1.0]), LOG)
 
 
 class TestFrechetDerivative:
@@ -331,13 +313,13 @@ class TestSpectralTerms:
         dec = eigh(np.array([random_spd(np_rng, 6) for _ in range(5)]))
         b = random_sym(np_rng, 6)
         for f in SPECTRAL_FS:
-            vals, deriv = spectral_terms(dec.eigenvalues, dec.eigenvectors, f, b,
-                                         True)
+            vals, bt = spectral_terms(dec.eigenvalues, dec.eigenvectors, f, b,
+                                      True)
             for i in range(5):
                 val, one = spectral_terms(dec.eigenvalues[i], dec.eigenvectors[i],
                                           f, b, True)
                 assert vals[i] == val
-                np.testing.assert_array_equal(deriv[i], one)
+                np.testing.assert_array_equal(bt[i], one)
 
     def test_value_is_the_inner_product_with_f_of_a(self, np_rng):
         a = random_spd(np_rng, 6)
@@ -354,21 +336,23 @@ class TestSpectralTerms:
         d = eigh(a)
         u = d.eigenvectors
         for f in SPECTRAL_FS:
-            _, deriv = spectral_terms(d.eigenvalues, u, f, b, True)
+            _, bt = spectral_terms(d.eigenvalues, u, f, b, True)
+            np.testing.assert_allclose(bt, u.T @ b @ u, rtol=0, atol=1e-14)
+            deriv = loewner_first_difference(d.eigenvalues, f) * bt
             fd = u.T @ _central_difference(a, b, f, 1e-5) @ u
             assert np.abs(deriv - fd).max() <= 1e-8 * (1.0 + np.abs(deriv).max())
 
-    def test_no_derivative_unless_asked(self, np_rng):
+    def test_no_projection_unless_asked(self, np_rng):
         d = eigh(random_spd(np_rng, 4))
-        val, deriv = spectral_terms(d.eigenvalues, d.eigenvectors, LOG, np.eye(4),
-                                    False)
-        assert deriv is None
+        val, bt = spectral_terms(d.eigenvalues, d.eigenvectors, LOG, np.eye(4),
+                                 False)
+        assert bt is None
         assert val == pytest.approx(np.log(d.eigenvalues).sum(), rel=1e-13)
 
-    def test_derivative_checks_the_domain_before_f_is_taken(self):
-        d = eigh(np.diag([1.0, -1.0]))
+    def test_sigma_f_checks_the_domain_before_f_is_taken(self):
+        # log of the zero eigenvalue would warn, an error under this suite
         with pytest.raises(DomainError):
-            spectral_terms(d.eigenvalues, d.eigenvectors, LOG, np.eye(2), True)
+            sigma_f(np.diag([1.0, 0.0]), LOG, np.eye(2))
 
 
 def _central_difference(a, h, f, step):

@@ -175,14 +175,15 @@ def hockey_stick_weights(k: int) -> np.ndarray:
     return np.array(hockey_stick_weight_ints(k), dtype=float)
 
 
-def _scaled(m, x, out=None):
-    """m 2^x for a matrix, or each matrix of a stack with its own integer
-    x, with ``np.ldexp``'s values: a product with 2^x, which is exact,
-    wherever that power is a normal float."""
+def _scale(m, x):
+    """Multiply a matrix, or each matrix of a stack by its own integer x,
+    by 2^x in place, with ``np.ldexp``'s values: a product with 2^x, which
+    is exact, wherever that power is a normal float."""
     x = np.asarray(x)[..., None, None]
     if np.all(np.abs(x) <= 1022):
-        return np.multiply(m, np.ldexp(1.0, x), out=out)
-    return np.ldexp(m, x, out=out)
+        np.multiply(m, np.ldexp(1.0, x), out=m)
+    else:
+        np.ldexp(m, x, out=m)
 
 
 def _dot(a, b):
@@ -256,7 +257,7 @@ def _eig_step(lam, u, bt, f: ScalarFunction, n: int, s):
     e = np.frexp(np.abs(lam).max(axis=-1))[1] - 1
     lam_hat = np.ldexp(lam, -e[..., None])
     dt = np.swapaxes(u, -1, -2) @ s @ u
-    _scaled(dt, -e, dt)  # Dt / 2^e
+    _scale(dt, -e)  # Dt / 2^e
     i = np.arange(dt.shape[-1])
     dt[..., i, i] -= lam_hat
     grid, g, shift = ((lam, 0, 0.0) if f.degree is None
@@ -274,9 +275,9 @@ def _eig_step(lam, u, bt, f: ScalarFunction, n: int, s):
     # taken at 2^top, the largest of them
     xl, xc, xd = e + g + whole + a, 2 * e + whole + a + c + 1, 2 * e + whole + h
     top = np.maximum(np.maximum(xl, xc), xd)
-    _scaled(first, -a, first)
-    _scaled(cross, xc - c - top, cross)
-    _scaled(diag, xd - h - top, diag)
+    _scale(first, -a)
+    _scale(cross, xc - c - top)
+    _scale(diag, xd - h - top)
     mean = (np.sum(lam_hat * (diag @ lam_hat[..., None])[..., 0], axis=-1)
             + np.sum(np.diagonal(diag, axis1=-2, axis2=-1) * lam_hat**2,
                      axis=-1)) / n

@@ -349,8 +349,10 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     mean, so each step's terms take its first- and second-order chain
     noise out and leave the mean as it is.  Each step's terms come from
     the state it left, in one call per block: ``_eig_step`` from that
-    state's eigenpairs, or ``_polynomial_step`` from the state itself for
-    a polynomial f.  At k = 0 this is the plug-in: one chain that takes
+    state's eigenpairs, with one product per state, (L o Dt) Dt, and no
+    second-difference tensor, where a tied pair i != l of eigenvalues
+    drops out of q_t (its mean never reads one); or ``_polynomial_step``
+    from the state itself for a polynomial f.  At k = 0 this is the plug-in: one chain that takes
     no step, draws nothing and is reported as zero chains.  The terms of
     S_0, and D_0, which sigma_f reads, come from its eigenpairs, once.
     Each stepped state is reduced in one sweep in its block of the chain

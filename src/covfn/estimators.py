@@ -50,7 +50,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import BadAlpha, DimMismatch, finite, overflow_stage
+from .errors import BadAlpha, DimMismatch, NumericOverflow, finite, overflow_stage
 from .functions import ScalarFunction
 from .sampling import (
     DataMatrix,
@@ -59,14 +59,16 @@ from .sampling import (
     sample_covariance,
 )
 from .symmat import (
-    _binade,
     as_symmat,
+    binade,
     check_domain,
+    check_psd,
     eigh,
+    exponent,
     in_domain,
     loewner_differences,
-    loewner_first_difference,
     psd_sqrt,
+    rescale,
     spectral_terms,
 )
 
@@ -124,7 +126,7 @@ def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) ->
     if n < 1:
         raise ValueError("n must be >= 1")
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    scale = _binade(sigma_hat)  # exact, so z * sigma_hat cannot overflow
+    scale = binade(sigma_hat)  # exact, so z * sigma_hat cannot overflow
     half = z * (sigma_hat / scale) / math.sqrt(n) * scale
     return finite((point - half, point + half), "the confidence interval")
 
@@ -132,32 +134,36 @@ def confidence_interval(point: float, sigma_hat: float, n: int, alpha: float) ->
 def sigma_f(sigma, f: ScalarFunction, b) -> float:
     """Asymptotic std dev sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 
-    Computed in the eigenbasis of Sigma, where both the square root
-    (``symmat.psd_sqrt``, which raises NotPSD) and the Loewner-matrix
-    derivative (``symmat.loewner_first_difference`` times B in that basis,
-    from ``symmat.spectral_terms``) are exact on eigenvalues.
-    ``sigma`` may be given as its SpectralDecomp; a B of another size
-    raises DimMismatch.  The norm is taken of entries scaled
-    by a power of two, so it is finite wherever its value is; a value
-    beyond floating point raises NumericOverflow.
+    Computed in the eigenbasis of Sigma, on the grid of its eigenvalues
+    that ``symmat.loewner_differences`` divides by 2^e (for f of degree h;
+    else e = 0), as sqrt(2) 2^(e h) ||Lam^{1/2} (L o U^T B U) Lam^{1/2}||
+    with U^T B U from ``symmat.spectral_terms``: the same bits at every
+    scale.  ``sigma`` may be given as its SpectralDecomp; a B of another
+    size raises DimMismatch, and negative eigenvalues NotPSD.  The norm is
+    taken of entries divided by a power of two, scaled back once; a value
+    beyond floating point, or a positive one that underflows to 0, raises
+    NumericOverflow.
     """
     dec = eigh(sigma)
     b = as_symmat(b)
-    if b.dim != len(dec.eigenvalues):
-        raise DimMismatch(f"B has dim {b.dim}, Sigma has {len(dec.eigenvalues)}")
-    root = psd_sqrt(dec.eigenvalues)
     lam = dec.eigenvalues
-    deriv = loewner_first_difference(lam, f)  # DomainError before f is taken
+    if b.dim != len(lam):
+        raise DimMismatch(f"B has dim {b.dim}, Sigma has {len(lam)}")
+    check_psd(lam)  # NotPSD before the DomainError of a negative eigenvalue
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # DomainError before f is taken
+        first, _, _, e = loewner_differences(lam, f)
     _, bt = spectral_terms(lam, dec.eigenvectors, f, b.entries, True)
-    return _sigma_f(root, deriv * bt, f)
-
-
-def _sigma_f(root, deriv, f: ScalarFunction) -> float:
-    """sigma_f from the roots of Sigma's eigenvalues and Df(Sigma; B) in
-    its eigenbasis."""
-    sandwiched = root[:, None] * deriv * root[None, :]
-    scale = _binade(sandwiched)  # exact, so the norm cannot overflow
-    out = math.sqrt(2.0) * float(np.linalg.norm(sandwiched / scale)) * scale
+    root = psd_sqrt(np.ldexp(lam, -e))
+    sandwiched = root[:, None] * (first * bt) * root[None, :]
+    p = exponent(sandwiched) - 1  # 2^p at or below its largest entry
+    norm = math.sqrt(2.0) * float(np.linalg.norm(np.ldexp(sandwiched, -p)))
+    x = p + e * (f.degree or 0.0)  # e is 0 unless f has a degree
+    with np.errstate(over="ignore"):
+        out = float(np.ldexp(norm * 2.0 ** (x % 1), math.floor(x)))
+    if out == 0.0 < norm:
+        raise NumericOverflow(f"sigma_f of '{f.name}' underflows floating point; "
+                              "rescale the data")
     return finite(out, f"sigma_f of '{f.name}'")
 
 
@@ -175,17 +181,6 @@ def hockey_stick_weights(k: int) -> np.ndarray:
     return np.array(hockey_stick_weight_ints(k), dtype=float)
 
 
-def _scale(m, x):
-    """Multiply a matrix, or each matrix of a stack by its own integer x,
-    by 2^x in place, with ``np.ldexp``'s values: a product with 2^x, which
-    is exact, wherever that power is a normal float."""
-    x = np.asarray(x)[..., None, None]
-    if np.all(np.abs(x) <= 1022):
-        np.multiply(m, np.ldexp(1.0, x), out=m)
-    else:
-        np.ldexp(m, x, out=m)
-
-
 def _dot(a, b):
     """sum a o b for each pair of matrices of two stacks (or a stack and
     one matrix), a dot product per pair that forms no a o b."""
@@ -193,23 +188,11 @@ def _dot(a, b):
     return np.vecdot(a.reshape(a.shape[:-2] + (d2,)), b.reshape(b.shape[:-2] + (d2,)))
 
 
-def _exponent(m):
-    """frexp's exponent of max |entry| of a matrix, or of each matrix of a
-    stack, found with no |m| formed."""
-    return np.frexp(np.maximum(m.max(axis=(-2, -1)), -m.min(axis=(-2, -1))))[1]
-
-
 def _zero_nonfinite(m):
     """m with its entries beyond floating point set to 0, in place."""
     if not np.isfinite(m).all():
         np.copyto(m, 0.0, where=~np.isfinite(m))
     return m
-
-
-def _binade_split(s):
-    """(S_hat, e), S = 2^e S_hat, 2^e at or below max |entry| of each S."""
-    e = np.frexp(np.abs(s).max(axis=(-2, -1)))[1] - 1
-    return np.ldexp(s, -e[..., None, None]), e
 
 
 def _polynomial_terms(s_hat, e, coefficients, b):
@@ -247,37 +230,38 @@ def _eig_step(lam, u, bt, f: ScalarFunction, n: int, s):
     Dt is taken at 2^-e, with 2^e at or below max |lam|, and L, Bt o R
     and G o Bt_ii are each divided by a power of two near their largest
     entry; each term is taken at a power of two that puts every term at
-    one scale, so each value is a finite sum times a power of two.  An
-    entry of Bt o R or G o Bt_ii beyond floating point is taken as 0,
-    which costs variance and no bias.  For f of degree h, L, R and G are
-    formed on lam / 2^e and scaled back by 2^(e (h - 1)), 2^-e and
-    2^(e (h - 2)), so they have the same bits at every scale.  Each
-    state's products are its own, so no number depends on the block.
+    one scale.  The terms come back as (y, top), each state's value y
+    2^top, so a value is a finite sum however far its power of two lies
+    beyond floating point.  An entry of Bt o R or G o Bt_ii beyond
+    floating point is taken as 0, which costs variance and no bias.  For
+    f of degree h, ``loewner_differences`` forms L, R and G on lam / 2^g
+    and they are scaled back by 2^(g (h - 1)), 2^-g and 2^(g (h - 2)),
+    so they have the same bits at every scale.  Each state's products are
+    its own, so no number depends on the block.
     """
-    e = np.frexp(np.abs(lam).max(axis=-1))[1] - 1
+    e = exponent(lam, 1) - 1
     lam_hat = np.ldexp(lam, -e[..., None])
     dt = np.swapaxes(u, -1, -2) @ s @ u
-    _scale(dt, -e)  # Dt / 2^e
+    rescale(dt, -e)  # Dt / 2^e
     i = np.arange(dt.shape[-1])
     dt[..., i, i] -= lam_hat
-    grid, g, shift = ((lam, 0, 0.0) if f.degree is None
-                      else (lam_hat, e, e * (f.degree - 2.0)))
-    whole = np.floor(shift).astype(int)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        first, cross, diag = loewner_differences(grid, f)
+        first, cross, diag, g = loewner_differences(lam, f)
         cross *= bt  # Bt o R
         diag *= np.diagonal(bt, axis1=-2, axis2=-1)[..., :, None]  # G o Bt_ii
-    a, c, h = (_exponent(m) for m in (first, _zero_nonfinite(cross),
-                                      _zero_nonfinite(diag)))
+    shift = g * ((f.degree or 0.0) - 2.0)  # g is 0 unless f has a degree
+    whole = np.floor(shift).astype(int)
+    a, c, h = (exponent(m) for m in (first, _zero_nonfinite(cross),
+                                     _zero_nonfinite(diag)))
     # l_t, the cross term (with its factor 2) and the G term are sums of
     # products of Dt / 2^e with L / 2^a, (Bt o R) / 2^c and (G o Bt_ii) /
     # 2^h at 2^xl, 2^xc and 2^xd, in units of 2^(shift - whole); each is
     # taken at 2^top, the largest of them
     xl, xc, xd = e + g + whole + a, 2 * e + whole + a + c + 1, 2 * e + whole + h
     top = np.maximum(np.maximum(xl, xc), xd)
-    _scale(first, -a)
-    _scale(cross, xc - c - top)
-    _scale(diag, xd - h - top)
+    rescale(first, -a)
+    rescale(cross, xc - c - top)
+    rescale(diag, xd - h - top)
     mean = (np.sum(lam_hat * (diag @ lam_hat[..., None])[..., 0], axis=-1)
             + np.sum(np.diagonal(diag, axis1=-2, axis2=-1) * lam_hat**2,
                      axis=-1)) / n
@@ -286,7 +270,7 @@ def _eig_step(lam, u, bt, f: ScalarFunction, n: int, s):
     w = cross @ dt
     dt *= first  # (L o Dt) / 2^(a + e)
     y += _dot(dt, w) + np.ldexp(_dot(dt, bt), xl - top)
-    return np.ldexp(y * 2.0 ** (shift - whole), top)
+    return y * 2.0 ** (shift - whole), top
 
 
 def _polynomial_step(s0, coefficients, b, n: int, s):
@@ -303,10 +287,11 @@ def _polynomial_step(s0, coefficients, b, n: int, s):
     + tr(S^(i+1)) tr(S W_i)) / n.  Each state takes one product per W_i,
     i >= 0, and one per S^i, i >= 1, its own.  With S = 2^e S_hat, Dl is
     taken at 2^-e and c_j M_r, of scale 2^(e j), at powers of two that
-    bring every term to one scale 2^top, so each value is a finite sum
-    times a power of two.
+    bring every term to one scale 2^top.  The terms come back as (y,
+    top), each state's value y 2^top, a finite sum times a power of two.
     """
-    s_hat, e = _binade_split(s0)
+    e = exponent(s0) - 1  # S = 2^e S_hat, 2^e at or below max |entry| of S
+    s_hat = np.ldexp(s0, -e[..., None, None])
     deg = len(coefficients) - 1
     power, m = [np.eye(len(b)), s_hat], [b]  # S_hat^i and M_r of S_hat
     for r in range(1, deg):
@@ -315,7 +300,7 @@ def _polynomial_step(s0, coefficients, b, n: int, s):
     parts = [[(e * j, c * m[j - 2 - i]) for j, c in enumerate(coefficients)
               if c and j >= i + 2] for i in range(-1, deg - 1)]
     top = functools.reduce(np.maximum, (
-        x + np.frexp(np.abs(a).max(axis=(-2, -1)))[1] for p in parts for x, a in p))
+        x + exponent(a) for p in parts for x, a in p))
     # W_-1, ..., W_(deg-2), divided by 2^top
     w = [sum(np.ldexp(a, (x - top)[..., None, None]) for x, a in p)
          for p in parts]
@@ -327,7 +312,7 @@ def _polynomial_step(s0, coefficients, b, n: int, s):
     y = np.sum(dl * (w[0] + w[1] @ dl if deg > 1 else w[0]), axis=(-2, -1))
     for i in range(1, deg - 1):
         y += np.sum((dl @ power[i]) * (w[i + 1] @ dl), axis=(-2, -1))
-    return np.ldexp(y - mean, top)
+    return y - mean, top
 
 
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
@@ -352,22 +337,25 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     state's eigenpairs, with one product per state, (L o Dt) Dt, and no
     second-difference tensor, where a tied pair i != l of eigenvalues
     drops out of q_t (its mean never reads one); or ``_polynomial_step``
-    from the state itself for a polynomial f.  At k = 0 this is the plug-in: one chain that takes
-    no step, draws nothing and is reported as zero chains.  The terms of
-    S_0, and D_0, which sigma_f reads, come from its eigenpairs, once.
+    from the state itself for a polynomial f.  At k = 0 this is the
+    plug-in: one chain that takes no step, draws nothing and is reported
+    as zero chains.  The terms of S_0 come from its eigenpairs, once, and
+    sigma_f from the same eigenpairs.
     Each stepped state is reduced in one sweep in its block of the chain
     pass, to <f(S_t), B> and, for every state but the last, what the next
     step's terms read: the state itself when f is a polynomial (domain R,
     so there is no chain domain check), and otherwise its eigenpairs and
     B in their basis, whose eigenvalues are also kept for the one domain
-    check after the pass.  A chain's terms are summed at a power
-    of two where their weighted sum could overflow.  The CI half-width uses
+    check after the pass.  A step's terms are carried as a mantissa and a
+    power of two, and a chain's terms are summed at a power of two where
+    their weighted sum could overflow.  The CI half-width uses
     sigma_hat / sqrt(n) only; Monte Carlo chain noise is reported
     separately as ``mc_stderr``.  Raises DomainError, before any chain is
     drawn, when S_0 lies outside f's domain, and after the draws when a
     chain state leaves it; and NumericOverflow, naming the stage, when the
     sample covariance, a chain state, f of a state, the chain combination,
-    its linear terms, ``mc_stderr`` or sigma_f overflows.
+    its linear terms, ``mc_stderr`` or sigma_f overflows, or sigma_f
+    underflows to 0.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -380,14 +368,14 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     if sigma_hat_mat.dim != b.dim:
         raise DimMismatch(f"data dim {sigma_hat_mat.dim}, B dim {b.dim}")
     check_domain(start.eigenvalues, f, "eigenvalues of the sample covariance")
+    shat = sigma_f(start, f, b)
     nchains = nchains if k else 1
     vals = np.empty((nchains, k + 1))  # <f(S_i), B> per chain
     lam0, u0 = start.eigenvalues, start.eigenvectors
-    # B in S_0's eigenbasis gives D_0 = Df(S_0; B) there, which sigma_f
-    # reads, and step 1's terms
+    # B in S_0's eigenbasis, which step 1's terms read
     vals[:, 0], bt0 = spectral_terms(lam0, u0, f, b.entries, True)
-    d0 = loewner_first_difference(lam0, f) * bt0
-    lin = np.empty((nchains, k))  # l_t + q_t - E[q_t | S_{t-1}] per chain
+    # l_t + q_t - E[q_t | S_{t-1}] per chain, lin 2^top
+    lin, top = np.empty((nchains, k)), np.empty((nchains, k), dtype=int)
     if k:
         poly = f.coefficients
         lam = np.empty((nchains, k, x.d))  # eigenvalues, for the domain check
@@ -398,8 +386,8 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
             # f's domain), eigenvectors and B in that eigenbasis, or for a
             # polynomial the state itself; every chain leaves S_0 at t = 1
             if poly is None:
-                lin[lo:hi, t - 1] = _eig_step(*(carry or (lam0, u0, bt0)), f,
-                                              x.n, s.entries)
+                lin[lo:hi, t - 1], top[lo:hi, t - 1] = _eig_step(
+                    *(carry or (lam0, u0, bt0)), f, x.n, s.entries)
                 dec = eigh(s)
                 v = dec.eigenvectors
                 lam[lo:hi, t - 1] = dec.eigenvalues
@@ -409,10 +397,11 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                 grid = np.where(inside[:, None], dec.eigenvalues, lam0)
                 vals[lo:hi, t], bt = spectral_terms(grid, v, f, b.entries, t < k)
                 return grid, v, bt  # bt is None at t = k: no step reads it
-            lin[lo:hi, t - 1] = _polynomial_step(
+            lin[lo:hi, t - 1], top[lo:hi, t - 1] = _polynomial_step(
                 sigma_hat_mat.entries if carry is None else carry, poly,
                 b.entries, x.n, s.entries)
-            s_hat, e = _binade_split(s.entries)
+            e = exponent(s.entries) - 1  # S = 2^e S_hat, as in _polynomial_step
+            s_hat = np.ldexp(s.entries, -e[..., None, None])
             # |eigenvalue| <= d max |entry| < 2^(e + 1 + bits(d)), so only
             # these states can have one past floating point: eigh raises
             big = e >= 1023 - x.d.bit_length()
@@ -432,22 +421,22 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                      dtype=float)
     # sum |c_i| + sum |tails_t| < 2^(k+2), so a row whose terms are below
     # 2^(1021 - k) cannot overflow; any other is summed at 2^-r and
-    # scaled back exactly, so it is finite wherever its value is
-    top = np.frexp(np.abs(np.concatenate([vals, lin], axis=1)).max(axis=1))[1]
-    r = np.maximum(top + k + 2 - 1023, 0)
+    # scaled back exactly, so it is finite wherever its value is.  Each
+    # step's term lin 2^top is below 2^(frexp exponent of lin + top)
+    high = np.where(lin == 0, 0, np.frexp(lin)[1] + top).max(axis=1, initial=0)
+    r = np.maximum(np.maximum(exponent(vals, 1), high) + k + 2 - 1023, 0)
     part = np.ldexp(vals, -r[:, None]) @ c
-    y = np.ldexp(part - np.ldexp(lin, -r[:, None]) @ tails, r)
+    y = np.ldexp(part - np.ldexp(lin, top - r[:, None]) @ tails, r)
     if not np.all(np.isfinite(y)):  # at k = 0, y is the finite <f(S_0), B>
         finite(np.ldexp(part, r), f"the chain combination of '{f.name}'")
         finite(y, f"linear term: the chain combination of '{f.name}' less "
                "its linear term")
 
-    scale = _binade(y)
+    scale = binade(y)
     z = y / scale  # exact; keeps the squares in y.std inside floating point
     value = float(z.mean()) * scale
     mc_stderr = float(z.std(ddof=1) / math.sqrt(z.size)) * scale if z.size > 1 else 0.0
     finite(mc_stderr, "the Monte Carlo stderr")
-    shat = _sigma_f(psd_sqrt(lam0), d0, f)
     ci = confidence_interval(value, shat, x.n, alpha)
     return EstimateReport(
         functional_value=value, estimator_kind="bias_reduced" if k else "plugin",

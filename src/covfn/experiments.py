@@ -28,7 +28,7 @@ from .sampling import (
 )
 from .symmat import (
     SymMat,
-    _binade,
+    binade,
     check_domain,
     effective_rank,
     eigh,
@@ -345,7 +345,7 @@ def run_opnorm(cfg: ExperimentConfig) -> ResultTable:
             r_eff = effective_rank(dec)
             opnorm_sigma = float(np.abs(dec.eigenvalues).max())
             root = psd_factor(dec)
-        unit = _binade(opnorm_sigma)  # exact; errors and benchmark are in units of it
+        unit = binade(opnorm_sigma)  # exact; errors and benchmark are in units of it
         for (n,), cell in cells:
             errs = np.empty(cfg.m)
             for m in range(cfg.m):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IoError, ParseError, RaggedRows
-from .symmat import SymMat, eigh, from_eigenpairs, psd_sqrt
+from .symmat import SymMat, eigh, exponent, from_eigenpairs, psd_sqrt
 
 __all__ = [
     "RngStream",
@@ -205,7 +205,7 @@ def _gram(a: np.ndarray, n: int) -> SymMat:
     max|A|^2 could reach 2^1023, A is divided by a power of two and its
     Gram scaled back exactly, so it is finite wherever its value is; every
     other Gram is formed as is, whatever else is in the stack."""
-    top = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]  # max|A| < 2^top
+    top = exponent(a)  # max|A| < 2^top
     e = (a.shape[-2].bit_length() + 2 * top - 1022) // 2
     if e.max() > 0:
         e = np.maximum(e, 0)[..., None, None]

@@ -1,6 +1,7 @@
 """Dense symmetric matrices: eigendecomposition, the spectral terms
 <f(A), B> and B in A's eigenbasis, Loewner matrices, inverse gaps and
-second divided differences, and effective rank.
+second divided differences, effective rank, and the power-of-two helpers
+that keep sums and products inside floating point.
 
 All matrices here are real symmetric and carried by :class:`SymMat`, an
 immutable wrapper around one ``numpy`` matrix or a stack of them; only
@@ -36,11 +37,13 @@ __all__ = [
     "psd_sqrt",
     "in_domain",
     "check_domain",
-    "loewner_first_difference",
     "loewner_differences",
     "spectral_terms",
     "effective_rank",
     "trace_inner_product",
+    "exponent",
+    "binade",
+    "rescale",
 ]
 
 
@@ -165,43 +168,30 @@ def check_domain(eigs: np.ndarray, f: ScalarFunction, what: str) -> None:
                           f"({lo}, {hi}) of '{f.name}'")
 
 
-def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:
-    """Matrix of first divided differences of f on an eigenvalue grid, or
-    on each grid of a stack (last axis).
-
-    Entry (i, j) is (f(l_i) - f(l_j)) / (l_i - l_j) when the gap exceeds
-    LOEWNER_GAP times max |eigs| of its own grid, else f'((l_i + l_j) / 2);
-    the diagonal is f'(l_i).  On the zero grid only exact ties use f'.
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    check_domain(eigs, f, "eigenvalues")
-    tol = LOEWNER_GAP * np.abs(eigs).max(axis=-1, keepdims=True, initial=0.0)
-    gap = eigs[..., :, None] - eigs[..., None, :]
-    close = np.abs(gap) <= tol[..., None]
-    fv = f.eval(eigs)
-    # each entry and its transpose come out equal, so the matrix is symmetric
-    out = np.empty(gap.shape)
-    np.divide(fv[..., :, None] - fv[..., None, :], gap, out=out, where=~close)
-    grid = np.broadcast_to(eigs[..., None], gap.shape)
-    out[close] = f.deriv((grid[close] + np.swapaxes(grid, -1, -2)[close]) / 2.0)
-    return out
-
-
 def loewner_differences(eigs, f: ScalarFunction):
-    """(L, R, G) on an eigenvalue grid, or on each grid of a stack (last
-    axis), for a second-order term: L the Loewner matrix, R_ij = 1 /
+    """(L, R, G, e) on an eigenvalue grid, or on each grid of a stack (last
+    axis): L the Loewner matrix of first divided differences, R_ij = 1 /
     (l_i - l_j) the inverse gaps, and G_ij = f[l_i, l_j, l_i] the second
-    divided differences with a repeated point.
+    divided differences with a repeated point, each formed on the grid
+    divided by 2^e.
+
+    For f of degree h, 2^e is the power of two at or below max |eigs| of
+    each grid, so the grid lies in [-2, 2) and the L, R and G of the grid
+    itself are 2^(e (h - 1)) L, 2^-e R and 2^(e (h - 2)) G: the caller
+    scales back, and the three have the same bits at every scale.  For any
+    other f, e is 0.
 
     A pair i != j whose gap exceeds LOEWNER_GAP times max |eigs| of its
     own grid takes L_ij = (f(l_i) - f(l_j)) R_ij and G_ij = (L_ii - L_ij)
     R_ij.  Every other pair, the diagonal included, is tied: R_ij = 0,
-    L_ij = f'((l_i + l_j) / 2) as in ``loewner_first_difference``, and
-    G_ij = f''((l_i + l_j + l_i) / 3) / 2.  Each inverse gap is formed
-    once and serves both L and G.
+    L_ij = f'((l_i + l_j) / 2) and G_ij = f''((l_i + l_j + l_i) / 3) / 2.
+    Each inverse gap is formed once and serves both L and G.
     """
     eigs = np.asarray(eigs, dtype=float)
     check_domain(eigs, f, "eigenvalues")
+    e = (np.zeros(eigs.shape[:-1], dtype=int) if f.degree is None
+         else exponent(eigs, 1) - 1)
+    eigs = np.ldexp(eigs, -e[..., None])
     tol = LOEWNER_GAP * np.abs(eigs).max(axis=-1, initial=0.0)[..., None, None]
     gap = eigs[..., :, None] - eigs[..., None, :]
     i = np.arange(eigs.shape[-1])
@@ -225,14 +215,14 @@ def loewner_differences(eigs, f: ScalarFunction):
         b = np.broadcast_to(eigs[..., None, :], off.shape)[off]
         first[off] = f.deriv((a + b) / 2.0)
         second[off] = f.deriv2((a + b + a) / 3.0) / 2.0
-    return first, inv, second
+    return first, inv, second, e
 
 
 def spectral_terms(lam, u, f: ScalarFunction, b, project: bool):
     """(<f(A), B>, U^T B U) for each A = U diag(lam) U^T of a stack (or
     one A); the second entry, B in A's eigenbasis, is None unless
-    ``project``.  ``loewner_first_difference(lam, f) * U^T B U`` is
-    Df(A; B) in that basis.
+    ``project``.  L * U^T B U, with L the Loewner matrix of
+    ``loewner_differences``, is Df(A; B) in that basis.
 
     <f(A), B> is sum_m f(l_m) u_m^T B u_m, so f(A) itself is never formed.
     Each matrix of a stack gets the same products, in the same order, as
@@ -244,15 +234,35 @@ def spectral_terms(lam, u, f: ScalarFunction, b, project: bool):
     return np.sum(f.eval(lam) * np.sum(u * bu, axis=-2), axis=-1), bt
 
 
-def _binade(a: np.ndarray) -> float:
+def exponent(a: np.ndarray, axes: int = 2) -> np.ndarray:
+    """frexp's exponent of max |entry| over the last ``axes`` axes of a
+    (of each matrix of a stack, by default), found with no |a| formed:
+    max |a| < 2^exponent, and 2^(exponent - 1) <= max |a| unless that is 0
+    (exponent 0) or not finite."""
+    last = tuple(range(-axes, 0))
+    return np.frexp(np.maximum(a.max(axis=last), -a.min(axis=last)))[1]
+
+
+def binade(a: np.ndarray) -> float:
     """Power of two at or below max |a| (1.0 if that is 0 or not finite).
 
     Dividing by it and multiplying back is exact, so a sum or second moment
-    taken of ``a / _binade(a)`` equals the unscaled one bit for bit wherever
+    taken of ``a / binade(a)`` equals the unscaled one bit for bit wherever
     the unscaled one does not overflow, and is finite wherever the result is.
     """
     top = float(np.max(np.abs(a)))
     return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
+
+
+def rescale(m: np.ndarray, x) -> None:
+    """Multiply a matrix, or each matrix of a stack by its own integer x,
+    by 2^x in place, with ``np.ldexp``'s values: a product with 2^x, which
+    is exact, wherever that power is a normal float."""
+    x = np.asarray(x)[..., None, None]
+    if np.all(np.abs(x) <= 1022):
+        np.multiply(m, np.ldexp(1.0, x), out=m)
+    else:
+        np.ldexp(m, x, out=m)
 
 
 def effective_rank(a) -> float:
@@ -262,7 +272,7 @@ def effective_rank(a) -> float:
     if opnorm == 0.0:
         raise ZeroMatrix("effective rank undefined for the zero matrix")
     check_psd(lam)
-    scale = _binade(lam)  # exact; keeps tr(A) / scale finite
+    scale = binade(lam)  # exact; keeps tr(A) / scale finite
     return float((lam / scale).sum()) / (opnorm / scale)
 
 

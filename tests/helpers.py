@@ -6,12 +6,14 @@ spectral matrix function f(A) formed as a matrix, the first-order Taylor
 remainder of a spectral function, the plug-in estimate (the order-0
 estimator) and the log-log slope of a bias against n.
 ``frechet_derivative`` rebuilds Df(A; H) from ``symmat.spectral_terms``
-and ``symmat.loewner_first_difference``, the routines the chains and
-sigma_f run, so that checks of it check them.  The d^3 tensor of second
-divided differences (``loewner_second_difference``) is the oracle for
-each chain step's second-order term, which the package takes with one
-matrix product per state instead: ``step_terms`` contracts it with
-``einsum``.
+and the Loewner matrix of ``symmat.loewner_differences`` scaled back to
+the grid (``loewner_matrix``), the routines the chains and sigma_f run,
+so that checks of it check them.  ``loewner_first_difference`` divides
+each pair's first difference by its gap directly on the unscaled grid,
+the oracle for that routine's L.  The d^3 tensor of second divided
+differences (``loewner_second_difference``) is the oracle for each chain
+step's second-order term, which the package takes with one matrix
+product per state instead: ``step_terms`` contracts it with ``einsum``.
 ``collect_states`` keeps the chain states that ``chain_states`` hands
 over, which the package itself never does.
 """
@@ -24,7 +26,7 @@ from covfn.functions import ScalarFunction
 from covfn.sampling import DataMatrix, RngStream, chain_states
 from covfn.symmat import (LOEWNER_GAP, SpectralDecomp, SymMat, as_symmat,
                           check_domain, eigh, from_eigenpairs,
-                          loewner_first_difference, spectral_terms)
+                          loewner_differences, spectral_terms)
 
 
 def plugin_estimate(x: DataMatrix, f: ScalarFunction, b,
@@ -65,7 +67,36 @@ def frechet_derivative(d: SpectralDecomp, f: ScalarFunction, h) -> SymMat:
     decomposed as ``d``."""
     u = d.eigenvectors
     _, ht = spectral_terms(d.eigenvalues, u, f, as_symmat(h).entries, True)
-    return SymMat(u @ (loewner_first_difference(d.eigenvalues, f) * ht) @ u.T)
+    return SymMat(u @ (loewner_matrix(d.eigenvalues, f) * ht) @ u.T)
+
+
+def loewner_matrix(eigs, f: ScalarFunction) -> np.ndarray:
+    """L of ``symmat.loewner_differences`` on a grid (or each grid of a
+    stack), scaled back from the grid divided by 2^e to the grid itself:
+    by 2^(e (h - 1)) for f of degree h."""
+    first, _, _, e = loewner_differences(eigs, f)
+    return first * (2.0 ** (e * ((f.degree or 0.0) - 1.0)))[..., None, None]
+
+
+def loewner_first_difference(eigs, f: ScalarFunction) -> np.ndarray:
+    """Matrix of first divided differences of f on an eigenvalue grid, or
+    on each grid of a stack (last axis), each pair divided by its own gap.
+
+    Entry (i, j) is (f(l_i) - f(l_j)) / (l_i - l_j) when the gap exceeds
+    LOEWNER_GAP times max |eigs| of its own grid, else f'((l_i + l_j) / 2);
+    the diagonal is f'(l_i).  On the zero grid only exact ties use f'.
+    """
+    eigs = np.asarray(eigs, dtype=float)
+    check_domain(eigs, f, "eigenvalues")
+    tol = LOEWNER_GAP * np.abs(eigs).max(axis=-1, keepdims=True, initial=0.0)
+    gap = eigs[..., :, None] - eigs[..., None, :]
+    close = np.abs(gap) <= tol[..., None]
+    fv = f.eval(eigs)
+    out = np.empty(gap.shape)
+    np.divide(fv[..., :, None] - fv[..., None, :], gap, out=out, where=~close)
+    grid = np.broadcast_to(eigs[..., None], gap.shape)
+    out[close] = f.deriv((grid[close] + np.swapaxes(grid, -1, -2)[close]) / 2.0)
+    return out
 
 
 def loewner_second_difference(eigs, f: ScalarFunction) -> np.ndarray:

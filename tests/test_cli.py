@@ -841,20 +841,48 @@ def test_linear_term_beyond_floating_point_still_gives_a_finite_cube(
             abs=1e-15 * cube["functional_value"]), key
 
 
-@pytest.mark.parametrize("k", ["0", "1"])
-def test_derivative_beyond_floating_point_is_a_data_error(tmp_path, capsys, k):
-    # power:-1 at eigenvalues near 1e-160 is finite, but its derivative,
-    # about -1e320, and so D_0 and sigma_f are not.  A chain step's terms
-    # are taken on the eigenvalues divided by a power of two, so they are
-    # finite, and at k = 1 too sigma_f is what fails
-    rows = 1e-80 * np.random.default_rng(3).standard_normal((200, 2))
-    p = tmp_path / "tiny.csv"
+def _estimate_row(tmp_path, rows, *args):
+    """Exit code and report row of ``estimate`` on a CSV of ``rows``."""
+    p = tmp_path / "data.csv"
     p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
-    assert run_cli(["estimate", "--data", str(p), "--fn", "power:-1", "--k", k,
-                    "--chains", "20", "--out", str(tmp_path / "rep.json")]) == 2
+    out = tmp_path / "rep.json"
+    code = run_cli(["estimate", "--data", str(p), *args, "--out", str(out)])
+    if code:
+        return code, None
+    obj = json.loads(out.read_text())
+    return code, dict(zip(obj["columns"], obj["rows"][0]))
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_derivative_beyond_floating_point_still_gives_sigma_f(tmp_path, capsys,
+                                                              k):
+    # power:-1 at eigenvalues near 1e-160: its derivative, about -1e320, is
+    # beyond floating point, but sigma_f, near 1e160, is not.  sigma_f and
+    # each chain step take the Loewner matrix on the eigenvalues divided by
+    # a power of two, so the report is the one at scale 1 times 1e160
+    z = np.random.default_rng(3).standard_normal((200, 2))
+    args = ["--fn", "power:-1", "--k", k, "--chains", "20"]
+    code, base = _estimate_row(tmp_path, z, *args)
+    assert code == 0
+    code, tiny = _estimate_row(tmp_path, 1e-80 * z, *args)
+    assert code == 0 and capsys.readouterr().err == ""
+    for key in ("functional_value", "mc_stderr", "sigma_hat", "ci_lo", "ci_hi"):
+        assert tiny[key] == pytest.approx(base[key] * 1e160, rel=1e-12), key
+    assert tiny["sigma_hat"] > 1e159
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_sigma_f_that_underflows_is_a_data_error(tmp_path, capsys, k):
+    # power:-2 at eigenvalues near 1e200: sigma_f, near 2.9e-400, is below
+    # the smallest float, and 0 may never stand in for it (the value, near
+    # 1.5e-400, underflows to 0 too)
+    z = np.random.default_rng(0).standard_normal((30, 3))
+    code, _ = _estimate_row(tmp_path, 1e100 * z, "--fn", "power:-2", "--B",
+                            "identity", "--k", k, "--chains", "20")
+    assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1, err
-    assert err[0].startswith("error: NumericOverflow: sigma_f of 'power'"), err
+    assert err == ["error: NumericOverflow: sigma_f of 'power' underflows "
+                   "floating point; rescale the data"], err
 
 
 def test_sigma_hat_beyond_floating_point_is_a_data_error(tmp_path, capsys):

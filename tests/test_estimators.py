@@ -31,14 +31,13 @@ from covfn.sampling import (
 from covfn.symmat import (
     check_domain,
     eigh,
-    loewner_first_difference,
     spectral_terms,
     trace_inner_product,
 )
 from covfn.wishart_oracle import quad_wishart_oracle
 from conftest import random_orthogonal, random_spd, random_sym
 from helpers import (apply_scalar_function, collect_states, frechet_derivative,
-                     plugin_estimate, step_terms)
+                     loewner_first_difference, plugin_estimate, step_terms)
 
 IDENTITY = get_function("identity")
 SQUARE = get_function("square")
@@ -201,8 +200,9 @@ class TestPluginEstimate:
 
 def one_product_terms(lam, u, f, b, n, s):
     """_eig_step's terms of the steps from U diag(lam) U^T to each state
-    of s, with B in that basis formed as ``spectral_terms`` forms it."""
-    return _eig_step(lam, u, np.swapaxes(u, -1, -2) @ (b @ u), f, n, s)
+    of s, with B in that basis formed as ``spectral_terms`` forms it, each
+    y 2^top of its (y, top)."""
+    return np.ldexp(*_eig_step(lam, u, np.swapaxes(u, -1, -2) @ (b @ u), f, n, s))
 
 
 class TestOneProductStep:
@@ -501,9 +501,9 @@ class TestBiasReducedEstimate:
         deriv = u @ (loewner_first_difference(lam, f) * bt) @ np.swapaxes(u, -1, -2)
         lin = np.sum((st - prev) * deriv, axis=(-2, -1))
         if f.coefficients is None:
-            y = _eig_step(lam, u, bt, f, n, st)
+            y = np.ldexp(*_eig_step(lam, u, bt, f, n, st))
         else:
-            y = _polynomial_step(prev, f.coefficients, b, n, st)
+            y = np.ldexp(*_polynomial_step(prev, f.coefficients, b, n, st))
         q_less_mean = y - lin
         few = slice(None) if t == 1 else slice(100)
         _, q, mean = step_terms(lam[few], u[few], f, b, n, st[:100],
@@ -516,7 +516,8 @@ class TestBiasReducedEstimate:
         # E[q_t | S_{t-1}] of every chain, from the tensor's diagonal rows
         i = np.arange(d)
         lam_all = np.broadcast_to(lam, st.shape[:-1])
-        _, _, g = covfn.symmat.loewner_differences(lam_all, f)
+        _, _, g, e = covfn.symmat.loewner_differences(lam_all, f)
+        g = g * (2.0 ** (e * ((f.degree or 0.0) - 2.0)))[:, None, None]
         means = np.sum(g * np.diagonal(np.broadcast_to(bt, st.shape), axis1=1,
                                        axis2=2)[:, :, None]
                        * (lam_all[:, :, None] * lam_all[:, None, :]
@@ -535,7 +536,7 @@ class TestBiasReducedEstimate:
         s1, s2 = np.moveaxis(collect_states(s0, 2, n, 50, RngStream(3)), 1, 0)
         for prev, st in ((s0, s1), (s1, s2)):
             np.testing.assert_array_equal(
-                _polynomial_step(prev, IDENTITY.coefficients, b, n, st),
+                np.ldexp(*_polynomial_step(prev, IDENTITY.coefficients, b, n, st)),
                 np.sum((st - prev) * b, axis=(1, 2)))
 
     @pytest.mark.parametrize("name", ["square", "cube"])
@@ -578,10 +579,9 @@ class TestBiasReducedEstimate:
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_the_start_has_one_loewner_product(self, monkeypatch, k):
-        # D_0 in S_0's eigenbasis serves sigma_f, so the start's Loewner
-        # matrix goes into one Loewner product, and at k >= 1 step 1 forms
-        # its differences once more, with the inverse gaps; the chains'
-        # grids are stacks
+        # sigma_f takes the start's Loewner matrix from the one routine,
+        # and at k >= 1 step 1 takes the start's differences from it once
+        # more; the chains' grids are stacks
         callers = []
 
         def spy(name):
@@ -595,12 +595,11 @@ class TestBiasReducedEstimate:
             for module in (covfn.symmat, covfn.estimators):
                 monkeypatch.setattr(module, name, call)
 
-        spy("loewner_first_difference")
         spy("loewner_differences")
         x = DataMatrix(np.random.default_rng(1).standard_normal((30, 4)))
         bias_reduced_estimate(x, LOG, np.eye(4) / 4, k, 20, RngStream(2))
         assert callers == [
-            ("loewner_first_difference", "bias_reduced_estimate"),
+            ("loewner_differences", "sigma_f"),
             *[("loewner_differences", "_eig_step")] * (k > 0)]
 
     def test_a_chains_verdict_does_not_depend_on_the_other_chains(self):
@@ -661,18 +660,19 @@ class TestBiasReducedEstimate:
             eig.mc_stderr, rel=1e-12, abs=1e-12 * abs(eig.functional_value))
 
     @pytest.mark.parametrize("name, top, only_eig", [
-        ("identity", 308.2, 0), ("square", 154.1, 7), ("cube", 102.7, 3)])
+        ("identity", 308.2, 0), ("square", 154.1, 7), ("cube", 102.7, 4)])
     def test_polynomial_contraction_is_finite_where_eigenpairs_are(
             self, name, top, only_eig):
         # data scaled up to where f of a chain state leaves floating point.
         # The polynomial run raises only where the eigenpair run does, and
         # for identity raises the same error.  The eigenpair run of square
         # and cube also raises where f of the largest eigenvalue overflows
-        # but <f(S), B> does not (``only_eig`` of these 136 runs; 3 and 1
+        # but <f(S), B> does not (``only_eig`` of these 136 runs; 3 and 2
         # of them at k = 2, where the chain combination is finite although
-        # its weighted sum of <f(S_i), B> is not).  In one more cube run at
-        # k = 2 both raise: one chain's step-2 terms, l_2 + q_2 - E[q_2],
-        # are themselves beyond floating point.
+        # its weighted sum of <f(S_i), B> is not).  One of cube's is a run
+        # at k = 2 where one chain's step-2 terms, l_2 + q_2 - E[q_2], are
+        # beyond floating point: they are carried as a mantissa and a power
+        # of two, so the polynomial run gives its finite value.
         f = get_function(name)
         g = dataclasses.replace(f, coefficients=None)
         z = np.random.default_rng(1).standard_normal((4, 2))

@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covfn.cli import run_cli
-from covfn.errors import NotPSD
+from covfn.errors import NotPSD, NumericOverflow
 from covfn.estimators import bias_reduced_estimate, sigma_f
-from covfn.functions import get_function
+from covfn.functions import get_function, parse_function_spec
 from covfn.sampling import DataMatrix, RngStream, psd_factor
 from covfn.symmat import effective_rank
 from conftest import random_orthogonal, random_sym
@@ -94,6 +94,75 @@ def test_power_scales_by_c_to_the_2p(seed, d, c, p):
         base, scaled = est(x), est(c * x)
         assert _close(scaled.functional_value / factor, base.functional_value)
         assert _close(scaled.sigma_hat / factor, base.sigma_hat)
+
+
+# the degree h of each f: data scaled by c scales <f(S), B> by c^(2h), or
+# for log shifts it by log(c^2) tr B
+DEGREES = {"log": 0.0, "power:-1": -1.0, "power:0.5": 0.5, "power:2": 2.0,
+           "identity": 1.0, "square": 2.0, "cube": 3.0}
+
+
+@settings(PROPERTY, max_examples=80)
+@given(seed=seeds, d=dims, j=st.integers(-500, 500),
+       name=st.sampled_from(sorted(DEGREES)), k=st.integers(0, 1))
+@example(seed=0, d=3, j=-500, name="power:-1", k=1)
+@example(seed=0, d=3, j=500, name="power:-1", k=1)
+@example(seed=0, d=3, j=-500, name="log", k=1)
+@example(seed=0, d=3, j=250, name="power:2", k=0)
+@example(seed=0, d=3, j=-250, name="square", k=1)
+@example(seed=0, d=3, j=-200, name="cube", k=0)
+@example(seed=0, d=3, j=200, name="cube", k=1)
+def test_every_scale_2_to_the_j_gives_the_scaled_report_or_an_error(
+        seed, d, j, name, k):
+    # data scaled by c = 2^j: the report must be the one at c = 1 scaled
+    # by c^(2h), to 1e-12 relative, wherever that is inside floating point
+    # (the value, sigma_hat and the CI ends within 2^(+-1000)), and the
+    # run must raise NumericOverflow wherever the value, sigma_hat or a CI
+    # end would pass 2^1024, or sigma_hat would round to 0.  Between the
+    # two, a subnormal answer may lose bits, but a sigma_hat of 0 never
+    # stands in for a positive one.  The value and mc_stderr are sums of
+    # chain values whose rounding is relative to their terms, of size
+    # ``_bound`` (plus the shift, for log), so they are compared at it
+    _, x, b = _case(seed, d)
+    f = parse_function_spec(name)
+    h = DEGREES[name]
+    est = ((lambda y: _plugin(y, f, b)) if k == 0
+           else (lambda y: _order1(y, f, b, seed)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = est(x)
+        try:
+            got = est(2.0**j * x)
+        except NumericOverflow:
+            got = None
+    shift = 2.0 * j * math.log(2.0) * float(np.trace(b)) if name == "log" else 0.0
+    e = 2 * h * j  # the report scales by 2^e; e = 0 for log
+
+    def scaled(v, plus=0.0):
+        return math.ldexp(v, int(e)) * 2.0 ** (e % 1) + plus
+
+    def log2(v, plus=0.0):  # log2 |scaled(v, plus)|, plus = 0 unless e = 0
+        v += plus
+        return math.log2(abs(v)) + e if v else -math.inf
+
+    sizes = [log2(base.functional_value, shift), log2(base.sigma_hat),
+             *(log2(v, shift) for v in base.ci)]
+    if -1000 <= min(sizes) and max(sizes) <= 1000:
+        assert got is not None
+        value, sigma = scaled(base.functional_value, shift), scaled(base.sigma_hat)
+        terms = scaled(_bound(x, f, b)) + abs(shift)
+        assert abs(got.functional_value - value) <= 1e-12 * (abs(value) + terms)
+        assert got.sigma_hat == pytest.approx(sigma, rel=1e-12)
+        mc = scaled(base.mc_stderr)
+        assert abs(got.mc_stderr - mc) <= 1e-12 * (mc + terms)
+        for end, want in zip(got.ci, base.ci):
+            want = scaled(want, shift)
+            assert abs(end - want) <= 1e-12 * (abs(want) + terms + sigma)
+    elif max(sizes) >= 1024 or -math.inf < sizes[1] < -1075:
+        assert got is None
+    elif got is not None:
+        assert all(map(math.isfinite, (got.functional_value, got.mc_stderr,
+                                       got.sigma_hat, *got.ci)))
+        assert got.sigma_hat > 0 or base.sigma_hat == 0
 
 
 @PROPERTY

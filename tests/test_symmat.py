@@ -9,7 +9,7 @@ from covfn.errors import (
     ZeroMatrix,
 )
 from covfn.estimators import sigma_f
-from covfn.functions import get_function
+from covfn.functions import get_function, parse_function_spec
 from covfn.symmat import (
     LOEWNER_GAP,
     SymMat,
@@ -20,12 +20,12 @@ from covfn.symmat import (
     eigvalsh,
     from_eigenpairs,
     loewner_differences,
-    loewner_first_difference,
     spectral_terms,
     trace_inner_product,
 )
 from conftest import random_spd, random_sym
 from helpers import (apply_scalar_function, frechet_derivative,
+                     loewner_first_difference, loewner_matrix,
                      loewner_second_difference, taylor_remainder)
 
 SQUARE = get_function("square")
@@ -171,34 +171,38 @@ class TestCheckDomain:
 
 
 class TestLoewner:
+    # the Loewner matrix of loewner_differences, scaled back to the grid
     def test_square_divided_difference_is_sum(self):
-        l = loewner_first_difference(np.array([1.0, 2.0]), SQUARE)
+        l = loewner_matrix(np.array([1.0, 2.0]), SQUARE)
         np.testing.assert_allclose(l, [[2.0, 3.0], [3.0, 4.0]], atol=1e-12)
 
     def test_degenerate_pair_uses_derivative(self):
         c = 1.7
-        l = loewner_first_difference(np.array([c, c]), LOG)
+        l = loewner_matrix(np.array([c, c]), LOG)
         np.testing.assert_allclose(l, np.full((2, 2), 1.0 / c), atol=1e-12)
 
     def test_log_pair(self):
-        l = loewner_first_difference(np.array([1.0, 3.0]), LOG)
+        l = loewner_matrix(np.array([1.0, 3.0]), LOG)
         np.testing.assert_allclose(l[0, 1], np.log(3.0) / 2.0, atol=1e-12)
         np.testing.assert_allclose(np.diag(l), [1.0, 1.0 / 3.0], atol=1e-12)
         np.testing.assert_allclose(l, l.T)
 
 
 class TestLoewnerDifferences:
-    # the second-order term of a chain step reads L, the inverse gaps R
-    # and G_ij = f[l_i, l_j, l_i]; the d^3 tensor of the test helpers is
-    # their oracle
+    # sigma_f and the second-order term of a chain step read L, the inverse
+    # gaps R and G_ij = f[l_i, l_j, l_i]; each pair's first difference
+    # divided by its gap and the d^3 tensor of the test helpers are their
+    # oracles on the grid the routine takes them on: log and cube have a
+    # degree, so theirs is divided by 2^e = 2, and exp's is the grid itself
     @pytest.mark.parametrize("f", [LOG, EXP, CUBE], ids=["log", "exp", "cube"])
     @pytest.mark.parametrize("lam", [[0.5, 1.25, 2.0, 3.5], [1.5, 1.5, 2.5],
                                      [1.5, 1.5 + 1e-12, 2.5],
                                      [1.0, 1.0 + 1e-6, 2.0]],
                              ids=["distinct", "tied", "within-gap", "near-tied"])
     def test_match_the_first_difference_and_the_tensor(self, f, lam):
-        lam = np.array(lam)
-        first, inv, second = loewner_differences(lam, f)
+        first, inv, second, e = loewner_differences(np.array(lam), f)
+        assert e == (0 if f.degree is None else 1)
+        lam = np.ldexp(lam, -e)
         np.testing.assert_allclose(first, loewner_first_difference(lam, f),
                                    rtol=1e-14)
         tensor = loewner_second_difference(lam, f)
@@ -215,10 +219,25 @@ class TestLoewnerDifferences:
     def test_a_stack_gives_each_grid_its_own_bits(self, np_rng):
         lam = np.sort(np_rng.uniform(0.5, 3.0, (5, 6)), axis=1)
         lam[2, 1] = lam[2, 0]
+        e = loewner_differences(lam[3], LOG)[3]
+        lam[3] *= 2.0**-600  # a grid in a binade of its own
         stack = loewner_differences(lam, LOG)
         for r in range(5):
             for whole, one in zip(stack, loewner_differences(lam[r], LOG)):
                 np.testing.assert_array_equal(whole[r], one)
+        assert stack[3][3] == e - 600
+
+    @pytest.mark.parametrize("name", ["log", "power:-1", "power:0.5", "cube"])
+    @pytest.mark.parametrize("j", [-600, 600])
+    def test_a_grid_of_degree_h_has_the_same_bits_at_every_scale(self, name, j):
+        # a grid scaled by 2^j is divided by a power of two 2^j larger, so
+        # L, R and G keep their bits and only e moves, by j
+        f = parse_function_spec(name)
+        lam = np.array([0.3, 0.7, 0.7, 1.9, 5.5])
+        base, scaled = (loewner_differences(lam * c, f) for c in (1.0, 2.0**j))
+        for one, other in zip(base[:3], scaled[:3]):
+            np.testing.assert_array_equal(one, other)
+        assert scaled[3] == base[3] + j
 
     def test_outside_the_domain_raises(self):
         with pytest.raises(DomainError):
@@ -338,7 +357,7 @@ class TestSpectralTerms:
         for f in SPECTRAL_FS:
             _, bt = spectral_terms(d.eigenvalues, u, f, b, True)
             np.testing.assert_allclose(bt, u.T @ b @ u, rtol=0, atol=1e-14)
-            deriv = loewner_first_difference(d.eigenvalues, f) * bt
+            deriv = loewner_matrix(d.eigenvalues, f) * bt
             fd = u.T @ _central_difference(a, b, f, 1e-5) @ u
             assert np.abs(deriv - fd).max() <= 1e-8 * (1.0 + np.abs(deriv).max())
 

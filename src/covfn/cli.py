@@ -188,7 +188,8 @@ def _build_parser() -> _Parser:
                           "file:PATH (nuclear-normalized)")
     est.add_argument("--k", type=int, default=0, help="bias-correction order")
     est.add_argument("--chains", type=int, default=200,
-                     help="bootstrap chains per estimate (ignored for k=0)")
+                     help="bootstrap chains per estimate (ignored for k=0 and for "
+                          "identity, square, cube)")
     est.add_argument("--alpha", type=float, default=0.05)
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--format", choices=("csv", "json"), default="json")

@@ -1,11 +1,16 @@
 """The bias-reduced estimator of <f(Sigma), B> and its confidence interval.
 
-The estimator of order k averages, over N independent bootstrap chains
-S_0, ..., S_k started at the sample covariance S_0, the weighted
-combination sum_i c_{k,i} <f(S_i), B> with hockey-stick weights
-c_{k,i} = (-1)^i C(k+1, i+1); its conditional expectation removes the
-first k orders of plug-in bias.  A chain is a martingale (E[S_t | S_{t-1}]
-= S_{t-1}), so each step's linear term l_t = <S_t - S_{t-1}, D_{t-1}>,
+The estimator of order k is h_k(S_0) = sum_{j<=k} (I - T)^j f at the
+sample covariance S_0, with T g(S) = E g(W(n, S) / n) the mean of one
+Wishart step (arXiv:1710.09072); its mean removes the first k orders of
+plug-in bias.  For a polynomial f (``ScalarFunction.coefficients``), T - I
+maps the trace monomials of each degree to themselves (``_BIAS_MAP``), so
+h_k(S_0) is taken exactly (``wishart_bias``) and draws nothing.  Any
+other f averages, over N independent bootstrap chains S_0, ..., S_k
+started at S_0, the weighted combination sum_i c_{k,i} <f(S_i), B> with
+hockey-stick weights c_{k,i} = (-1)^i C(k+1, i+1), whose conditional
+expectation is h_k(S_0).  A chain is a martingale (E[S_t | S_{t-1}] =
+S_{t-1}), so each step's linear term l_t = <S_t - S_{t-1}, D_{t-1}>,
 D_{t-1} = Df(S_{t-1}; B), has mean exactly 0, and its second-order term
 q_t = 1/2 <D^2 f(S_{t-1})[S_t - S_{t-1}, S_t - S_{t-1}], B> has a mean
 that a Wishart step's second moments give exactly.  Each step subtracts
@@ -22,30 +27,24 @@ with L the Loewner matrix and R_il = 1 / (lam_i - lam_l), so with P =
 P^T)_il R_il + sum_ij F_iji Bt_ii Dt_ij^2 (``_eig_step``); the d^3 tensor
 F is never formed.  A tied pair i != l (a gap within LOEWNER_GAP) takes
 R_il = 0 and drops out of q_t; the mean never reads such a pair, so the
-difference keeps mean 0, as it does however F is rounded.  A polynomial
-f (``ScalarFunction.coefficients``) takes l_t, q_t and the mean instead
-from products of S_t - S_{t-1} and S_{t-1} in the original basis
-(``_polynomial_step``), with no decomposition.  The plug-in estimator
-<f(S_0), B> is the order-0 case: one chain that takes no step, with
-weight 1.
+difference keeps mean 0, as it does however F is rounded.  The plug-in
+estimator <f(S_0), B> is the order-0 case, which takes no chain.
 
 ``sampling.chain_states`` hands each block of states to the estimator,
 which reduces each state S_t there, in one sweep, to <f(S_t), B>, the
-terms of the step that reached it, and, for t < k, what the next step's
-terms read: the state itself for a polynomial f, whose terms are sums of
-products of S_t and B, and otherwise its eigenpairs and Bt
-(``symmat.spectral_terms``, which also serves S_0, sigma_f and
-``simulate``'s truth), whose eigenvalues are also kept for the domain
-check.  A chain state outside f's domain is an error, never dropped.
-Confidence intervals use the asymptotic standard deviation
-sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
+terms of the step that reached it, and, for t < k, its eigenpairs and
+Bt, which the next step's terms read (``symmat.spectral_terms``, which
+also serves S_0 and ``simulate``'s truth); its eigenvalues are also kept
+for the domain check.  A chain state outside f's domain is an error,
+never dropped.  Confidence intervals use the asymptotic standard
+deviation sigma_f = sqrt(2) ||Sigma^{1/2} Df(Sigma;B) Sigma^{1/2}||_2.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -67,7 +66,6 @@ from .symmat import (
     exponent,
     in_domain,
     loewner_differences,
-    psd_sqrt,
     rescale,
     spectral_terms,
 )
@@ -80,12 +78,25 @@ __all__ = [
     "bias_reduced_estimate",
     "confidence_interval",
     "valid_alpha",
+    "wishart_bias",
     "MAX_K",
 ]
 
 # The one bound on k.  The weights are exact ints; their float copies are exact
 # to k = 55 (C(57, 28) > 2^53), and they fit a signed int64 up to k = 65.
 MAX_K = 62
+
+# T - I, for T the mean of one Wishart step, on the trace monomials of
+# degree h, times n^(h - 1): column m is the image of monomial m, in the
+# order (S^2, tr(S) S) and (S^3, tr(S) S^2, tr(S^2) S, tr(S)^2 S).  Each
+# column follows from Wick's theorem for S = W(n, Sigma) / n.
+_BIAS_MAP = {
+    2: lambda n: ((1, 2), (1, 0)),
+    3: lambda n: ((3 * n + 4, 4 * n + 4, 4 * n + 4, 8),
+                  (2 * n + 2, n + 2, 4, 4 * n),
+                  (n + 1, 2, n, 2 * n),
+                  (1, n, n, 0)),
+}
 
 
 @dataclass(frozen=True)
@@ -136,25 +147,24 @@ def sigma_f(sigma, f: ScalarFunction, b) -> float:
 
     Computed in the eigenbasis of Sigma, on the grid of its eigenvalues
     that ``symmat.loewner_differences`` divides by 2^e (for f of degree h;
-    else e = 0), as sqrt(2) 2^(e h) ||Lam^{1/2} (L o U^T B U) Lam^{1/2}||
-    with U^T B U from ``symmat.spectral_terms``: the same bits at every
-    scale.  ``sigma`` may be given as its SpectralDecomp; a B of another
-    size raises DimMismatch, and negative eigenvalues NotPSD.  The norm is
-    taken of entries divided by a power of two, scaled back once; a value
-    beyond floating point, or a positive one that underflows to 0, raises
-    NumericOverflow.
+    else e = 0), as sqrt(2) 2^(e h) ||Lam^{1/2} (L o U^T B U) Lam^{1/2}||:
+    the same bits at every scale.  ``sigma`` may be given as its
+    SpectralDecomp; a B of another size raises DimMismatch, and negative
+    eigenvalues NotPSD.  The norm is taken of entries divided by a power
+    of two, scaled back once; a value beyond floating point, or a positive
+    one that underflows to 0, raises NumericOverflow.
     """
     dec = eigh(sigma)
     b = as_symmat(b)
-    lam = dec.eigenvalues
+    lam, u = dec.eigenvalues, dec.eigenvectors
     if b.dim != len(lam):
         raise DimMismatch(f"B has dim {b.dim}, Sigma has {len(lam)}")
     check_psd(lam)  # NotPSD before the DomainError of a negative eigenvalue
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # DomainError before f is taken
         first, _, _, e = loewner_differences(lam, f)
-    _, bt = spectral_terms(lam, dec.eigenvectors, f, b.entries, True)
-    root = psd_sqrt(np.ldexp(lam, -e))
+    bt = u.T @ (b.entries @ u)
+    root = np.sqrt(np.maximum(np.ldexp(lam, -e), 0.0))  # checked PSD above
     sandwiched = root[:, None] * (first * bt) * root[None, :]
     p = exponent(sandwiched) - 1  # 2^p at or below its largest entry
     norm = math.sqrt(2.0) * float(np.linalg.norm(np.ldexp(sandwiched, -p)))
@@ -195,30 +205,11 @@ def _zero_nonfinite(m):
     return m
 
 
-def _polynomial_terms(s_hat, e, coefficients, b):
-    """<p(S), B> for each symmetric S = 2^e S_hat, p = sum_j c_j x^j.
-
-    One sweep, no decomposition: each S_hat^{j-1} B is formed once, and
-    tr(S^j B) = sum S o (S^{j-1} B) for symmetric S.  Each term is taken
-    of S_hat and scaled back exactly, so the value is finite wherever it
-    is.
-    """
-    power = b  # S_hat^{j-1} B
-    val = np.full(e.shape, coefficients[0] * np.trace(b))
-    for j, c in enumerate(coefficients[1:], start=1):
-        if j > 1:
-            power = s_hat @ power
-        if c:
-            val += c * np.ldexp(np.sum(s_hat * power, axis=(-2, -1)), j * e)
-    return val
-
-
 def _eig_step(lam, u, bt, f: ScalarFunction, n: int, s):
     """A step's control variates l_t + q_t - E[q_t | S_{t-1}] (see the
-    module docstring) for each state S_t of a stack, for an f that is not
-    a polynomial, from the eigenpairs (lam, U) of the state S_{t-1} it
-    stepped from and Bt = U^T B U: of one S_{t-1} that every state left,
-    or of a stack of them, one per state.
+    module docstring) for each state S_t of a stack, from the eigenpairs
+    (lam, U) of the state S_{t-1} it stepped from and Bt = U^T B U: of one
+    S_{t-1} that every state left, or of a stack of them, one per state.
 
     In S_{t-1}'s eigenbasis, with Dt = U^T S_t U - diag(lam) and L, R and
     G from ``symmat.loewner_differences``, each state takes one product,
@@ -273,57 +264,59 @@ def _eig_step(lam, u, bt, f: ScalarFunction, n: int, s):
     return y * 2.0 ** (shift - whole), top
 
 
-def _polynomial_step(s0, coefficients, b, n: int, s):
-    """A step's control variates l_t + q_t - E[q_t | S_{t-1}] (see the
-    module docstring) of a polynomial p = sum_j c_j x^j for each state S_t
-    of a stack, from products of Dl = S_t - S_{t-1} in the original basis,
-    with no decomposition: of one S_{t-1} that every state left, or of a
-    stack of them, one per state.
+def wishart_bias(s, f: ScalarFunction, b, n: int, weights) -> float:
+    """<sum_j w_j (T - I)^j f(S), B> for a polynomial f, w_j = weights[j - 1]
+    for j = 1, 2, ..., with T the mean of one Wishart step, T g(S) = E
+    g(W(n, S) / n): the order-k estimator's correction at weights (-1)^j,
+    j <= k, and its bias (-1)^k (T - I)^(k+1) f(S) at 0, ..., 0, (-1)^k.
 
-    With M_r = sum_{a+c=r} S^a B S^c and W_i = sum_j c_j M_{j-2-i} of S =
-    S_{t-1}, l_t = <Dl, W_-1> (W_-1 = Dp(S; B)) and q_t = sum_{i>=0}
-    tr(Dl S^i Dl W_i); a Wishart step has E[Dl X Dl | S] = (S X S + tr(X
-    S) S) / n for symmetric X, so E[q_t | S] = sum_{i>=0} (tr(S^(i+2) W_i)
-    + tr(S^(i+1)) tr(S W_i)) / n.  Each state takes one product per W_i,
-    i >= 0, and one per S^i, i >= 1, its own.  With S = 2^e S_hat, Dl is
-    taken at 2^-e and c_j M_r, of scale 2^(e j), at powers of two that
-    bring every term to one scale 2^top.  The terms come back as (y,
-    top), each state's value y 2^top, a finite sum times a power of two.
+    T - I maps the trace monomials of each degree h to themselves, as
+    n^(1 - h) times the integer matrix ``_BIAS_MAP[h](n)``, and is 0 on
+    degrees 0 and 1.  The coefficients of sum_j w_j (T - I)^j f on the
+    monomials are exact rationals, each rounded once.  The monomials are
+    taken of S_hat = S / 2^e, 2^e at or below max |entry| of S, and each
+    degree's sum is scaled back once by 2^(e h), so the value is finite
+    wherever it is and has the same bits at every power-of-two scale of S.
+    Beyond floating point it is inf, unchecked.
     """
-    e = exponent(s0) - 1  # S = 2^e S_hat, 2^e at or below max |entry| of S
-    s_hat = np.ldexp(s0, -e[..., None, None])
-    deg = len(coefficients) - 1
-    power, m = [np.eye(len(b)), s_hat], [b]  # S_hat^i and M_r of S_hat
-    for r in range(1, deg):
-        m.append(s_hat @ m[-1] + b @ power[r])
-        power.append(s_hat @ power[r])
-    parts = [[(e * j, c * m[j - 2 - i]) for j, c in enumerate(coefficients)
-              if c and j >= i + 2] for i in range(-1, deg - 1)]
-    top = functools.reduce(np.maximum, (
-        x + exponent(a) for p in parts for x, a in p))
-    # W_-1, ..., W_(deg-2), divided by 2^top
-    w = [sum(np.ldexp(a, (x - top)[..., None, None]) for x, a in p)
-         for p in parts]
-    mean = sum(np.sum(power[i + 2] * wi, axis=(-2, -1))
-               + np.trace(power[i + 1], axis1=-2, axis2=-1)
-               * np.sum(s_hat * wi, axis=(-2, -1))
-               for i, wi in enumerate(w[1:])) / n
-    dl = np.ldexp(s, -e[..., None, None]) - s_hat
-    y = np.sum(dl * (w[0] + w[1] @ dl if deg > 1 else w[0]), axis=(-2, -1))
-    for i in range(1, deg - 1):
-        y += np.sum((dl @ power[i]) * (w[i + 1] @ dl), axis=(-2, -1))
-    return y - mean, top
+    e = int(exponent(s)) - 1
+    s_hat = np.ldexp(s, -e)
+    s2 = s_hat @ s_hat
+    p1, p2, t1 = np.sum(s_hat * b), np.sum(s2 * b), np.trace(s_hat)
+    monomials = {2: (p2, t1 * p1),
+                 3: (np.sum((s2 @ s_hat) * b), t1 * p2,
+                     np.sum(s_hat * s_hat) * p1, t1 * t1 * p1)}
+    total = 0.0
+    for h, c in enumerate(f.coefficients):
+        if not c or h not in _BIAS_MAP:
+            continue
+        m = _BIAS_MAP[h](n)
+        # acc / n^(J (h - 1)) = sum_j w_j (T - I)^j on the first monomial,
+        # with v = n^(j (h - 1)) (T - I)^j on it, all in integers
+        v, acc = [1] + [0] * (len(m) - 1), [0] * len(m)
+        for w in weights:
+            v = [sum(a * x for a, x in zip(row, v)) for row in m]
+            acc = [a * n ** (h - 1) + w * x for a, x in zip(acc, v)]
+        den = Fraction(n) ** (len(weights) * (h - 1))
+        coef = [float(Fraction(a) / den * Fraction(c)) for a in acc]
+        with np.errstate(over="ignore"):
+            total += np.ldexp(np.dot(coef, monomials[h]), e * h)
+    return float(total)
 
 
 def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
                           nchains: int, rng: RngStream,
                           alpha: float = 0.05) -> EstimateReport:
-    """Order-k bias-reduced estimate of <f(Sigma), B> via bootstrap chains.
+    """Order-k bias-reduced estimate of <f(Sigma), B>, the mean of
+    sum_{j<=k} (I - T)^j f at the sample covariance S_0.
 
-    Simulates ``nchains`` independent chains S_0, ..., S_k from the sample
-    covariance S_0 (step t of every chain draws from ``rng.spawn(2t - 1)``
-    and ``rng.spawn(2t)``, see ``chain_states``) and averages, over
-    the chains,
+    At k = 0 this is the plug-in <f(S_0), B>, and for a polynomial f it is
+    the plug-in plus ``wishart_bias`` of S_0 at weights (-1)^j: either
+    draws nothing and is reported as zero chains with ``mc_stderr`` 0.
+    Any other f simulates ``nchains`` independent chains S_0, ..., S_k
+    (step t of every chain draws from ``rng.spawn(2t - 1)`` and
+    ``rng.spawn(2t)``, see ``chain_states``) and averages, over the
+    chains,
 
         sum_i c_i <f(S_i), B>
             - sum_{t>=1} (-1)^t C(k, t) (l_t + q_t - E[q_t | S_{t-1}]),
@@ -333,29 +326,25 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     given S_{t-1}, l_t has mean 0 and E[q_t | S_{t-1}] is q_t's exact
     mean, so each step's terms take its first- and second-order chain
     noise out and leave the mean as it is.  Each step's terms come from
-    the state it left, in one call per block: ``_eig_step`` from that
-    state's eigenpairs, with one product per state, (L o Dt) Dt, and no
-    second-difference tensor, where a tied pair i != l of eigenvalues
-    drops out of q_t (its mean never reads one); or ``_polynomial_step``
-    from the state itself for a polynomial f.  At k = 0 this is the
-    plug-in: one chain that takes no step, draws nothing and is reported
-    as zero chains.  The terms of S_0 come from its eigenpairs, once, and
-    sigma_f from the same eigenpairs.
+    the eigenpairs of the state it left, in one ``_eig_step`` call per
+    block, with one product per state, (L o Dt) Dt, and no
+    second-difference tensor; a tied pair i != l of eigenvalues drops out
+    of q_t (its mean never reads one).  The terms of S_0 come from its
+    eigenpairs, once, and sigma_f from the same eigenpairs.
     Each stepped state is reduced in one sweep in its block of the chain
-    pass, to <f(S_t), B> and, for every state but the last, what the next
-    step's terms read: the state itself when f is a polynomial (domain R,
-    so there is no chain domain check), and otherwise its eigenpairs and
-    B in their basis, whose eigenvalues are also kept for the one domain
-    check after the pass.  A step's terms are carried as a mantissa and a
-    power of two, and a chain's terms are summed at a power of two where
-    their weighted sum could overflow.  The CI half-width uses
-    sigma_hat / sqrt(n) only; Monte Carlo chain noise is reported
-    separately as ``mc_stderr``.  Raises DomainError, before any chain is
-    drawn, when S_0 lies outside f's domain, and after the draws when a
-    chain state leaves it; and NumericOverflow, naming the stage, when the
-    sample covariance, a chain state, f of a state, the chain combination,
-    its linear terms, ``mc_stderr`` or sigma_f overflows, or sigma_f
-    underflows to 0.
+    pass, to <f(S_t), B> and, for every state but the last, its
+    eigenpairs and B in their basis, which the next step's terms read;
+    its eigenvalues are also kept for the one domain check after the
+    pass.  A step's terms are carried as a mantissa and a power of two,
+    and a chain's terms are summed at a power of two where their weighted
+    sum could overflow.  The CI half-width uses sigma_hat / sqrt(n) only;
+    Monte Carlo chain noise is reported separately as ``mc_stderr``.
+    Raises DomainError, before any chain is drawn, when S_0 lies outside
+    f's domain, and after the draws when a chain state leaves it; and
+    NumericOverflow, naming the stage, when the sample covariance, a
+    chain state, f of a state, the bias correction, the chain
+    combination, its linear terms, ``mc_stderr`` or sigma_f overflows, or
+    sigma_f underflows to 0.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -369,51 +358,61 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
         raise DimMismatch(f"data dim {sigma_hat_mat.dim}, B dim {b.dim}")
     check_domain(start.eigenvalues, f, "eigenvalues of the sample covariance")
     shat = sigma_f(start, f, b)
-    nchains = nchains if k else 1
-    vals = np.empty((nchains, k + 1))  # <f(S_i), B> per chain
+    chains = k > 0 and f.coefficients is None
+    # <f(S_0), B>, and B in S_0's eigenbasis, which step 1's terms read
+    plug, bt0 = spectral_terms(start.eigenvalues, start.eigenvectors, f,
+                               b.entries, chains)
+    if chains:
+        value, mc_stderr = _chain_mean(start, bt0, plug, f, b, k, x.n,
+                                       nchains, rng)
+    else:  # h_k in closed form: the plug-in, or a polynomial's exact mean
+        finite(plug, f"'{f.name}' of a chain state")
+        correction = wishart_bias(sigma_hat_mat.entries, f, b.entries, x.n, [
+            (-1) ** j for j in range(1, k + 1)]) if k else 0.0
+        value = float(finite(plug + correction,
+                             f"the bias correction of '{f.name}'"))
+        mc_stderr, nchains = 0.0, 0
+    ci = confidence_interval(value, shat, x.n, alpha)
+    return EstimateReport(
+        functional_value=value, estimator_kind="bias_reduced" if k else "plugin",
+        k=k, mc_stderr=mc_stderr, sigma_hat=shat, ci=ci, alpha=alpha,
+        n=x.n, d=x.d, chains=nchains,
+        master_seed=rng.master_seed, stream_id=rng.stream_id,
+    )
+
+
+def _chain_mean(start, bt0, plug, f: ScalarFunction, b, k: int, n: int,
+                nchains: int, rng: RngStream):
+    """(mean, Monte Carlo stderr) of ``nchains`` chains' combinations, as
+    ``bias_reduced_estimate`` describes them, from S_0's SpectralDecomp,
+    B in its eigenbasis and <f(S_0), B>."""
     lam0, u0 = start.eigenvalues, start.eigenvectors
-    # B in S_0's eigenbasis, which step 1's terms read
-    vals[:, 0], bt0 = spectral_terms(lam0, u0, f, b.entries, True)
+    vals = np.empty((nchains, k + 1))  # <f(S_i), B> per chain
+    vals[:, 0] = plug
     # l_t + q_t - E[q_t | S_{t-1}] per chain, lin 2^top
     lin, top = np.empty((nchains, k)), np.empty((nchains, k), dtype=int)
-    if k:
-        poly = f.coefficients
-        lam = np.empty((nchains, k, x.d))  # eigenvalues, for the domain check
+    lam = np.empty((nchains, k, lam0.size))  # eigenvalues, for the domain check
 
-        def visit(lo, hi, t, s, carry):
-            # a block's carry into step t is what step t - 1 left of each of
-            # its states: the eigenvalues (on the start's grid if outside
-            # f's domain), eigenvectors and B in that eigenbasis, or for a
-            # polynomial the state itself; every chain leaves S_0 at t = 1
-            if poly is None:
-                lin[lo:hi, t - 1], top[lo:hi, t - 1] = _eig_step(
-                    *(carry or (lam0, u0, bt0)), f, x.n, s.entries)
-                dec = eigh(s)
-                v = dec.eigenvectors
-                lam[lo:hi, t - 1] = dec.eigenvalues
-                # a state outside f's domain fails the check after the pass;
-                # till then f and L are taken on the start's eigenvalues
-                inside = np.all(in_domain(dec.eigenvalues, f), axis=-1)
-                grid = np.where(inside[:, None], dec.eigenvalues, lam0)
-                vals[lo:hi, t], bt = spectral_terms(grid, v, f, b.entries, t < k)
-                return grid, v, bt  # bt is None at t = k: no step reads it
-            lin[lo:hi, t - 1], top[lo:hi, t - 1] = _polynomial_step(
-                sigma_hat_mat.entries if carry is None else carry, poly,
-                b.entries, x.n, s.entries)
-            e = exponent(s.entries) - 1  # S = 2^e S_hat, as in _polynomial_step
-            s_hat = np.ldexp(s.entries, -e[..., None, None])
-            # |eigenvalue| <= d max |entry| < 2^(e + 1 + bits(d)), so only
-            # these states can have one past floating point: eigh raises
-            big = e >= 1023 - x.d.bit_length()
-            if big.any():
-                eigh(s.entries[big])
-            vals[lo:hi, t] = _polynomial_terms(s_hat, e, poly, b.entries)
-            return s.entries
+    def visit(lo, hi, t, s, carry):
+        # a block's carry into step t is what step t - 1 left of each of its
+        # states: the eigenvalues (on the start's grid if outside f's
+        # domain), eigenvectors and B in that eigenbasis; every chain leaves
+        # S_0 at t = 1
+        lin[lo:hi, t - 1], top[lo:hi, t - 1] = _eig_step(
+            *(carry or (lam0, u0, bt0)), f, n, s.entries)
+        dec = eigh(s)
+        v = dec.eigenvectors
+        lam[lo:hi, t - 1] = dec.eigenvalues
+        # a state outside f's domain fails the check after the pass; till
+        # then f and L are taken on the start's eigenvalues
+        inside = np.all(in_domain(dec.eigenvalues, f), axis=-1)
+        grid = np.where(inside[:, None], dec.eigenvalues, lam0)
+        vals[lo:hi, t], bt = spectral_terms(grid, v, f, b.entries, t < k)
+        return grid, v, bt  # bt is None at t = k: no step reads it
 
-        with overflow_stage("chain state"):
-            chain_states(start, k, x.n, nchains, rng, visit)
-        if poly is None:
-            check_domain(lam, f, "chains")
+    with overflow_stage("chain state"):
+        chain_states(start, k, n, nchains, rng, visit)
+    check_domain(lam, f, "chains")
     finite(vals, f"'{f.name}' of a chain state")
     # subtract sum_t l_t sum_{i>=t} c_i; these tail sums are (-1)^t C(k, t)
     c = hockey_stick_weights(k)
@@ -427,20 +426,12 @@ def bias_reduced_estimate(x: DataMatrix, f: ScalarFunction, b, k: int,
     r = np.maximum(np.maximum(exponent(vals, 1), high) + k + 2 - 1023, 0)
     part = np.ldexp(vals, -r[:, None]) @ c
     y = np.ldexp(part - np.ldexp(lin, top - r[:, None]) @ tails, r)
-    if not np.all(np.isfinite(y)):  # at k = 0, y is the finite <f(S_0), B>
+    if not np.all(np.isfinite(y)):
         finite(np.ldexp(part, r), f"the chain combination of '{f.name}'")
         finite(y, f"linear term: the chain combination of '{f.name}' less "
                "its linear term")
 
     scale = binade(y)
     z = y / scale  # exact; keeps the squares in y.std inside floating point
-    value = float(z.mean()) * scale
     mc_stderr = float(z.std(ddof=1) / math.sqrt(z.size)) * scale if z.size > 1 else 0.0
-    finite(mc_stderr, "the Monte Carlo stderr")
-    ci = confidence_interval(value, shat, x.n, alpha)
-    return EstimateReport(
-        functional_value=value, estimator_kind="bias_reduced" if k else "plugin",
-        k=k, mc_stderr=mc_stderr, sigma_hat=shat, ci=ci, alpha=alpha,
-        n=x.n, d=x.d, chains=nchains if k else 0,
-        master_seed=rng.master_seed, stream_id=rng.stream_id,
-    )
+    return float(z.mean()) * scale, finite(mc_stderr, "the Monte Carlo stderr")

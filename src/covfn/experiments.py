@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericOverflow, UsageError, ZeroMatrix, finite, overflow_stage
-from .estimators import MAX_K, bias_reduced_estimate, sigma_f, valid_alpha
+from .estimators import (MAX_K, bias_reduced_estimate, sigma_f, valid_alpha,
+                         wishart_bias)
 from .functions import ScalarFunction, parse_function_spec
 from .sampling import (
     RngStream,
@@ -34,9 +35,7 @@ from .symmat import (
     eigh,
     eigvalsh,
     spectral_terms,
-    trace_inner_product,
 )
-from .wishart_oracle import quad_wishart_oracle
 
 __all__ = [
     "CONFIG_KEYS",
@@ -280,8 +279,9 @@ def _estimate_cells(cfg: ExperimentConfig, f: ScalarFunction):
 def run_bias_scaling(cfg: ExperimentConfig) -> ResultTable:
     """Monte Carlo bias of the order-k estimator over an (n, k) grid.
 
-    For f = square the exact Wishart-moment oracle bias is emitted next to
-    the Monte Carlo estimate.
+    For a polynomial f the exact bias (-1)^k <(T - I)^(k+1) f(Sigma), B>
+    (``estimators.wishart_bias``) is emitted next to the Monte Carlo
+    estimate; for any other f that column is NaN.
     """
     f = parse_function_spec(cfg.fn)
     rows = []
@@ -290,10 +290,11 @@ def run_bias_scaling(cfg: ExperimentConfig) -> ResultTable:
             vals = np.array([e.functional_value for e in ests])
             bias_mc = float(vals.mean() - truth)
             stderr = float(vals.std(ddof=1) / np.sqrt(cfg.m)) if cfg.m > 1 else 0.0
-            if f.name == "square":
-                bias_oracle = trace_inner_product(quad_wishart_oracle(sigma, n, k), b)
-            else:
+            if f.coefficients is None:
                 bias_oracle = float("nan")
+            else:
+                bias_oracle = wishart_bias(sigma.entries, f, b.entries, n,
+                                           [0] * k + [(-1) ** k])
             rows.append([
                 n, k, cfg.m, bias_mc, stderr, bias_oracle,
                 float(np.log(n)),

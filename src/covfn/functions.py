@@ -3,8 +3,9 @@ derivatives.
 
 Each member knows its open domain; spectral operations refuse matrices
 whose eigenvalues leave it.  ``identity``, ``square`` and ``cube`` also
-carry their power-basis coefficients, so <f(S), B> can be taken from S
-itself, with no decomposition.  ``smoothstep`` is a C-infinity plateau
+carry their power-basis coefficients, which select the estimator's exact
+path: their bias-reduced estimate is taken in closed form from the trace
+monomials of the sample covariance, with no chain.  ``smoothstep`` is a C-infinity plateau
 function built from the standard exp(-1/x) mollifier, usable to isolate a
 spectral cluster (value 1 on [a, b], 0 outside (a - delta, b + delta)).
 """

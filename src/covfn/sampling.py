@@ -6,7 +6,8 @@ streams and every draw is a pure function of the key, so all Monte Carlo
 output is reproducible bit-for-bit.  Normal variates use numpy's ziggurat
 generator (``Generator.standard_normal``), fixed for this build.
 
-``chain_states`` is the one chain sampler, and it knows nothing of f.
+``chain_states`` is the one chain sampler, and it knows nothing of f; the
+estimator runs it only for an f that is not a polynomial.
 Each step is one Wishart draw in Bartlett form applied to a factor the
 chain carries, so only the start has a root and a step costs O(d^3)
 whatever n is.  All draws come first, in the calling thread, from

@@ -1,7 +1,7 @@
 """Test-only helpers: closed forms and fits that only the tests call.
 
 Each checks the package against an independent computation: the Gaussian
-fourth-moment identities behind ``wishart_oracle``'s closed form, the
+fourth-moment identities behind ``quad_wishart_oracle``'s closed form, the
 spectral matrix function f(A) formed as a matrix, the first-order Taylor
 remainder of a spectral function, the plug-in estimate (the order-0
 estimator) and the log-log slope of a bias against n.
@@ -15,13 +15,16 @@ differences (``loewner_second_difference``) is the oracle for each chain
 step's second-order term, which the package takes with one matrix
 product per state instead: ``step_terms`` contracts it with ``einsum``.
 ``collect_states`` keeps the chain states that ``chain_states`` hands
-over, which the package itself never does.
+over, which the package itself never does.  ``quad_wishart_oracle`` is
+the closed-form bias of the order-k estimator of x^2, and ``wick_mean``
+enumerates Wick pairings for the Wishart means that the package's bias
+map of the trace monomials (``estimators._BIAS_MAP``) tabulates.
 """
 
 import numpy as np
 
 from covfn.errors import DimMismatch
-from covfn.estimators import EstimateReport, bias_reduced_estimate
+from covfn.estimators import MAX_K, EstimateReport, bias_reduced_estimate
 from covfn.functions import ScalarFunction
 from covfn.sampling import DataMatrix, RngStream, chain_states
 from covfn.symmat import (LOEWNER_GAP, SpectralDecomp, SymMat, as_symmat,
@@ -215,3 +218,60 @@ def expected_square_of_trace(sigma, n: int) -> float:
     """E[(tr S)^2] = (tr Sigma)^2 + 2 tr(Sigma^2) / n."""
     s = as_symmat(sigma).entries
     return float(np.trace(s) ** 2 + 2.0 * np.trace(s @ s) / n)
+
+
+# The order-k estimator of f has bias (-1)^k (T - I)^(k+1) f(Sigma).  For
+# f(x) = x^2, T - I maps span{Sigma^2, tr(Sigma) Sigma} to itself as (1/n)
+# [[1, 2], [1, 0]], whose eigenvalues are 2/n and -1/n; with the Jacobsthal
+# numbers J_j = (2^j - (-1)^j)/3 the bias is (-1)^k (J_{k+2} Sigma^2 +
+# J_{k+1} tr(Sigma) Sigma) / n^{k+1}, each coefficient one correctly
+# rounded division of exact integers.
+def quad_wishart_oracle(sigma, n: int, k: int) -> SymMat:
+    """Exact bias E[f_k(sample covariance)] - Sigma^2 for f(x) = x^2; k = 0
+    gives (Sigma^2 + tr(Sigma) Sigma) / n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (0 <= k <= MAX_K):
+        raise ValueError(f"k must be in [0, {MAX_K}]")
+    # n as a ratio of Python ints, whose powers cannot wrap as a numpy int's do
+    num, den = float(n).as_integer_ratio()
+    top, scale = den ** (k + 1), (-1) ** k * num ** (k + 1)
+    a, b = ((2**j - (-1) ** j) // 3 * top / scale for j in (k + 2, k + 1))
+    s = as_symmat(sigma).entries
+    return SymMat(a * (s @ s) + b * float(np.trace(s)) * s)
+
+
+def _pairings(slots: list):
+    """Every perfect matching of ``slots``, as lists of pairs."""
+    if not slots:
+        yield []
+        return
+    first, rest = slots[0], slots[1:]
+    for i, other in enumerate(rest):
+        for tail in _pairings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + tail
+
+
+def wick_mean(subscripts: str, sigma, n: int) -> np.ndarray:
+    """E of h sample covariances S = W(n, Sigma) / n contracted as the
+    einsum ``subscripts`` of h two-index operands ("ab,bc,cd->ad" is S^3,
+    "aa,bc->bc" is tr(S) S), by Wick's theorem.
+
+    Factor i is (1/n) sum_r x_r x_r^T with slots 2i and 2i + 1; a pairing
+    of the 2h Gaussian slots contracts Sigma over each pair, and the draws
+    r of the factors it links must agree, so it counts n^c times, c the
+    number of groups of linked factors.  The mean is n^-h times the sum
+    over all (2h - 1)!! pairings.
+    """
+    ins, out = subscripts.split("->")
+    slots = ins.replace(",", "")
+    h = len(slots) // 2
+    total = 0.0
+    for pairs in _pairings(list(range(2 * h))):
+        group = list(range(h))
+        for p, q in pairs:
+            a, b = group[p // 2], group[q // 2]
+            group = [a if g == b else g for g in group]
+        spec = ",".join(slots[p] + slots[q] for p, q in pairs) + "->" + out
+        total = total + n ** len(set(group)) * np.einsum(spec, *[sigma] * h)
+    return total / n**h

@@ -21,7 +21,7 @@ from covfn.experiments import (
 from covfn.functions import get_function
 from covfn.sampling import RngStream, gaussian_sample, psd_factor
 from covfn.symmat import as_symmat, eigh
-from covfn.wishart_oracle import quad_wishart_oracle
+from helpers import quad_wishart_oracle
 from test_estimators import brute_force_weights
 from conftest import random_orthogonal, random_sym
 from helpers import (apply_scalar_function, fit_loglog_slope, frechet_derivative,

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import sys
 import tracemalloc
@@ -12,8 +11,8 @@ import covfn.sampling
 import covfn.symmat
 from covfn.errors import BadAlpha, DomainError, NumericOverflow
 from covfn.estimators import (
+    MAX_K,
     _eig_step,
-    _polynomial_step,
     bias_reduced_estimate,
     confidence_interval,
     hockey_stick_weight_ints,
@@ -34,13 +33,14 @@ from covfn.symmat import (
     spectral_terms,
     trace_inner_product,
 )
-from covfn.wishart_oracle import quad_wishart_oracle
 from conftest import random_orthogonal, random_spd, random_sym
 from helpers import (apply_scalar_function, collect_states, frechet_derivative,
-                     loewner_first_difference, plugin_estimate, step_terms)
+                     loewner_first_difference, plugin_estimate,
+                     quad_wishart_oracle, step_terms)
 
 IDENTITY = get_function("identity")
 SQUARE = get_function("square")
+POWER2 = parse_function_spec("power:2")
 LOG = get_function("log")
 
 
@@ -171,6 +171,18 @@ class TestSigmaF:
         root = psd_factor(sigma)
         expected = np.sqrt(2.0) * np.linalg.norm(root @ df @ root)
         assert sigma_f(sigma, LOG, b) == pytest.approx(expected, rel=1e-5)
+
+    def test_no_sum_of_f_beyond_floating_point(self):
+        # power:2 on data scaled by 2^256, with a B of mixed signs: f of the
+        # largest eigenvalues is beyond floating point, and sigma_f, which
+        # sums no <f(Sigma), B>, raises NumericOverflow before numpy can
+        # warn of inf - inf (an error under this suite)
+        z = np.random.default_rng(33).standard_normal((30, 3))
+        a = np.random.default_rng(3).standard_normal((3, 3))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericOverflow, match="^sigma_f of 'power' over"):
+                sigma_f(sample_covariance(DataMatrix(2.0**256 * z)),
+                        parse_function_spec("power:2"), (a + a.T) / 2)
 
 
 class TestPluginEstimate:
@@ -346,16 +358,19 @@ class TestBiasReducedEstimate:
 
     def test_linear_functional_is_unbiased(self, np_rng):
         # identity f: the linear term is the whole functional, so once it
-        # is subtracted every chain gives <cov, B> up to rounding
+        # is subtracted every chain gives <cov, B> up to rounding.  Without
+        # its coefficients identity runs the chains
         sigma = np.diag([1.0, 2.0, 0.5])
         x = gaussian_sample(psd_factor(sigma), 200, RngStream(3))
         b = np.diag([1.0, 1.0, 0.0]) / 2.0
         target = trace_inner_product(sample_covariance(x), b)
-        rep = bias_reduced_estimate(x, IDENTITY, b, 2, 400, RngStream(4))
+        rep = bias_reduced_estimate(
+            x, dataclasses.replace(IDENTITY, coefficients=None), b, 2, 400,
+            RngStream(4))
         assert rep.functional_value == pytest.approx(target, rel=1e-12)
         assert rep.mc_stderr <= 1e-12 * abs(target)
 
-    @pytest.mark.parametrize("f", [SQUARE, LOG], ids=["square", "log"])
+    @pytest.mark.parametrize("f", [POWER2, LOG], ids=["power:2", "log"])
     def test_chains_are_batch_invariant(self, np_rng, f):
         # chain r of a batch equals chain r of a batch of r chains, the
         # first t steps of a chain do not depend on its length, and the
@@ -480,12 +495,12 @@ class TestBiasReducedEstimate:
         # has mean 0: over 20000 chains its mean is within 5 standard errors
         # of 0, while q_t's own mean is not.  At t = 2 every chain steps
         # from its own S_1.  On the first 100 chains the step's one-product
-        # terms (for square and cube, products of S_t - S_{t-1}) give the
-        # tensor's values to rounding.  S_0 = I ties every pair of its
-        # eigenvalues: their pairs i != l drop out of q_1, but never entered
-        # its mean, while square and cube keep them
+        # terms give the tensor's values to rounding.  S_0 = I ties every
+        # pair of its eigenvalues: their pairs i != l drop out of q_1, but
+        # never entered its mean.  square and cube are taken without their
+        # coefficients, which is how they run chains
         d, n, nchains = 4, 20, 20000
-        f = get_function(name)
+        f = dataclasses.replace(get_function(name), coefficients=None)
         if tied:  # S_0 = I exactly
             x = DataMatrix(np.repeat(2.0 * np.eye(d), n // d, axis=0))
         else:
@@ -500,14 +515,9 @@ class TestBiasReducedEstimate:
         _, bt = spectral_terms(lam, u, f, b, True)
         deriv = u @ (loewner_first_difference(lam, f) * bt) @ np.swapaxes(u, -1, -2)
         lin = np.sum((st - prev) * deriv, axis=(-2, -1))
-        if f.coefficients is None:
-            y = np.ldexp(*_eig_step(lam, u, bt, f, n, st))
-        else:
-            y = np.ldexp(*_polynomial_step(prev, f.coefficients, b, n, st))
-        q_less_mean = y - lin
+        q_less_mean = np.ldexp(*_eig_step(lam, u, bt, f, n, st)) - lin
         few = slice(None) if t == 1 else slice(100)
-        _, q, mean = step_terms(lam[few], u[few], f, b, n, st[:100],
-                                drop_ties=f.coefficients is None)
+        _, q, mean = step_terms(lam[few], u[few], f, b, n, st[:100])
         np.testing.assert_allclose(q_less_mean[:100], q - mean, rtol=0,
                                    atol=1e-12 * np.abs(q).max())
         se = q_less_mean.std(ddof=1) / np.sqrt(nchains)
@@ -528,40 +538,48 @@ class TestBiasReducedEstimate:
 
     def test_identity_has_no_second_order_term(self, np_rng):
         # identity's second differences are 0, so a step's terms are its
-        # linear term <S_t - S_{t-1}, B> alone, to the last bit
+        # linear term <S_t - S_{t-1}, B> alone, to rounding: the one-product
+        # terms of identity without its coefficients, from the eigenpairs
+        # of the state each chain left
+        f = dataclasses.replace(IDENTITY, coefficients=None)
         d, n = 5, 12
         x = DataMatrix(np_rng.standard_normal((n, d)))
         b = random_sym(np_rng, d)
         s0 = sample_covariance(x).entries
         s1, s2 = np.moveaxis(collect_states(s0, 2, n, 50, RngStream(3)), 1, 0)
         for prev, st in ((s0, s1), (s1, s2)):
-            np.testing.assert_array_equal(
-                np.ldexp(*_polynomial_step(prev, IDENTITY.coefficients, b, n, st)),
-                np.sum((st - prev) * b, axis=(1, 2)))
+            dec = eigh(prev)
+            _, bt = spectral_terms(dec.eigenvalues, dec.eigenvectors, f, b, True)
+            lin = np.sum((st - prev) * b, axis=(1, 2))
+            np.testing.assert_allclose(
+                np.ldexp(*_eig_step(dec.eigenvalues, dec.eigenvectors, bt, f, n,
+                                    st)),
+                lin, rtol=0, atol=1e-12 * np.abs(lin).max())
 
     @pytest.mark.parametrize("name", ["square", "cube"])
     @pytest.mark.parametrize("n, d", [(30, 5), (6, 10)])
     @pytest.mark.parametrize("sign", [0, 1, -1])
-    def test_order_one_products_give_the_tensors_estimate(
+    def test_order_one_exact_value_is_the_chains_mean(
             self, np_rng, name, n, d, sign):
-        # square and cube take step 1's terms from products of S_1 - S_0;
-        # without their coefficients (as power:2 and power:3, but defined
-        # where n < d too) they take them from the second-difference tensor
-        # in S_0's eigenbasis.  On the same draws both give the same
-        # report, also with <f(S), B> scaled by about 2^500 and 2^-500
+        # square and cube take order 1 exactly; without their coefficients
+        # (as power:2 and power:3, but defined where n < d too) they run
+        # chains whose step terms come from second differences in S_0's
+        # eigenbasis.  For square the step's second-order term is the
+        # whole remainder, so every chain gives the exact value to
+        # rounding; cube's chains lie within 4 of their stderr of it.  Also
+        # with <f(S), B> scaled by about 2^500 and 2^-500
         f = get_function(name)
         c = 2.0 ** (sign * (500 // (2 * f.degree)))
         x = DataMatrix(c * np_rng.standard_normal((n, d)) * np.linspace(1, 3, d))
         b = random_sym(np_rng, d)  # not diagonal
-        poly = bias_reduced_estimate(x, f, b, 1, 200, RngStream(5))
-        tensor = bias_reduced_estimate(
+        exact = bias_reduced_estimate(x, f, b, 1, 200, RngStream(5))
+        chains = bias_reduced_estimate(
             x, dataclasses.replace(f, coefficients=None), b, 1, 200, RngStream(5))
-        assert poly.functional_value == pytest.approx(tensor.functional_value,
-                                                      rel=1e-12)
-        # square's mc_stderr is rounding of its terms, so it is compared at
-        # their size
-        assert poly.mc_stderr == pytest.approx(
-            tensor.mc_stderr, rel=1e-12, abs=1e-12 * abs(poly.functional_value))
+        assert (exact.chains, exact.mc_stderr) == (0, 0.0)
+        assert abs(exact.functional_value - chains.functional_value) <= (
+            4.0 * chains.mc_stderr + 1e-12 * abs(exact.functional_value))
+        if name == "square":
+            assert chains.mc_stderr <= 1e-12 * abs(exact.functional_value)
 
     def test_order_one_square_is_the_plugin_less_its_exact_bias(self, np_rng):
         # for square, q_1 is the whole remainder <S_1^2 - S_0^2, B> - l_1, so
@@ -625,16 +643,16 @@ class TestBiasReducedEstimate:
 
     @pytest.mark.parametrize("name", ["identity", "square", "cube"])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("n, d, nchains", [(40, 5, 4), (40, 5, 129),
-                                               (6, 10, 129)])
-    def test_polynomial_and_eigenpair_contractions_agree(
-            self, np_rng, monkeypatch, name, k, n, d, nchains):
-        # the same f without its coefficients reads every term off
-        # eigenpairs, and takes each step's linear term from the Loewner
-        # matrix of the state it left instead of from products of that
-        # state and B; on the same draws both give the same report, and
-        # only the eigenpair run decomposes a chain state
-        monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)  # 129: two blocks
+    @pytest.mark.parametrize("n, d", [(30, 3), (12, 4)])
+    def test_exact_value_lies_within_the_chains_stderr(
+            self, np_rng, monkeypatch, name, k, n, d):
+        # identity, square and cube take h_k(S_0) exactly, from T - I on
+        # trace monomials, and decompose no chain state; without their
+        # coefficients they run 20000 chains, in two blocks, whose mean
+        # lies within 4 of their stderr of it.  identity, and square at
+        # k = 1, are deterministic given the data: there the two differ by
+        # rounding
+        monkeypatch.setattr(covfn.sampling, "_WORKERS", 2)
         monkeypatch.setattr(covfn.sampling, "BLOCK_WORK", 1)
         decomposed = []
 
@@ -646,67 +664,72 @@ class TestBiasReducedEstimate:
         monkeypatch.setattr(covfn.estimators, "eigh", spy)
         f = get_function(name)
         x = DataMatrix(np_rng.standard_normal((n, d)) * np.linspace(1, 3, d))
-        b = random_sym(np_rng, d)
-        poly = bias_reduced_estimate(x, f, b, k, nchains, RngStream(5))
+        b = random_sym(np_rng, d)  # not diagonal
+        exact = bias_reduced_estimate(x, f, b, k, 20000, RngStream(3))
         assert decomposed == []
-        eig = bias_reduced_estimate(x, dataclasses.replace(f, coefficients=None),
-                                    b, k, nchains, RngStream(5))
-        assert sum(decomposed) == k * nchains
-        assert poly.functional_value == pytest.approx(eig.functional_value,
-                                                      rel=1e-12)
-        # identity's control variate takes out all chain noise, so its
-        # mc_stderr is rounding on both sides
-        assert poly.mc_stderr == pytest.approx(
-            eig.mc_stderr, rel=1e-12, abs=1e-12 * abs(eig.functional_value))
+        chains = bias_reduced_estimate(
+            x, dataclasses.replace(f, coefficients=None), b, k, 20000,
+            RngStream(3))
+        assert sum(decomposed) == k * 20000
+        assert abs(exact.functional_value - chains.functional_value) <= (
+            4.0 * chains.mc_stderr + 1e-12 * abs(exact.functional_value))
 
-    @pytest.mark.parametrize("name, top, only_eig", [
-        ("identity", 308.2, 0), ("square", 154.1, 7), ("cube", 102.7, 4)])
-    def test_polynomial_contraction_is_finite_where_eigenpairs_are(
-            self, name, top, only_eig):
-        # data scaled up to where f of a chain state leaves floating point.
-        # The polynomial run raises only where the eigenpair run does, and
-        # for identity raises the same error.  The eigenpair run of square
-        # and cube also raises where f of the largest eigenvalue overflows
-        # but <f(S), B> does not (``only_eig`` of these 136 runs; 3 and 2
-        # of them at k = 2, where the chain combination is finite although
-        # its weighted sum of <f(S_i), B> is not).  One of cube's is a run
-        # at k = 2 where one chain's step-2 terms, l_2 + q_2 - E[q_2], are
-        # beyond floating point: they are carried as a mantissa and a power
-        # of two, so the polynomial run gives its finite value.
+    @pytest.mark.parametrize("name, h", [("identity", 1), ("square", 2),
+                                         ("cube", 3)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exact_value_is_finite_where_it_is(self, name, h, k):
+        # data scaled by 2^j up to where the report leaves floating point:
+        # the monomials are taken of S / 2^e and scaled back once, so the
+        # report is the one at scale 1 times 2^(2 j h), to 1e-12 relative,
+        # wherever that is below 2^1023, and the run raises NumericOverflow
+        # wherever it is past 2^1024
         f = get_function(name)
-        g = dataclasses.replace(f, coefficients=None)
         z = np.random.default_rng(1).standard_normal((4, 2))
         z[:, 1] = z[:, 0] + 0.01 * z[:, 1]
+        b = np.eye(2) / 2
+        base = bias_reduced_estimate(DataMatrix(z), f, b, k, 20, RngStream(0))
+        report = np.array([base.functional_value, base.sigma_hat, *base.ci])
+        outcomes = set()
+        for j in range(1024 // (2 * h) - 8, 1024 // (2 * h) + 3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.ldexp(report, 2 * j * h)
+                try:
+                    got = bias_reduced_estimate(DataMatrix(2.0**j * z), f, b, k,
+                                                20, RngStream(0))
+                except NumericOverflow:
+                    got = None
+            if np.abs(want).max() < 2.0**1023:
+                assert got is not None, j
+                np.testing.assert_allclose(
+                    [got.functional_value, got.sigma_hat, *got.ci], want,
+                    rtol=1e-12, atol=1e-12 * np.abs(want).max())
+                assert (got.chains, got.mc_stderr) == (0, 0.0)
+                outcomes.add("finite")
+            elif not np.all(np.isfinite(want)):
+                assert got is None, j
+                outcomes.add("raises")
+        assert outcomes == {"finite", "raises"}
 
-        def run(fn, x, k, seed):
-            try:
-                return bias_reduced_estimate(x, fn, np.eye(2) / 2, k, 20,
-                                             RngStream(seed))
-            except NumericOverflow as exc:
-                return str(exc)
+    @pytest.mark.parametrize("name", ["identity", "square", "cube"])
+    def test_a_polynomial_draws_nothing(self, monkeypatch, name):
+        # h_k of a polynomial is exact at every k: no chain is run and no
+        # stream spawned, and the report says so
+        def fail(*args):
+            raise AssertionError("a chain was run or a stream spawned")
 
-        outcomes = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c in 10.0 ** (top / 2 - 1.5 + np.linspace(0, 1.6, 17)):
-                for k, seed in itertools.product((1, 2), range(4)):
-                    poly = run(f, DataMatrix(c * z), k, seed)
-                    eig = run(g, DataMatrix(c * z), k, seed)
-                    if isinstance(poly, str):
-                        assert isinstance(eig, str)
-                        assert poly == eig or name != "identity"
-                        outcomes.append("both")
-                    elif isinstance(eig, str):
-                        outcomes.append("eig")
-                    else:
-                        assert poly.functional_value == pytest.approx(
-                            eig.functional_value, rel=1e-12)
-                        outcomes.append("neither")
-        assert outcomes.count("eig") == only_eig
-        assert outcomes.count("both") and outcomes.count("neither")
+        monkeypatch.setattr(covfn.estimators, "chain_states", fail)
+        monkeypatch.setattr(RngStream, "spawn", fail)
+        x = DataMatrix(np.random.default_rng(4).standard_normal((20, 3)))
+        for k in (1, 2, 3, MAX_K):
+            rep = bias_reduced_estimate(x, get_function(name), np.eye(3) / 3, k,
+                                        200, RngStream(1))
+            assert (rep.chains, rep.mc_stderr) == (0, 0.0)
+            assert rep.estimator_kind == "bias_reduced"
+            assert np.isfinite(rep.functional_value)
 
     def test_report_provenance(self, np_rng):
         x = DataMatrix(np_rng.standard_normal((25, 2)))
-        rep = bias_reduced_estimate(x, SQUARE, np.eye(2) / 2, 1, 30,
+        rep = bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, 30,
                                     RngStream(99, 7), alpha=0.1)
         assert (rep.n, rep.d, rep.k, rep.chains) == (25, 2, 1, 30)
         assert rep.master_seed == 99 and rep.stream_id == 7
@@ -716,18 +739,18 @@ class TestBiasReducedEstimate:
 
     def test_reproducible(self, np_rng):
         x = DataMatrix(np_rng.standard_normal((25, 2)))
-        r1 = bias_reduced_estimate(x, SQUARE, np.eye(2) / 2, 1, 30, RngStream(5))
-        r2 = bias_reduced_estimate(x, SQUARE, np.eye(2) / 2, 1, 30, RngStream(5))
+        r1 = bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, 30, RngStream(5))
+        r2 = bias_reduced_estimate(x, LOG, np.eye(2) / 2, 1, 30, RngStream(5))
         assert r1.functional_value == r2.functional_value
         assert r1.mc_stderr == r2.mc_stderr
 
-    @pytest.mark.parametrize("name", ["square", "log"])
+    @pytest.mark.parametrize("name", ["power:2", "log"])
     def test_eight_threads_switching_fast_give_the_serial_report(
             self, monkeypatch, name):
         # each block's callback writes its own rows of the estimator's
         # shared term arrays, interleaved as finely as the interpreter allows
         x = DataMatrix(np.random.default_rng(2).standard_normal((30, 3)))
-        args = (x, get_function(name), np.eye(3) / 3, 3, 400, RngStream(13))
+        args = (x, parse_function_spec(name), np.eye(3) / 3, 3, 400, RngStream(13))
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 1)
         serial = bias_reduced_estimate(*args)
         monkeypatch.setattr(covfn.sampling, "_WORKERS", 8)

@@ -154,6 +154,23 @@ class TestBiasScaling:
                                         [r[5] for r in rows])
             assert slope == pytest.approx(-(k + 1), abs=0.05)
 
+    @pytest.mark.parametrize("fn", ["identity", "square", "cube", "log"])
+    def test_every_polynomial_has_an_oracle(self, fn):
+        # the exact bias (-1)^k <(T - I)^(k+1) f(Sigma), B> of every
+        # polynomial: 0 for identity, whose estimate is unbiased; any other
+        # f has none
+        cfg = ExperimentConfig(experiment="bias_scaling", d=3, n=(20, 40),
+                               k=(0, 1, 2), fn=fn, sigma="linspace:1,2", m=2,
+                               nchains=5, seed=6)
+        oracle = [row[5] for row in run_bias_scaling(cfg).rows]
+        if fn == "log":
+            assert all(np.isnan(oracle))
+        elif fn == "identity":
+            assert oracle == [0.0] * 6
+        else:
+            assert all(np.isfinite(oracle)) and all(v != 0 for v in oracle)
+            assert [np.sign(v) for v in oracle] == [1, -1, 1] * 2
+
     def test_deterministic(self):
         cfg = ExperimentConfig(experiment="bias_scaling", d=2, n=(30,), k=(1,),
                                fn="square", sigma="identity", m=20, nchains=10,

@@ -3,18 +3,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covfn.estimators import MAX_K, bias_reduced_estimate
+from covfn.estimators import (_BIAS_MAP, MAX_K, bias_reduced_estimate,
+                              wishart_bias)
 from covfn.functions import get_function
 from covfn.sampling import RngStream, gaussian_sample, psd_factor
 from covfn.symmat import trace_inner_product
-from covfn.wishart_oracle import quad_wishart_oracle
 from conftest import random_spd, random_sym
 from helpers import (
     expected_sandwich,
     expected_square_of_trace,
     expected_trace_of_square,
     expected_trace_times_cov,
+    quad_wishart_oracle,
+    wick_mean,
 )
+
+# the trace monomials of degrees 2 and 3 in the order of
+# ``estimators._BIAS_MAP``'s columns, as einsum contractions of S
+MONOMIALS = {2: ("ab,bc->ac", "aa,bc->bc"),
+             3: ("ab,bc,cd->ad", "aa,bc,cd->bd", "ab,ba,cd->cd",
+                 "aa,bb,cd->cd")}
 
 
 def _sample_covariances(sigma, n, m, seed):
@@ -176,3 +184,64 @@ class TestOracleAgainstEstimator:
         stderr = vals.std(ddof=1) / np.sqrt(m)
         bias_exact = trace_inner_product(quad_wishart_oracle(sigma, n, k), b)
         assert abs(bias_mc - bias_exact) <= 5.0 * stderr
+
+
+class TestBiasMap:
+    def test_wick_mean_gives_the_moment_identities(self, np_rng):
+        # the pairing enumeration against the fourth-moment identities
+        # validated above and the known third moment of W = n S,
+        # E[W^3] = n (n^2 + 3n + 4) Sigma^3 + 2n (n + 1) tr(Sigma) Sigma^2
+        #          + n (n + 1) tr(Sigma^2) Sigma + n tr(Sigma)^2 Sigma
+        sigma = random_spd(np_rng, 4)
+        n = 7
+        np.testing.assert_allclose(wick_mean("ab,bc->ac", sigma, n),
+                                   expected_sandwich(sigma, np.eye(4), n).entries,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(wick_mean("aa,bc->bc", sigma, n),
+                                   expected_trace_times_cov(sigma, n).entries,
+                                   rtol=1e-12)
+        s2, tr = sigma @ sigma, np.trace(sigma)
+        w3 = (n * (n * n + 3 * n + 4) * s2 @ sigma + 2 * n * (n + 1) * tr * s2
+              + n * (n + 1) * np.trace(s2) * sigma + n * tr**2 * sigma)
+        np.testing.assert_allclose(n**3 * wick_mean("ab,bc,cd->ad", sigma, n),
+                                   w3, rtol=1e-12)
+
+    @pytest.mark.parametrize("h", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_every_column_is_the_wick_mean(self, np_rng, h, n):
+        # column m of the map is E[m(S)] - m(Sigma) for monomial m, on the
+        # monomials of Sigma, for five Sigma in d = 4
+        table = _BIAS_MAP[h](n)
+        for _ in range(5):
+            sigma = random_spd(np_rng, 4)
+            value = [np.einsum(m, *[sigma] * h) for m in MONOMIALS[h]]
+            size = max(np.abs(v).max() for v in value)
+            for col, m in enumerate(MONOMIALS[h]):
+                got = sum(table[row][col] * v
+                          for row, v in enumerate(value)) / n ** (h - 1)
+                np.testing.assert_allclose(
+                    got, wick_mean(m, sigma, n) - value[col], rtol=0,
+                    atol=1e-12 * size)
+
+    @pytest.mark.parametrize("n", [1, 3, 37, 1000])
+    def test_square_block_is_the_closed_form(self, np_rng, n):
+        # (-1)^k (T - I)^(k+1) of x^2 is quad_wishart_oracle's bias at
+        # every order, to 1e-14 of the size of its two terms
+        sigma = random_spd(np_rng, 3)
+        b = random_sym(np_rng, 3)
+        square = get_function("square")
+        terms = (abs(trace_inner_product(sigma @ sigma, b)),
+                 abs(np.trace(sigma) * trace_inner_product(sigma, b)))
+        for k in range(MAX_K + 1):
+            got = wishart_bias(sigma, square, b, n, [0] * k + [(-1) ** k])
+            want = trace_inner_product(quad_wishart_oracle(sigma, n, k), b)
+            jacobsthal = [(2**j - (-1) ** j) // 3 for j in (k + 2, k + 1)]
+            size = sum(j * t for j, t in zip(jacobsthal, terms)) / float(n) ** (k + 1)
+            assert abs(got - want) <= 1e-14 * size, k
+
+    def test_degrees_zero_and_one_have_no_bias(self, np_rng):
+        # E[S] = Sigma, so identity's corrections and biases are 0
+        sigma = random_spd(np_rng, 3)
+        identity = get_function("identity")
+        for weights in ([1], [0, -1], [-1, 1, -1]):
+            assert wishart_bias(sigma, identity, np.eye(3), 5, weights) == 0.0
